@@ -14,9 +14,9 @@ from typing import Sequence
 
 from . import __version__
 from .confusion import ConfusionMatrix, from_pairs
-from .ingest import IngestError, read_matrix, read_probs, read_weights, stream_labels
+from .ingest import IngestError, read_matrix, read_weights, stream_labels, stream_probs
 from .metrics import ClassWeights, EvaluationReport, evaluate
-from .proba import XentOptions, harden, xent_dataset
+from .proba import XentOptions, score_records
 from .report import (
     color_enabled,
     compare_reports,
@@ -73,16 +73,11 @@ def _build_parser() -> _Parser:
 
 def _load_weights(path: str, matrix: ConfusionMatrix, delimiter: str) -> ClassWeights:
     """Read class,weight rows and lay them over the frequency defaults."""
-    from fractions import Fraction
-
-    if matrix.grand_total > 0:
-        base = list(ClassWeights.from_actual_frequencies(matrix).w)
-    else:
-        base = [Fraction(0)] * matrix.k
+    base = list(ClassWeights.from_actual_frequencies(matrix).w) if matrix.grand_total else [0] * matrix.k
     for label, value in read_weights(path, delimiter=delimiter):
         if label not in matrix.registry:
             raise IngestError(f"weight for unknown class {label!r}")
-        base[matrix.registry.index(label)] = Fraction(value)
+        base[matrix.registry.index(label)] = value
     return ClassWeights(tuple(base))
 
 
@@ -94,9 +89,8 @@ def _evaluate_one(path: str, kind: str, args: argparse.Namespace, options: XentO
     elif kind == "matrix":
         matrix = read_matrix(path, delimiter=delimiter)
     else:
-        registry, records = read_probs(path, delimiter=delimiter)
-        matrix = harden(records, registry)
-        cross_entropy = xent_dataset(records, options)
+        registry, records = stream_probs(path, delimiter=delimiter)
+        matrix, cross_entropy = score_records(records, registry, options)
 
     weights = None
     weights_source = None

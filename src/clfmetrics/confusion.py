@@ -157,9 +157,6 @@ class ConfusionMatrix:
         grid = tuple(tuple(cell * factor for cell in row) for row in self.counts)
         return ConfusionMatrix(self.registry, grid)
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return merge(self, other)
-
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         return merge(self, other)
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 from typing import Iterator
 
-from .confusion import ClassRegistry, ConfusionMatrix
-from .proba import PROB_SUM_TOLERANCE, ProbRecord
+from .confusion import ClassRegistry, ConfusionMatrix, UnknownLabelError, from_pairs
+from .proba import ProbRecord
 
 
 class IngestError(Exception):
@@ -72,10 +73,12 @@ class NameMismatchError(IngestError):
 def _open_rows(path: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        for row in reader:
-            if not row:
-                continue
-            yield reader.line_num, row
+        try:
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except csv.Error as exc:  # an oversized field, say
+            raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
 
 
 def stream_labels(
@@ -122,13 +125,25 @@ def _read_prob_header(rows: Iterator[tuple[int, list[str]]]) -> ClassRegistry:
     return ClassRegistry(tuple(names))
 
 
-def stream_probs(
-    path: str, *, delimiter: str = ","
-) -> tuple[ClassRegistry, Iterator[ProbRecord]]:
+def _prob_row_error(row: list[str], line: int) -> IngestError:
+    """Say why a probability row was rejected: its first bad field, else its sum."""
+    for pos, text in enumerate(row[1:], start=2):
+        try:
+            value = float(text)
+        except ValueError:
+            return ParseError(f"bad probability {text!r}", line=line, column=pos)
+        if not 0.0 <= value <= 1.0:
+            return ParseError(f"probability {value!r} outside [0, 1]", line=line, column=pos)
+    total = math.fsum(map(float, row[1:]))
+    return ProbSumOutOfToleranceError(f"probabilities sum to {total!r}", line=line, total=total)
+
+
+def stream_probs(path: str, *, delimiter: str = ",") -> tuple[ClassRegistry, Iterator[ProbRecord]]:
     """Open a probability file: the header registry plus a lazy record stream.
 
-    The stream holds one record at a time, so reductions that do not need the
-    whole dataset (cross-entropy) run in constant memory.
+    The stream holds one record at a time, so hardening and cross-entropy
+    run in memory bounded by K x K, not by N. ProbRecord validates each
+    vector; here its errors gain the line and the first bad field's column.
     """
     rows = _open_rows(path, delimiter)
     registry = _read_prob_header(rows)
@@ -138,28 +153,13 @@ def stream_probs(
         for line, row in rows:
             if len(row) != k + 1:
                 raise ParseError(f"expected {k + 1} fields, got {len(row)}", line=line)
-            actual = row[0]
-            if actual not in registry:
-                raise UnknownActualLabelError(
-                    f"actual label {actual!r} is not a header class", line=line
-                )
-            probs = []
-            for pos, text in enumerate(row[1:], start=2):
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ParseError(f"bad probability {text!r}", line=line, column=pos) from None
-                if math.isnan(value) or value < 0.0 or value > 1.0:
-                    raise ParseError(
-                        f"probability {value!r} outside [0, 1]", line=line, column=pos
-                    )
-                probs.append(value)
-            total = math.fsum(probs)
-            if abs(total - 1.0) > PROB_SUM_TOLERANCE:
-                raise ProbSumOutOfToleranceError(
-                    f"probabilities sum to {total!r}", line=line, total=total
-                )
-            yield ProbRecord(true_class=registry.index(actual), probs=tuple(probs))
+            try:
+                record = ProbRecord(registry.index(row[0]), tuple(map(float, row[1:])))
+            except UnknownLabelError:
+                raise UnknownActualLabelError(f"actual label {row[0]!r} is not a header class", line=line) from None
+            except ValueError:  # a bad float, or InvalidRecordError
+                raise _prob_row_error(row, line) from None
+            yield record
 
     return registry, records()
 
@@ -231,14 +231,12 @@ def tally_labels(
 
     Memory stays bounded by the K x K tally regardless of file length.
     """
-    from .confusion import from_pairs
-
     return from_pairs(stream_labels(path, delimiter=delimiter, has_header=has_header))
 
 
-def read_weights(path: str, *, delimiter: str = ",") -> list[tuple[str, float]]:
-    """Read class,weight rows, in file order. Duplicate classes are rejected."""
-    out: list[tuple[str, float]] = []
+def read_weights(path: str, *, delimiter: str = ",") -> list[tuple[str, Fraction]]:
+    """Read class,weight rows, in file order, as exact fractions: 0.1 is 1/10. Duplicate classes are rejected."""
+    out: list[tuple[str, Fraction]] = []
     seen: set[str] = set()
     for line, row in _open_rows(path, delimiter):
         if len(row) != 2:
@@ -250,8 +248,8 @@ def read_weights(path: str, *, delimiter: str = ",") -> list[tuple[str, float]]:
             raise ParseError(f"duplicate weight for class {label!r}", line=line)
         seen.add(label)
         try:
-            value = float(text)
-        except ValueError:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad weight {text!r}", line=line, column=2) from None
         out.append((label, value))
     return out

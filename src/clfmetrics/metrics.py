@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .confusion import ConfusionMatrix, OneVsRest
+from .proba import DEFAULT_EPSILON
 
 Numeric = Union[Fraction, float]
 
@@ -361,8 +362,6 @@ METRIC_ORDER = (
     "mcc",
     "kappa",
 )
-
-DEFAULT_EPSILON = 1e-15
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .confusion import ClassRegistry, ConfusionMatrix, from_pairs
+from .confusion import ClassRegistry, ConfusionMatrix
 
 PROB_SUM_TOLERANCE = 1e-6
 DEFAULT_EPSILON = 1e-15
@@ -31,7 +31,7 @@ class MixedDimensionsError(ValueError):
     """Records in one dataset disagree on the number of classes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbRecord:
     """One unit: its true class index and the predicted probability for each class.
 
@@ -44,12 +44,10 @@ class ProbRecord:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(map(float, self.probs))
         object.__setattr__(self, "probs", probs)
-        if not probs:
-            raise InvalidRecordError("probability vector is empty")
         for p in probs:
-            if math.isnan(p) or p < 0.0 or p > 1.0:
+            if not 0.0 <= p <= 1.0:  # also false for NaN
                 raise InvalidRecordError(f"probability {p!r} outside [0, 1]")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOLERANCE:
@@ -91,51 +89,63 @@ def xent_unit(record: ProbRecord, options: XentOptions = _DEFAULT_OPTIONS) -> fl
     return -math.log(max(record.probs[record.true_class], options.epsilon))
 
 
+def _one_pass(records: Iterable[ProbRecord], registry: ClassRegistry | None, options: XentOptions):
+    """(K x K hardened tally, fsum of per-unit cross-entropy, record count) in one pass.
+
+    Without a registry nothing is tallied and the first record fixes the
+    width. Memory is the K x K tally, however many records stream past.
+    """
+    width = registry.k if registry is not None else None
+    grid = [[0] * width for _ in range(width or 0)]
+    count = 0
+
+    def terms() -> Iterable[float]:
+        nonlocal width, count
+        for record in records:
+            if len(record.probs) != width:
+                if width is not None:
+                    raise MixedDimensionsError(f"record has {record.k} classes, expected {width}")
+                width = record.k
+            if grid:
+                grid[record.true_class][argmax_rule(record.probs)] += 1
+            count += 1
+            yield xent_unit(record, options)
+
+    total = math.fsum(terms())
+    return grid, total, count
+
+
+def _reduce(total: float, count: int, options: XentOptions) -> float:
+    if count == 0:
+        raise EmptyDatasetError("cross-entropy over zero records")
+    return total / count if options.reduce == "mean" else total
+
+
 def xent_dataset(records: Iterable[ProbRecord], options: XentOptions = _DEFAULT_OPTIONS) -> float:
     """Cross-entropy over a dataset: mean of the per-unit values (or their plain sum).
 
     Consumes the records as a stream in one pass. Summation is exactly
     rounded (math.fsum), so the result does not depend on record order.
     """
-    count = 0
-    width: int | None = None
-
-    def terms() -> Iterable[float]:
-        nonlocal count, width
-        for record in records:
-            if width is None:
-                width = record.k
-            elif record.k != width:
-                raise MixedDimensionsError(
-                    f"record has {record.k} classes, expected {width}"
-                )
-            count += 1
-            yield xent_unit(record, options)
-
-    total = math.fsum(terms())
-    if count == 0:
-        raise EmptyDatasetError("cross-entropy over zero records")
-    if options.reduce == "mean":
-        return total / count
-    return total
+    _, total, count = _one_pass(records, None, options)
+    return _reduce(total, count, options)
 
 
 def argmax_rule(probs: Sequence[float]) -> int:
     """Index of the highest probability; ties break to the lowest index."""
     if len(probs) < 2:
         raise ValueError(f"need at least 2 classes, got {len(probs)}")
-    return max(range(len(probs)), key=lambda i: (probs[i], -i))
+    return probs.index(max(probs))
 
 
 def harden(records: Iterable[ProbRecord], registry: ClassRegistry) -> ConfusionMatrix:
     """Apply the highest-probability rule to every record and tally the matrix."""
+    return ConfusionMatrix(registry, _one_pass(records, registry, _DEFAULT_OPTIONS)[0])
 
-    def pairs() -> Iterable[tuple[str, str]]:
-        for record in records:
-            if record.k != registry.k:
-                raise MixedDimensionsError(
-                    f"record has {record.k} classes, registry has {registry.k}"
-                )
-            yield registry.labels[record.true_class], registry.labels[argmax_rule(record.probs)]
 
-    return from_pairs(pairs(), registry)
+def score_records(
+    records: Iterable[ProbRecord], registry: ClassRegistry, options: XentOptions = _DEFAULT_OPTIONS
+) -> tuple[ConfusionMatrix, float]:
+    """The hardened matrix and the dataset cross-entropy of one record stream, read once."""
+    grid, total, count = _one_pass(records, registry, options)
+    return ConfusionMatrix(registry, grid), _reduce(total, count, options)

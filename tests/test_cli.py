@@ -111,6 +111,18 @@ class TestEvaluate:
         payload = json.loads(capsys.readouterr().out)
         assert "value" in payload["metrics"]["balanced_accuracy_weighted"]
 
+    def test_decimal_weights_are_exact(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("a,a\na,b\nb,b\nb,a\nb,b\n", encoding="utf-8")
+        weights = tmp_path / "weights.csv"
+        weights.write_text("a,0.1\nb,0.3\n", encoding="utf-8")
+        assert main([
+            "evaluate", "--kind", "labels", "--weights", str(weights),
+            "--format", "json", str(labels),
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["metrics"]["balanced_accuracy_weighted"]["rational"] == "5/8"
+
     def test_weights_file_unknown_class_is_input_error(self, four_class_file, tmp_path, capsys):
         weights = tmp_path / "weights.csv"
         weights.write_text("zz,1\n", encoding="utf-8")
@@ -135,6 +147,34 @@ class TestExitCodes:
         path.write_text(",a,b\na,1,2\n", encoding="utf-8")
         assert main(["evaluate", "--kind", "matrix", str(path)]) == 2
         assert "clfmetrics: error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_non_finite_weight_is_input_error(self, four_class_file, tmp_path, capsys, weight):
+        weights = tmp_path / "weights.csv"
+        weights.write_text(f"a,{weight}\n", encoding="utf-8")
+        assert main(["evaluate", "--kind", "matrix", "--weights", str(weights), four_class_file]) == 2
+        assert "line 1, column 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [("labels", "a,a\nb,{big}\n"), ("probs", "actual,a,b\na,0.5,0.5\na,{big},0.5\n")],
+    )
+    def test_oversized_field_is_input_error(self, tmp_path, capsys, kind, text):
+        path = tmp_path / "big.csv"
+        path.write_text(text.format(big="1" * 200_000), encoding="utf-8")
+        assert main(["evaluate", "--kind", kind, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line " + str(text.count("\n")) in err
+        assert "Traceback" not in err
+
+    def test_malformed_last_probs_row_is_input_error_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "probs.csv"
+        rows = ["actual,a,b"] + ["a,0.75,0.25", "b,0.5,0.5"] * 1000 + ["b,0.5,oops"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--kind", "probs", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2002, column 3: bad probability 'oops'" in captured.err
 
     def test_bad_kind_is_usage_error(self, four_class_file):
         with pytest.raises(SystemExit) as exc:

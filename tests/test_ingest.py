@@ -1,5 +1,7 @@
 """Tests for the three CSV readers and their error reporting."""
 
+from fractions import Fraction
+
 import pytest
 
 from clfmetrics import (
@@ -114,6 +116,18 @@ class TestReadProbs:
         with pytest.raises(ParseError, match=r"outside \[0, 1\]"):
             read_probs(path)
 
+    def test_out_of_range_reports_line_and_column(self, tmp_path):
+        path = write(tmp_path, "p.csv", "actual,a,b\na,1.2,-0.2\n")
+        with pytest.raises(ParseError) as err:
+            read_probs(path)
+        assert (err.value.line, err.value.column) == (2, 2)
+
+    def test_first_bad_field_in_the_row_is_reported(self, tmp_path):
+        path = write(tmp_path, "p.csv", "actual,a,b,c\na,0.5,0.5,0.0\nb,nan,1.2,oops\n")
+        with pytest.raises(ParseError, match=r"nan outside \[0, 1\]") as err:
+            read_probs(path)
+        assert (err.value.line, err.value.column) == (3, 2)
+
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, "p.csv", "")
         with pytest.raises(ParseError, match="header"):
@@ -214,10 +228,29 @@ class TestReadWeights:
             read_weights(path)
         assert err.value.column == 2
 
+    def test_decimal_weights_are_exact(self, tmp_path):
+        path = write(tmp_path, "w.csv", "a,0.1\nb,1/3\nc,2e-1\n")
+        assert read_weights(path) == [("a", Fraction(1, 10)), ("b", Fraction(1, 3)), ("c", Fraction(1, 5))]
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1/0"])
+    def test_non_finite_weight_reports_column(self, tmp_path, text):
+        path = write(tmp_path, "w.csv", f"a,{text}\n")
+        with pytest.raises(ParseError) as err:
+            read_weights(path)
+        assert (err.value.line, err.value.column) == (1, 2)
+
     def test_empty_class_name(self, tmp_path):
         path = write(tmp_path, "w.csv", ",1\n")
         with pytest.raises(EmptyLabelError):
             read_weights(path)
+
+
+class TestOversizedField:
+    def test_field_over_the_csv_limit_is_a_parse_error_with_line(self, tmp_path):
+        path = write(tmp_path, "l.csv", "a,a\nb," + "x" * 200_000 + "\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            read_labels(path)
+        assert err.value.line == 2
 
 
 class TestRoundTrip:

@@ -15,6 +15,7 @@ from clfmetrics import (
     accuracy,
     argmax_rule,
     harden,
+    score_records,
     xent_dataset,
     xent_unit,
 )
@@ -189,3 +190,23 @@ class TestHarden:
         reg = ClassRegistry(("a", "b", "c"))
         with pytest.raises(MixedDimensionsError):
             harden([ProbRecord(0, (0.5, 0.5))], reg)
+
+
+class TestScoreRecords:
+    def test_matrix_and_cross_entropy_from_one_stream(self):
+        reg = ClassRegistry(("a", "b"))
+        records = [ProbRecord(0, (0.7, 0.3)), ProbRecord(1, (0.6, 0.4)), ProbRecord(1, (0.2, 0.8))]
+        matrix, xent = score_records(iter(records), reg)
+        assert matrix.counts == ((1, 0), (1, 1))
+        assert xent == xent_dataset(records)
+
+    def test_empty_stream_has_no_cross_entropy(self):
+        with pytest.raises(EmptyDatasetError):
+            score_records(iter([]), ClassRegistry(("a", "b")))
+
+    def test_registry_width_mismatch(self):
+        with pytest.raises(MixedDimensionsError):
+            score_records([ProbRecord(0, (0.5, 0.5))], ClassRegistry(("a", "b", "c")))
+
+    def test_single_class_records_still_have_a_cross_entropy(self):
+        assert xent_dataset([ProbRecord(0, (1.0,))]) == 0.0

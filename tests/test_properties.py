@@ -10,10 +10,12 @@ from clfmetrics import (
     ClassRegistry,
     ConfusionMatrix,
     ProbRecord,
+    XentOptions,
     accuracy,
     argmax_rule,
     balanced_accuracy,
     evaluate,
+    from_pairs,
     harden,
     kappa_binary,
     kappa_multiclass,
@@ -26,6 +28,7 @@ from clfmetrics import (
     micro_f1,
     misclassification_rate,
     per_class,
+    score_records,
     xent_dataset,
     xent_unit,
 )
@@ -200,3 +203,37 @@ def test_hardened_accuracy_counts_argmax_hits(records):
 @given(matrices())
 def test_evaluate_is_deterministic(m):
     assert evaluate(m, dataset="p") == evaluate(m, dataset="p")
+
+
+# Vectors whose highest probability is shared, so the lowest-index tie rule decides.
+tied_records = st.builds(
+    ProbRecord,
+    st.integers(0, 3),
+    st.sampled_from([(0.4, 0.4, 0.1, 0.1), (0.1, 0.4, 0.1, 0.4), (0.25,) * 4, (0.0, 0.5, 0.0, 0.5)]),
+)
+
+
+def two_pass_reference(records, registry, options):
+    """Hardened matrix and cross-entropy written out longhand, one pass each."""
+    pairs = [
+        (registry.labels[r.true_class], registry.labels[max(range(r.k), key=lambda i: (r.probs[i], -i))])
+        for r in records
+    ]
+    total = math.fsum(-math.log(max(r.probs[r.true_class], options.epsilon)) for r in records)
+    return from_pairs(pairs, registry), total / len(records) if options.reduce == "mean" else total
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.one_of(prob_records(k=4), tied_records), min_size=1, max_size=40),
+    st.sampled_from(["mean", "sum"]),
+)
+def test_one_pass_matches_separate_reductions(records, reduce):
+    registry = ClassRegistry(("a", "b", "c", "d"))
+    options = XentOptions(reduce=reduce)
+    matrix, xent = score_records(iter(records), registry, options)
+    assert matrix == harden(records, registry)
+    assert xent.hex() == xent_dataset(records, options).hex()
+    ref_matrix, ref_xent = two_pass_reference(records, registry, options)
+    assert matrix == ref_matrix
+    assert xent.hex() == ref_xent.hex()
