@@ -13,8 +13,8 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .confusion import ConfusionMatrix, from_pairs
-from .ingest import IngestError, read_matrix, read_weights, stream_labels, stream_probs
+from .confusion import ConfusionMatrix
+from .ingest import IngestError, read_matrix, read_weights, stream_probs, tally_labels
 from .metrics import ClassWeights, EvaluationReport, evaluate
 from .proba import XentOptions, score_records
 from .report import (
@@ -85,7 +85,7 @@ def _evaluate_one(path: str, kind: str, args: argparse.Namespace, options: XentO
     delimiter = _DELIMITERS[args.delimiter]
     cross_entropy = None
     if kind == "labels":
-        matrix = from_pairs(stream_labels(path, delimiter=delimiter, has_header=args.has_header))
+        matrix = tally_labels(path, delimiter=delimiter, has_header=args.has_header)
     elif kind == "matrix":
         matrix = read_matrix(path, delimiter=delimiter)
     else:
@@ -118,11 +118,6 @@ def _write(payload: bytes) -> None:
         sys.stdout.write(payload.decode("utf-8"))
 
 
-def _fail(message: str) -> int:
-    print(f"clfmetrics: error: {message}", file=sys.stderr)
-    return EXIT_INPUT
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -133,24 +128,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
 
     if args.command == "evaluate":
+        sides = [("", args.path, args.kind)]
+    else:
+        sides = [("side A: ", args.path_a, args.kind), ("side B: ", args.path_b, args.kind_b or args.kind)]
+    reports = []
+    for tag, path, kind in sides:
         try:
-            report = _evaluate_one(args.path, args.kind, args, options)
+            reports.append(_evaluate_one(path, kind, args, options))
         except (IngestError, OSError, ValueError) as exc:
-            return _fail(str(exc))
-        _write(format_report(report, args.format))
-        return EXIT_OK
+            print(f"clfmetrics: error: {tag}{exc}", file=sys.stderr)
+            return EXIT_INPUT
 
-    kind_b = args.kind_b or args.kind
-    try:
-        report_a = _evaluate_one(args.path_a, args.kind, args, options)
-    except (IngestError, OSError, ValueError) as exc:
-        return _fail(f"side A: {exc}")
-    try:
-        report_b = _evaluate_one(args.path_b, kind_b, args, options)
-    except (IngestError, OSError, ValueError) as exc:
-        return _fail(f"side B: {exc}")
-    comparison = compare_reports(report_a, report_b)
-    _write(format_comparison(comparison, args.format, color=color_enabled()))
+    if args.command == "evaluate":
+        _write(format_report(reports[0], args.format))
+    else:
+        _write(format_comparison(compare_reports(*reports), args.format, color=color_enabled()))
     return EXIT_OK
 
 

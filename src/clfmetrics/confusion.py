@@ -7,6 +7,7 @@ so tallies and every marginal stay exact no matter how large they grow.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -177,31 +178,19 @@ def from_pairs(
     union of all labels seen, which keeps output deterministic across runs.
 
     Raises UnknownLabelError if a pair holds a label outside a supplied
-    registry, and EmptyInputError if there are no pairs and no registry.
+    registry (the first such pair in input order, once the stream is
+    consumed), and EmptyInputError if there are no pairs and no registry.
     """
-    tally: dict[tuple[str, str], int] = {}
-    seen: set[str] = set()
+    tally = Counter(pairs)
     if registry is None:
-        for actual, predicted in pairs:
-            seen.add(actual)
-            seen.add(predicted)
-            key = (actual, predicted)
-            tally[key] = tally.get(key, 0) + 1
         if not tally:
             raise EmptyInputError("empty input: no label pairs and no registry to infer classes from")
-        registry = ClassRegistry(tuple(sorted(seen)))
-    else:
-        for actual, predicted in pairs:
-            registry.index(actual)
-            registry.index(predicted)
-            key = (actual, predicted)
-            tally[key] = tally.get(key, 0) + 1
-
+        registry = ClassRegistry(tuple(sorted({label for pair in tally for label in pair})))
     k = registry.k
     grid = [[0] * k for _ in range(k)]
-    for (actual, predicted), n in tally.items():
+    for (actual, predicted), n in tally.items():  # first-seen order: the first bad pair raises
         grid[registry.index(actual)][registry.index(predicted)] = n
-    return ConfusionMatrix(registry, tuple(tuple(row) for row in grid))
+    return ConfusionMatrix(registry, grid)
 
 
 def one_vs_rest(m: ConfusionMatrix, k: int) -> OneVsRest:

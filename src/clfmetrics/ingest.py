@@ -8,8 +8,9 @@ Matrix files:      header ``,<class1>,...,<classK>``, then row i as
                    Row names must repeat the header names in the same order,
                    which catches silently transposed matrices.
 
-All readers are single-pass streams over UTF-8 text (LF or CRLF), and every
-error carries the 1-based line number it was raised on.
+All readers are single-pass streams over UTF-8 text (LF or CRLF, with or
+without a byte-order mark), and every error carries the 1-based line number
+it was raised on.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class NameMismatchError(IngestError):
 
 
 def _open_rows(path: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:  # drops a leading BOM
         reader = csv.reader(handle, delimiter=delimiter)
         try:
             for row in reader:
@@ -142,8 +143,8 @@ def stream_probs(path: str, *, delimiter: str = ",") -> tuple[ClassRegistry, Ite
     """Open a probability file: the header registry plus a lazy record stream.
 
     The stream holds one record at a time, so hardening and cross-entropy
-    run in memory bounded by K x K, not by N. ProbRecord validates each
-    vector; here its errors gain the line and the first bad field's column.
+    run in memory bounded by K x K, not by N. ProbRecord parses and validates
+    each vector; here its errors gain the line and the first bad field's column.
     """
     rows = _open_rows(path, delimiter)
     registry = _read_prob_header(rows)
@@ -154,7 +155,7 @@ def stream_probs(path: str, *, delimiter: str = ",") -> tuple[ClassRegistry, Ite
             if len(row) != k + 1:
                 raise ParseError(f"expected {k + 1} fields, got {len(row)}", line=line)
             try:
-                record = ProbRecord(registry.index(row[0]), tuple(map(float, row[1:])))
+                record = ProbRecord(registry.index(row[0]), row[1:])
             except UnknownLabelError:
                 raise UnknownActualLabelError(f"actual label {row[0]!r} is not a header class", line=line) from None
             except ValueError:  # a bad float, or InvalidRecordError

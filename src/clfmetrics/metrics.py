@@ -70,6 +70,11 @@ _UNDEF_EMPTY = MetricValue.undefined(UndefinedReason.EMPTY_DENOMINATOR)
 _UNDEF_ZERO_OVER_ZERO = MetricValue.undefined(UndefinedReason.DEGENERATE_ZERO_OVER_ZERO)
 
 
+def _ratio(numerator: int, denominator: int) -> MetricValue:
+    """The exact ratio of two tallies, Undefined when the denominator vanishes."""
+    return MetricValue.defined(Fraction(numerator, denominator)) if denominator else _UNDEF_EMPTY
+
+
 @dataclass(frozen=True)
 class ClassWeights:
     """Non-negative per-class weights with a positive sum."""
@@ -112,10 +117,7 @@ class PerClassBreakdown:
 
 def accuracy(m: ConfusionMatrix) -> MetricValue:
     """Fraction of all units on the main diagonal, trace/total."""
-    s = m.grand_total
-    if s == 0:
-        return _UNDEF_EMPTY
-    return MetricValue.defined(Fraction(m.trace, s))
+    return _ratio(m.trace, m.grand_total)
 
 
 def misclassification_rate(m: ConfusionMatrix) -> MetricValue:
@@ -151,53 +153,47 @@ def per_class(m: ConfusionMatrix) -> PerClassBreakdown:
     A never-predicted class has undefined precision, a class absent from the
     actual labels has undefined recall; F1 inherits the first undefined input.
     """
-    precisions: list[MetricValue] = []
-    recalls: list[MetricValue] = []
-    f1s: list[MetricValue] = []
-    for k in range(m.k):
-        o = m.one_vs_rest(k)
-        prec = (
-            MetricValue.defined(Fraction(o.tp, o.tp + o.fp))
-            if o.tp + o.fp > 0
-            else _UNDEF_EMPTY
-        )
-        rec = (
-            MetricValue.defined(Fraction(o.tp, o.tp + o.fn))
-            if o.tp + o.fn > 0
-            else _UNDEF_EMPTY
-        )
-        precisions.append(prec)
-        recalls.append(rec)
-        f1s.append(harmonic_f1(prec, rec))
-    return PerClassBreakdown(tuple(precisions), tuple(recalls), tuple(f1s))
+    tiles = [m.one_vs_rest(k) for k in range(m.k)]
+    precisions = tuple(_ratio(o.tp, o.tp + o.fp) for o in tiles)
+    recalls = tuple(_ratio(o.tp, o.tp + o.fn) for o in tiles)
+    return PerClassBreakdown(precisions, recalls, tuple(map(harmonic_f1, precisions, recalls)))
 
 
-def _mean_of(values: Sequence[MetricValue], lenient: bool) -> MetricValue:
-    """Arithmetic mean of per-class metric values.
+def _mean_of(
+    values: Sequence[MetricValue], lenient: bool, weights: ClassWeights | None = None
+) -> tuple[MetricValue, int]:
+    """Weighted mean sum(w_k * v_k) / sum(w_k) of per-class values, and how many were skipped.
 
-    Strict mode refuses to average past an undefined entry; lenient mode
-    averages the defined entries only.
+    Weights default to 1 each, and a zero-weight class never counts. Strict
+    mode refuses to average past an undefined value; lenient mode skips it
+    and renormalizes the weight sum over the classes kept.
     """
-    if not lenient:
-        for v in values:
-            if not v.is_defined:
-                return MetricValue.undefined(v.reason)
-        return MetricValue.defined(sum((v.unwrap() for v in values), Fraction(0)) / len(values))
-    defined = [v.unwrap() for v in values if v.is_defined]
-    if not defined:
-        return _UNDEF_EMPTY
-    return MetricValue.defined(sum(defined, Fraction(0)) / len(defined))
+    if weights is None:
+        weights_k: Sequence[Numeric] = (1,) * len(values)
+    elif len(weights.w) == len(values):
+        weights_k = weights.w
+    else:
+        raise InvalidWeightsError(f"expected {len(values)} weights, got {len(weights.w)}")
+    total, weight, skipped = Fraction(0), 0, 0
+    for w_k, v in zip(weights_k, values):
+        if w_k == 0:
+            continue
+        if not v.is_defined:
+            if not lenient:
+                return v, 0
+            skipped += 1
+        else:
+            total += w_k * v.unwrap()
+            weight += w_k
+    if weight == 0:
+        return _UNDEF_EMPTY, skipped
+    return MetricValue.defined(total / weight), skipped
 
 
 def balanced_accuracy(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
     """Unweighted mean of per-class recalls, computed from the diagonal and row totals."""
-    recalls = [
-        MetricValue.defined(Fraction(m.counts[k][k], m.row_totals[k]))
-        if m.row_totals[k] > 0
-        else _UNDEF_EMPTY
-        for k in range(m.k)
-    ]
-    return _mean_of(recalls, lenient)
+    recalls = [_ratio(m.counts[k][k], m.row_totals[k]) for k in range(m.k)]
+    return _mean_of(recalls, lenient)[0]
 
 
 def balanced_accuracy_weighted(
@@ -206,41 +202,25 @@ def balanced_accuracy_weighted(
     """Weighted mean of per-class recalls, sum(w_k * recall_k) / sum(w_k).
 
     With weights proportional to the actual class frequencies this collapses
-    to plain accuracy. A zero-weight class never forces the result undefined;
-    in lenient mode undefined-recall classes are dropped and the weight sum
-    is renormalized over the classes kept.
+    to plain accuracy.
     """
-    if len(weights.w) != m.k:
-        raise InvalidWeightsError(f"expected {m.k} weights, got {len(weights.w)}")
-    acc_num = Fraction(0)
-    acc_w = Fraction(0)
-    for k, w_k in enumerate(weights.w):
-        if w_k == 0:
-            continue
-        if m.row_totals[k] == 0:
-            if lenient:
-                continue
-            return _UNDEF_EMPTY
-        acc_num += w_k * Fraction(m.counts[k][k], m.row_totals[k])
-        acc_w += w_k
-    if acc_w == 0:
-        return _UNDEF_EMPTY
-    return MetricValue.defined(acc_num / acc_w)
+    return _mean_of(per_class(m).recall, lenient, weights)[0]
 
 
 def macro_precision(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
     """Unweighted mean of per-class precisions."""
-    return _mean_of(per_class(m).precision, lenient)
+    return _mean_of(per_class(m).precision, lenient)[0]
 
 
 def macro_recall(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
     """Unweighted mean of per-class recalls via the one-vs-rest breakdown."""
-    return _mean_of(per_class(m).recall, lenient)
+    return _mean_of(per_class(m).recall, lenient)[0]
 
 
 def macro_f1(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
     """Harmonic mean of macro precision and macro recall."""
-    return harmonic_f1(macro_precision(m, lenient), macro_recall(m, lenient))
+    breakdown = per_class(m)
+    return harmonic_f1(_mean_of(breakdown.precision, lenient)[0], _mean_of(breakdown.recall, lenient)[0])
 
 
 def micro_f1(m: ConfusionMatrix) -> MetricValue:
@@ -249,11 +229,7 @@ def micro_f1(m: ConfusionMatrix) -> MetricValue:
     Deliberately computed through the one-vs-rest tiles rather than the
     diagonal shortcut, so its equality with accuracy stays a checkable fact.
     """
-    s = m.grand_total
-    if s == 0:
-        return _UNDEF_EMPTY
-    tp_sum = sum(m.one_vs_rest(k).tp for k in range(m.k))
-    return MetricValue.defined(Fraction(tp_sum, s))
+    return _ratio(sum(m.one_vs_rest(k).tp for k in range(m.k)), m.grand_total)
 
 
 def _root_ratio(numerator: int, radicand: int) -> Numeric:
@@ -389,10 +365,6 @@ class EvaluationReport:
         return self.metrics[name]
 
 
-def _count_undefined(values: Sequence[MetricValue]) -> int:
-    return sum(1 for v in values if not v.is_defined)
-
-
 def evaluate(
     m: ConfusionMatrix,
     weights: ClassWeights | None = None,
@@ -423,40 +395,29 @@ def evaluate(
         weights_source = "custom"
 
     breakdown = per_class(m)
-    if weights is not None:
-        weighted = balanced_accuracy_weighted(m, weights, lenient)
-    else:
-        weighted = _UNDEF_EMPTY
-
+    precision, precision_skipped = _mean_of(breakdown.precision, lenient)
+    recall, recall_skipped = _mean_of(breakdown.recall, lenient)  # also the balanced accuracy
+    weighted, weighted_skipped = (
+        _mean_of(breakdown.recall, lenient, weights) if weights is not None else (_UNDEF_EMPTY, 0)
+    )
     values: dict[str, MetricValue] = {
         "accuracy": accuracy(m),
         "misclassification_rate": misclassification_rate(m),
-        "balanced_accuracy": balanced_accuracy(m, lenient),
+        "balanced_accuracy": recall,
         "balanced_accuracy_weighted": weighted,
-        "macro_precision": _mean_of(breakdown.precision, lenient),
-        "macro_recall": _mean_of(breakdown.recall, lenient),
-        "macro_f1": macro_f1(m, lenient),
+        "macro_precision": precision,
+        "macro_recall": recall,
+        "macro_f1": harmonic_f1(precision, recall),
         "micro_f1": micro_f1(m),
         "mcc": mcc_multiclass(m),
         "kappa": kappa_multiclass(m),
     }
-
-    skipped: dict[str, int] | None = None
-    if lenient:
-        undef_recall = _count_undefined(breakdown.recall)
-        weighted_skipped = 0
-        if weights is not None:
-            weighted_skipped = sum(
-                1
-                for k, w_k in enumerate(weights.w)
-                if w_k > 0 and not breakdown.recall[k].is_defined
-            )
-        skipped = {
-            "balanced_accuracy": undef_recall,
-            "balanced_accuracy_weighted": weighted_skipped,
-            "macro_precision": _count_undefined(breakdown.precision),
-            "macro_recall": undef_recall,
-        }
+    skipped = {
+        "balanced_accuracy": recall_skipped,
+        "balanced_accuracy_weighted": weighted_skipped,
+        "macro_precision": precision_skipped,
+        "macro_recall": recall_skipped,
+    }
 
     return EvaluationReport(
         dataset=dataset,
@@ -469,6 +430,6 @@ def evaluate(
         epsilon=epsilon,
         reduce=reduce,
         cross_entropy=cross_entropy,
-        skipped_classes=skipped,
+        skipped_classes=skipped if lenient else None,
         tool_version=tool_version if tool_version is not None else __version__,
     )

@@ -35,6 +35,7 @@ class MixedDimensionsError(ValueError):
 class ProbRecord:
     """One unit: its true class index and the predicted probability for each class.
 
+    Each probability is stored as float(p), so numeric text is parsed here.
     Probabilities must each lie in [0, 1] and sum to 1 within a small
     tolerance. Vectors are deliberately never renormalized: a sum that is off
     signals an upstream bug and must fail loudly.

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Any, IO
+from typing import Any, IO, Sequence
 
 from .metrics import (
     METRIC_ORDER,
@@ -29,6 +31,10 @@ SCHEMA_VERSION = 1
 PER_CLASS_METRICS = ("precision", "recall", "f1")
 _ANSI_HIGHLIGHT = "\x1b[33m"
 _ANSI_RESET = "\x1b[0m"
+# Text tables abbreviate a longer numerator or denominator, JSON always carries every digit.
+# 4300 is CPython's default int-to-str limit: only numbers str() would refuse are cut.
+_EXACT_MAX_DIGITS = 4300
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def fraction_decimal(value: Fraction, digits: int = 18) -> str:
@@ -67,27 +73,61 @@ def _text_value(v: MetricValue) -> str:
     return f"{float(v.unwrap()):.4f}"
 
 
+def _rational_parts(value: Fraction) -> list[str]:
+    """Digits of the numerator, and of the denominator unless it is 1, at any size.
+
+    str(int) refuses ints longer than sys.get_int_max_str_digits(); Decimal does not.
+    """
+    parts = [str(Decimal(value.numerator))]
+    if value.denominator != 1:
+        parts.append(str(Decimal(value.denominator)))
+    return parts
+
+
+def _parse_rational(text: str) -> Fraction:
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"bad rational {text!r}")
+    numerator, denominator = match.groups()
+    return Fraction(int(Decimal(numerator)), int(Decimal(denominator or 1)))
+
+
 def _text_exact(v: MetricValue) -> str:
-    if v.is_defined and isinstance(v.unwrap(), Fraction):
-        return str(v.unwrap())
-    return ""
+    if not (v.is_defined and isinstance(v.unwrap(), Fraction)):
+        return ""
+    return "/".join(
+        f"{part[:12]}...({len(part.lstrip('-'))} digits)" if len(part) > _EXACT_MAX_DIGITS else part
+        for part in _rational_parts(v.unwrap())
+    )
+
+
+def _json_number(value: Numeric) -> dict[str, str]:
+    if isinstance(value, Fraction):
+        return {"value": fraction_decimal(value), "rational": "/".join(_rational_parts(value))}
+    return {"value": repr(value)}
 
 
 def _json_value(v: MetricValue) -> dict[str, str]:
     if not v.is_defined:
         return {"undefined": v.reason.value}
-    value = v.unwrap()
-    if isinstance(value, Fraction):
-        return {"value": fraction_decimal(value), "rational": str(value)}
-    return {"value": repr(value)}
+    return _json_number(v.unwrap())
 
 
 def _parse_json_value(obj: dict[str, str]) -> MetricValue:
     if "undefined" in obj:
         return MetricValue.undefined(UndefinedReason(obj["undefined"]))
     if "rational" in obj:
-        return MetricValue.defined(Fraction(obj["rational"]))
+        return MetricValue.defined(_parse_rational(obj["rational"]))
     return MetricValue.defined(float(obj["value"]))
+
+
+def _table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
+    """Left-aligned columns two spaces apart, trailing blanks trimmed: the header line, then one per row."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return [
+        "  ".join(f"{cell:<{w}}" for cell, w in zip(line, widths)).rstrip()
+        for line in (header, *rows)
+    ]
 
 
 def render_text(report: EvaluationReport) -> str:
@@ -102,36 +142,16 @@ def render_text(report: EvaluationReport) -> str:
         "",
     ]
 
-    rows = [(name, _text_value(report.metrics[name]), _text_exact(report.metrics[name]))
-            for name in report.metrics]
+    rows = [(name, _text_value(v), _text_exact(v)) for name, v in report.metrics.items()]
     if report.cross_entropy is not None:
         rows.append(("cross_entropy", f"{report.cross_entropy:.4f}", ""))
-    name_w = max(len("metric"), max(len(r[0]) for r in rows))
-    value_w = max(len("value"), max(len(r[1]) for r in rows))
-    lines.append(f"{'metric':<{name_w}}  {'value':<{value_w}}  exact")
-    for name, value, exact in rows:
-        lines.append(f"{name:<{name_w}}  {value:<{value_w}}  {exact}".rstrip())
-
+    lines += _table(("metric", "value", "exact"), rows)
     lines.append("")
-    pc = report.per_class
-    cells = [
-        (label, _text_value(pc.precision[i]), _text_value(pc.recall[i]), _text_value(pc.f1[i]))
-        for i, label in enumerate(report.labels)
-    ]
-    label_w = max(len("class"), max(len(c[0]) for c in cells))
-    col_ws = [
-        max(len(header), max(len(c[j + 1]) for c in cells))
-        for j, header in enumerate(PER_CLASS_METRICS)
-    ]
-    header = f"{'class':<{label_w}}  " + "  ".join(
-        f"{name:<{w}}" for name, w in zip(PER_CLASS_METRICS, col_ws)
+    columns = [getattr(report.per_class, name) for name in PER_CLASS_METRICS]
+    lines += _table(
+        ("class", *PER_CLASS_METRICS),
+        [(label, *(_text_value(c[i]) for c in columns)) for i, label in enumerate(report.labels)],
     )
-    lines.append(header.rstrip())
-    for label, prec, rec, f1 in cells:
-        row = f"{label:<{label_w}}  " + "  ".join(
-            f"{v:<{w}}" for v, w in zip((prec, rec, f1), col_ws)
-        )
-        lines.append(row.rstrip())
     if report.skipped_classes is not None:
         lines.append("")
         skipped = " ".join(f"{k}={v}" for k, v in report.skipped_classes.items())
@@ -157,11 +177,7 @@ def _report_to_obj(report: EvaluationReport) -> dict[str, Any]:
         },
         "metrics": {name: _json_value(v) for name, v in report.metrics.items()},
         "per_class": {
-            label: {
-                "precision": _json_value(report.per_class.precision[i]),
-                "recall": _json_value(report.per_class.recall[i]),
-                "f1": _json_value(report.per_class.f1[i]),
-            }
+            label: {name: _json_value(getattr(report.per_class, name)[i]) for name in PER_CLASS_METRICS}
             for i, label in enumerate(report.labels)
         },
     }
@@ -183,11 +199,10 @@ def parse_json(text: str) -> EvaluationReport:
         raise ValueError(f"not an evaluation report: {obj.get('report')!r}")
     labels = tuple(obj["classes"])
     per_class = obj["per_class"]
-    breakdown = PerClassBreakdown(
-        precision=tuple(_parse_json_value(per_class[lab]["precision"]) for lab in labels),
-        recall=tuple(_parse_json_value(per_class[lab]["recall"]) for lab in labels),
-        f1=tuple(_parse_json_value(per_class[lab]["f1"]) for lab in labels),
-    )
+    breakdown = PerClassBreakdown(**{
+        name: tuple(_parse_json_value(per_class[lab][name]) for lab in labels)
+        for name in PER_CLASS_METRICS
+    })
     xent = obj.get("cross_entropy")
     skipped = obj.get("skipped_classes")
     return EvaluationReport(
@@ -256,26 +271,16 @@ def compare_reports(a: EvaluationReport, b: EvaluationReport) -> ComparisonRepor
         per_class_deltas = {}
         for i, label in enumerate(a.labels):
             per_class_deltas[label] = {
-                "precision": _delta(a.per_class.precision[i], b.per_class.precision[i]),
-                "recall": _delta(a.per_class.recall[i], b.per_class.recall[i]),
-                "f1": _delta(a.per_class.f1[i], b.per_class.f1[i]),
+                name: _delta(getattr(a.per_class, name)[i], getattr(b.per_class, name)[i])
+                for name in PER_CLASS_METRICS
             }
 
     notes: list[str] = []
     flagged: list[str] = []
-    acc_a, acc_b = a.metrics["accuracy"], b.metrics["accuracy"]
-    kap_a, kap_b = a.metrics["kappa"], b.metrics["kappa"]
-    if (
-        match
-        and acc_a.is_defined
-        and acc_b.is_defined
-        and acc_a.unwrap() == acc_b.unwrap()
-        and kap_a.is_defined
-        and kap_b.is_defined
-        and kap_a.unwrap() != kap_b.unwrap()
-    ):
+    kappa_delta = deltas["kappa"]  # a delta is None unless both sides are defined
+    if match and deltas["accuracy"] == 0 and kappa_delta not in (None, 0):
         flagged.append("kappa")
-        better = "B" if kap_b.unwrap() > kap_a.unwrap() else "A"
+        better = "B" if kappa_delta > 0 else "A"
         notes.append(
             "equal accuracy but different kappa: the two models distribute their "
             f"errors differently across classes; side {better} agrees more beyond chance."
@@ -319,43 +324,22 @@ def render_comparison_text(comparison: ComparisonReport, color: bool = False) ->
         else:
             va = _text_value(a.metrics[name])
             vb = _text_value(b.metrics[name])
-        marker = "  << differs at equal accuracy" if name in comparison.flagged else ""
+        marker = "<< differs at equal accuracy" if name in comparison.flagged else ""
         rows.append((name, va, vb, _text_delta(delta), marker))
-    name_w = max(len("metric"), max(len(r[0]) for r in rows))
-    a_w = max(len("A"), max(len(r[1]) for r in rows))
-    b_w = max(len("B"), max(len(r[2]) for r in rows))
-    d_w = max(len("delta"), max(len(r[3]) for r in rows))
-    lines.append(f"{'metric':<{name_w}}  {'A':<{a_w}}  {'B':<{b_w}}  delta")
-    for name, va, vb, delta, marker in rows:
-        row = f"{name:<{name_w}}  {va:<{a_w}}  {vb:<{b_w}}  {delta:<{d_w}}{marker}".rstrip()
-        if marker and color:
-            row = f"{_ANSI_HIGHLIGHT}{row}{_ANSI_RESET}"
-        lines.append(row)
+    header, *table = _table(("metric", "A", "B", "delta", ""), rows)
+    lines.append(header)
+    for line, row in zip(table, rows):
+        lines.append(f"{_ANSI_HIGHLIGHT}{line}{_ANSI_RESET}" if color and row[-1] else line)
     if comparison.per_class_deltas is not None:
         lines.append("")
         lines.append("per-class deltas (B - A):")
-        label_w = max(len("class"), max(len(lab) for lab in comparison.per_class_deltas))
-        cells = {
-            lab: [_text_delta(d[m]) for m in PER_CLASS_METRICS]
-            for lab, d in comparison.per_class_deltas.items()
-        }
-        col_ws = [
-            max(len(m), max(len(cells[lab][j]) for lab in cells))
-            for j, m in enumerate(PER_CLASS_METRICS)
-        ]
-        lines.append(
-            (
-                f"{'class':<{label_w}}  "
-                + "  ".join(f"{m:<{w}}" for m, w in zip(PER_CLASS_METRICS, col_ws))
-            ).rstrip()
+        lines += _table(
+            ("class", *PER_CLASS_METRICS),
+            [
+                (label, *(_text_delta(d[name]) for name in PER_CLASS_METRICS))
+                for label, d in comparison.per_class_deltas.items()
+            ],
         )
-        for lab in comparison.per_class_deltas:
-            lines.append(
-                (
-                    f"{lab:<{label_w}}  "
-                    + "  ".join(f"{v:<{w}}" for v, w in zip(cells[lab], col_ws))
-                ).rstrip()
-            )
     if comparison.notes:
         lines.append("")
         lines.append("notes:")
@@ -367,9 +351,7 @@ def render_comparison_text(comparison: ComparisonReport, color: bool = False) ->
 def _json_delta(value: Numeric | None) -> dict[str, str]:
     if value is None:
         return {"undefined": "operand_undefined"}
-    if isinstance(value, Fraction):
-        return {"value": fraction_decimal(value), "rational": str(value)}
-    return {"value": repr(value)}
+    return _json_number(value)
 
 
 def render_comparison_json(comparison: ComparisonReport) -> str:

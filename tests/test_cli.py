@@ -2,10 +2,12 @@
 
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
-from clfmetrics import parse_json
+from clfmetrics import evaluate, parse_json, read_matrix
 from clfmetrics.cli import main
 
 FOUR_CLASS_CSV = ",a,b,c,d\na,6,1,1,1\nb,2,9,2,1\nc,1,1,10,1\nd,2,1,1,12\n"
@@ -242,3 +244,32 @@ class TestCompare:
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"] == "comparison"
         assert payload["registries_match"] is True
+
+
+class TestLargeK:
+    """K=1000 with counts in 0..1000: exact macro averages run to thousands of digits."""
+
+    @pytest.fixture(scope="class")
+    def matrix_file(self, tmp_path_factory):
+        rng = random.Random(1000)
+        names = [f"c{i}" for i in range(1000)]
+        lines = ["," + ",".join(names)]
+        lines += [name + "," + ",".join(str(rng.randint(0, 1000)) for _ in names) for name in names]
+        path = tmp_path_factory.mktemp("large_k") / "k1000.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_json_round_trips_losslessly(self, matrix_file, capsys):
+        assert main(["evaluate", "--kind", "matrix", "--format", "json", matrix_file]) == 0
+        out = capsys.readouterr().out
+        expected = evaluate(read_matrix(matrix_file), dataset=matrix_file)
+        assert expected.metric("macro_f1").unwrap().denominator.bit_length() > 20_000
+        assert parse_json(out) == expected
+
+    def test_text_abbreviates_only_the_longest_rationals(self, matrix_file, capsys):
+        assert main(["evaluate", "--kind", "matrix", matrix_file]) == 0
+        rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line}
+        assert rows["macro_f1"].endswith(" digits)")
+        assert "..." in rows["macro_f1"]
+        exact = rows["macro_precision"].split()[-1]
+        assert Fraction(exact) == evaluate(read_matrix(matrix_file)).metric("macro_precision").unwrap()

@@ -95,6 +95,21 @@ class TestFromPairs:
         m = from_pairs(pairs)
         assert m.grand_total == 3
 
+    def test_first_unknown_pair_in_input_order_is_named_after_the_stream_ends(self):
+        reg = ClassRegistry(("a", "b"))
+        pulled = []
+
+        def pairs():
+            for pair in [("a", "a"), ("b", "y"), ("a", "a"), ("x", "b"), ("b", "y")]:
+                pulled.append(pair)
+                yield pair
+
+        with pytest.raises(UnknownLabelError, match="'y'"):
+            from_pairs(pairs(), registry=reg)
+        assert len(pulled) == 5
+        with pytest.raises(UnknownLabelError, match="'x'"):
+            from_pairs([("a", "b"), ("x", "y"), ("b", "y")], registry=reg)
+
 
 class TestMatrixValidation:
     def test_negative_count_rejected(self):

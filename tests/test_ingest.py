@@ -253,6 +253,19 @@ class TestOversizedField:
         assert err.value.line == 2
 
 
+class TestByteOrderMark:
+    def test_label_file_bom_is_not_part_of_the_first_label(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,a\nb,b\na,b\n")
+        assert read_labels(str(path)) == [("a", "a"), ("b", "b"), ("a", "b")]
+        assert tally_labels(str(path)).registry.labels == ("a", "b")
+
+    def test_weights_file_bom_is_not_part_of_the_first_class(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,1\nb,2\n")
+        assert read_weights(str(path)) == [("a", 1), ("b", 2)]
+
+
 class TestRoundTrip:
     def test_label_tally_matches_matrix_file(self, tmp_path):
         labels_path = write(tmp_path, "l.csv", "a,a\na,b\nb,b\nb,b\nb,a\n")

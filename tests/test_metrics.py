@@ -262,3 +262,44 @@ class TestEvaluate:
         strict = evaluate(m)
         assert strict.skipped_classes is None
         assert not strict.metric("macro_precision").is_defined
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    @pytest.mark.parametrize("custom_weights", [False, True])
+    def test_per_class_breakdown_is_built_once(self, four_class_matrix, monkeypatch, lenient, custom_weights):
+        from clfmetrics import metrics
+
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return per_class(m)
+
+        monkeypatch.setattr(metrics, "per_class", counting)
+        weights = ClassWeights((1, 0, 2, 3)) if custom_weights else None
+        evaluate(four_class_matrix, weights, lenient=lenient)
+        assert calls == [four_class_matrix]
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_shared_breakdown_matches_the_standalone_metrics(self, lenient):
+        rng = random.Random(3)
+        for _ in range(40):
+            k = rng.randint(2, 5)
+            grid = [[rng.choice((0, 0, 1, 4)) for _ in range(k)] for _ in range(k)]
+            m = ConfusionMatrix.from_grid(tuple(f"c{i}" for i in range(k)), grid)
+            weights = ClassWeights(tuple(rng.randint(0, 3) for _ in range(k - 1)) + (1,))
+            report = evaluate(m, weights, lenient=lenient)
+            assert report.metric("balanced_accuracy") == balanced_accuracy(m, lenient)
+            assert report.metric("macro_recall") == macro_recall(m, lenient)
+            assert report.metric("macro_precision") == macro_precision(m, lenient)
+            assert report.metric("macro_f1") == macro_f1(m, lenient)
+            assert report.metric("balanced_accuracy_weighted") == balanced_accuracy_weighted(m, weights, lenient)
+            if lenient:
+                undefined_recalls = [not v.is_defined for v in per_class(m).recall]
+                assert report.skipped_classes == {
+                    "balanced_accuracy": sum(undefined_recalls),
+                    "balanced_accuracy_weighted": sum(
+                        u and w > 0 for u, w in zip(undefined_recalls, weights.w)
+                    ),
+                    "macro_precision": sum(not v.is_defined for v in per_class(m).precision),
+                    "macro_recall": sum(undefined_recalls),
+                }
