@@ -202,7 +202,9 @@ def balanced_accuracy_weighted(
     """Weighted mean of per-class recalls, sum(w_k * recall_k) / sum(w_k).
 
     With weights proportional to the actual class frequencies this collapses
-    to plain accuracy.
+    to plain accuracy. A zero-weight class never forces the result undefined;
+    in lenient mode undefined-recall classes are dropped and the weight sum
+    is renormalized over the classes kept.
     """
     return _mean_of(per_class(m).recall, lenient, weights)[0]
 
