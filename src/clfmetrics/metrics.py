@@ -35,7 +35,8 @@ class MetricValue:
     """A computed scalar that is either Defined(value) or Undefined(reason).
 
     Defined values are exact Fractions wherever the metric is a ratio of
-    integer tallies; only square-root-based metrics may fall back to float.
+    integer tallies; only square-root-based metrics may fall back to float,
+    and cross-entropy, a sum of logarithms, is always a float.
     """
 
     value: Numeric | None = None
@@ -328,20 +329,6 @@ def kappa_multiclass(m: ConfusionMatrix) -> MetricValue:
     return MetricValue.defined(Fraction(c * s - sum_pt, denominator))
 
 
-METRIC_ORDER = (
-    "accuracy",
-    "misclassification_rate",
-    "balanced_accuracy",
-    "balanced_accuracy_weighted",
-    "macro_precision",
-    "macro_recall",
-    "macro_f1",
-    "micro_f1",
-    "mcc",
-    "kappa",
-)
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     """Every metric for one dataset/model pair, plus the options that produced it."""
@@ -355,7 +342,6 @@ class EvaluationReport:
     weights_source: str = "frequency"
     epsilon: float = DEFAULT_EPSILON
     reduce: str = "mean"
-    cross_entropy: float | None = None
     skipped_classes: dict[str, int] | None = None
     tool_version: str = ""
 
@@ -384,7 +370,8 @@ def evaluate(
     Weights default to the actual-class frequencies. Degenerate inputs
     propagate as Undefined entries; the report is always well-formed. In
     lenient mode the macro averages skip undefined classes and the number
-    skipped per metric is recorded in the report.
+    skipped per metric is recorded in the report. A given cross-entropy is
+    reported as the last metric, "cross_entropy".
     """
     from . import __version__
 
@@ -414,6 +401,8 @@ def evaluate(
         "mcc": mcc_multiclass(m),
         "kappa": kappa_multiclass(m),
     }
+    if cross_entropy is not None:
+        values["cross_entropy"] = MetricValue.defined(cross_entropy)
     skipped = {
         "balanced_accuracy": recall_skipped,
         "balanced_accuracy_weighted": weighted_skipped,
@@ -431,7 +420,6 @@ def evaluate(
         weights_source=weights_source,
         epsilon=epsilon,
         reduce=reduce,
-        cross_entropy=cross_entropy,
         skipped_classes=skipped if lenient else None,
         tool_version=tool_version if tool_version is not None else __version__,
     )

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Any, IO, Sequence
 
 from .metrics import (
-    METRIC_ORDER,
     EvaluationReport,
     MetricValue,
     Numeric,
@@ -37,26 +36,18 @@ _EXACT_MAX_DIGITS = 4300
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def fraction_decimal(value: Fraction, digits: int = 18) -> str:
-    """Exact decimal expansion of a rational, truncated after `digits` places.
+def fraction_decimal(value: Fraction) -> str:
+    """Exact decimal expansion of a rational, truncated after 18 places.
 
     Terminating expansions stop early, so 3/4 renders as "0.75". Truncation
     keeps the function exact and deterministic; the rational itself is always
     serialized alongside as the lossless form.
     """
     sign = "-" if value < 0 else ""
-    n, d = abs(value.numerator), value.denominator
-    whole, rem = divmod(n, d)
-    if rem == 0:
-        return f"{sign}{whole}"
-    out = [f"{sign}{whole}."]
-    for _ in range(digits):
-        rem *= 10
-        q, rem = divmod(rem, d)
-        out.append(str(q))
-        if rem == 0:
-            break
-    return "".join(out)
+    scaled, rem = divmod(abs(value.numerator) * 10**18, value.denominator)
+    whole, places = divmod(scaled, 10**18)
+    digits = f"{places:018d}" if rem else f"{places:018d}".rstrip("0")
+    return f"{sign}{whole}.{digits}" if digits else f"{sign}{whole}"
 
 
 def color_enabled(stream: IO[str] | None = None) -> bool:
@@ -143,8 +134,6 @@ def render_text(report: EvaluationReport) -> str:
     ]
 
     rows = [(name, _text_value(v), _text_exact(v)) for name, v in report.metrics.items()]
-    if report.cross_entropy is not None:
-        rows.append(("cross_entropy", f"{report.cross_entropy:.4f}", ""))
     lines += _table(("metric", "value", "exact"), rows)
     lines.append("")
     columns = [getattr(report.per_class, name) for name in PER_CLASS_METRICS]
@@ -160,6 +149,8 @@ def render_text(report: EvaluationReport) -> str:
 
 
 def _report_to_obj(report: EvaluationReport) -> dict[str, Any]:
+    metrics = dict(report.metrics)
+    xent = metrics.pop("cross_entropy", None)  # schema v1 keeps it outside "metrics"
     obj: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "tool": "clfmetrics",
@@ -175,14 +166,14 @@ def _report_to_obj(report: EvaluationReport) -> dict[str, Any]:
             "epsilon": repr(report.epsilon),
             "reduce": report.reduce,
         },
-        "metrics": {name: _json_value(v) for name, v in report.metrics.items()},
+        "metrics": {name: _json_value(v) for name, v in metrics.items()},
         "per_class": {
             label: {name: _json_value(getattr(report.per_class, name)[i]) for name in PER_CLASS_METRICS}
             for i, label in enumerate(report.labels)
         },
     }
-    if report.cross_entropy is not None:
-        obj["cross_entropy"] = {"value": repr(report.cross_entropy)}
+    if xent is not None:
+        obj["cross_entropy"] = _json_value(xent)
     if report.skipped_classes is not None:
         obj["skipped_classes"] = dict(report.skipped_classes)
     return obj
@@ -203,19 +194,20 @@ def parse_json(text: str) -> EvaluationReport:
         name: tuple(_parse_json_value(per_class[lab][name]) for lab in labels)
         for name in PER_CLASS_METRICS
     })
-    xent = obj.get("cross_entropy")
+    metrics = {name: _parse_json_value(v) for name, v in obj["metrics"].items()}
+    if "cross_entropy" in obj:
+        metrics["cross_entropy"] = _parse_json_value(obj["cross_entropy"])
     skipped = obj.get("skipped_classes")
     return EvaluationReport(
         dataset=obj["dataset"],
         labels=labels,
         total_units=obj["units"],
-        metrics={name: _parse_json_value(v) for name, v in obj["metrics"].items()},
+        metrics=metrics,
         per_class=breakdown,
         mode=obj["options"]["mode"],
         weights_source=obj["options"]["weights"],
         epsilon=float(obj["options"]["epsilon"]),
         reduce=obj["options"]["reduce"],
-        cross_entropy=float(xent["value"]) if xent is not None else None,
         skipped_classes=dict(skipped) if skipped is not None else None,
         tool_version=obj["tool_version"],
     )
@@ -259,12 +251,7 @@ def _delta(a: MetricValue, b: MetricValue) -> Numeric | None:
 def compare_reports(a: EvaluationReport, b: EvaluationReport) -> ComparisonReport:
     """Build the side-by-side comparison of two evaluation reports."""
     match = a.labels == b.labels
-    deltas: dict[str, Numeric | None] = {}
-    for name in METRIC_ORDER:
-        if name in a.metrics and name in b.metrics:
-            deltas[name] = _delta(a.metrics[name], b.metrics[name])
-    if a.cross_entropy is not None and b.cross_entropy is not None:
-        deltas["cross_entropy"] = b.cross_entropy - a.cross_entropy
+    deltas = {name: _delta(v, b.metrics[name]) for name, v in a.metrics.items() if name in b.metrics}
 
     per_class_deltas: dict[str, dict[str, Numeric | None]] | None = None
     if match:
@@ -318,14 +305,8 @@ def render_comparison_text(comparison: ComparisonReport, color: bool = False) ->
     ]
     rows = []
     for name, delta in comparison.deltas.items():
-        if name == "cross_entropy":
-            va = f"{a.cross_entropy:.4f}"
-            vb = f"{b.cross_entropy:.4f}"
-        else:
-            va = _text_value(a.metrics[name])
-            vb = _text_value(b.metrics[name])
         marker = "<< differs at equal accuracy" if name in comparison.flagged else ""
-        rows.append((name, va, vb, _text_delta(delta), marker))
+        rows.append((name, _text_value(a.metrics[name]), _text_value(b.metrics[name]), _text_delta(delta), marker))
     header, *table = _table(("metric", "A", "B", "delta", ""), rows)
     lines.append(header)
     for line, row in zip(table, rows):

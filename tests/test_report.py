@@ -1,12 +1,16 @@
 """Tests for report rendering, JSON round-trips and model comparison."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from clfmetrics import (
     ClassRegistry,
     ConfusionMatrix,
+    MetricValue,
     ProbRecord,
     XentOptions,
     compare_reports,
@@ -39,6 +43,37 @@ class TestFractionDecimal:
 
     def test_negative(self):
         assert fraction_decimal(Fraction(-1, 4)) == "-0.25"
+
+    @given(
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.one_of(
+            st.integers(min_value=1, max_value=10**30),
+            st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 30), st.integers(0, 30)),
+        ),
+    )
+    @example(1, 3 * 10**18)  # truncates to 18 zeros
+    @example(-1, 2**18)  # terminates at exactly 18 places
+    @example(1, 2**19)  # terminates one place too late
+    def test_matches_long_division(self, numerator, denominator):
+        value = Fraction(numerator, denominator)
+        assert fraction_decimal(value) == _long_division_decimal(value)
+
+
+def _long_division_decimal(value: Fraction, digits: int = 18) -> str:
+    """Reference: one quotient digit per step, stopping when the remainder vanishes."""
+    sign = "-" if value < 0 else ""
+    n, d = abs(value.numerator), value.denominator
+    whole, rem = divmod(n, d)
+    if rem == 0:
+        return f"{sign}{whole}"
+    out = [f"{sign}{whole}."]
+    for _ in range(digits):
+        rem *= 10
+        q, rem = divmod(rem, d)
+        out.append(str(q))
+        if rem == 0:
+            break
+    return "".join(out)
 
 
 class TestTextRendering:
@@ -88,6 +123,16 @@ class TestJsonRoundTrip:
         ]
         m = harden(records, registry)
         report = evaluate(m, dataset="p", cross_entropy=xent_dataset(records, XentOptions()))
+        assert parse_json(render_json(report)) == report
+
+    def test_cross_entropy_is_the_last_metric_and_a_top_level_json_key(self, four_class_matrix):
+        report = evaluate(four_class_matrix, dataset="p", cross_entropy=0.625)
+        assert list(report.metrics)[-2:] == ["kappa", "cross_entropy"]
+        assert report.metric("cross_entropy") == MetricValue.defined(0.625)
+        obj = json.loads(render_json(report))
+        assert "cross_entropy" not in obj["metrics"]
+        assert list(obj)[list(obj).index("per_class") + 1] == "cross_entropy"
+        assert obj["cross_entropy"] == {"value": "0.625"}
         assert parse_json(render_json(report)) == report
 
     def test_lenient_report_round_trips_skip_counts(self):
@@ -168,6 +213,15 @@ class TestComparison:
         b = evaluate(ConfusionMatrix.from_grid(("x", "y"), ((65, 5), (15, 15))), dataset="B")
         delta = compare_reports(a, b).deltas["kappa"]
         assert delta == Fraction(9, 19) - Fraction(11, 21)
+
+    def test_cross_entropy_delta_needs_it_on_both_sides(self, four_class_matrix):
+        a = evaluate(four_class_matrix, dataset="A", cross_entropy=0.5)
+        b = evaluate(four_class_matrix, dataset="B", cross_entropy=0.75)
+        assert list(compare_reports(a, b).deltas)[-1] == "cross_entropy"
+        assert compare_reports(a, b).deltas["cross_entropy"] == 0.25
+        plain = evaluate(four_class_matrix, dataset="C")
+        assert "cross_entropy" not in compare_reports(a, plain).deltas
+        assert "cross_entropy" not in compare_reports(plain, b).deltas
 
     def test_comparison_json_is_stable(self):
         a = evaluate(ConfusionMatrix.from_grid(("x", "y"), ((60, 10), (10, 20))), dataset="A")
