@@ -17,11 +17,18 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .confusion import ClassRegistry, ConfusionMatrix, UnknownLabelError, from_pairs
 from .proba import ProbRecord
+
+_Number = TypeVar("_Number", int, Fraction)
+# The only number forms read, in ASCII digits. A minus sign passes the grammar so
+# that a negative value meets its own, clearer error further on.
+_COUNT = re.compile(r"-?[0-9]+")
+_WEIGHT = re.compile(r"-?(?:[0-9]*\.?[0-9]+|[0-9]+/[0-9]+)")  # 2, 0.1, .5 or 1/3
 
 
 class IngestError(Exception):
@@ -69,6 +76,18 @@ class NegativeEntryError(IngestError):
 
 class NameMismatchError(IngestError):
     """Matrix row names do not match the header class names in order."""
+
+
+def _parse_number(
+    grammar: re.Pattern[str], convert: Callable[[str], _Number], text: str, what: str, line: int, column: int
+) -> _Number:
+    """convert(text) for text in the grammar, else a ParseError naming the field."""
+    try:
+        if grammar.fullmatch(text):
+            return convert(text)
+    except (ValueError, ZeroDivisionError):  # an int past the digit limit, or a ratio over 0
+        pass
+    raise ParseError(f"bad {what} {text!r}", line=line, column=column)
 
 
 def _open_rows(path: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
@@ -174,8 +193,8 @@ def read_probs(path: str, *, delimiter: str = ",") -> tuple[ClassRegistry, list[
 def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
     """Read a pre-tallied confusion matrix file.
 
-    The grid must be square, non-negative integers, with the leading column
-    of row names matching the header class names in the same order.
+    The grid must be square, non-negative integers in ASCII digits, with the
+    leading column of row names matching the header class names in the same order.
     """
     rows = _open_rows(path, delimiter)
     try:
@@ -210,10 +229,7 @@ def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
             )
         entries = []
         for pos, text in enumerate(row[1:], start=2):
-            try:
-                value = int(text)
-            except ValueError:
-                raise ParseError(f"bad count {text!r}", line=line, column=pos) from None
+            value = _parse_number(_COUNT, int, text, "count", line, pos)
             if value < 0:
                 raise NegativeEntryError(f"negative count {value}", line=line, column=pos)
             entries.append(value)
@@ -236,7 +252,11 @@ def tally_labels(
 
 
 def read_weights(path: str, *, delimiter: str = ",") -> list[tuple[str, Fraction]]:
-    """Read class,weight rows, in file order, as exact fractions: 0.1 is 1/10. Duplicate classes are rejected."""
+    """Read class,weight rows, in file order, as exact fractions: 0.1 is 1/10. Duplicate classes are rejected.
+
+    A weight is an ASCII decimal (2, 0.1, .5) or ratio (1/3); exponents, signs
+    other than a leading minus, spaces and non-ASCII digits are rejected.
+    """
     out: list[tuple[str, Fraction]] = []
     seen: set[str] = set()
     for line, row in _open_rows(path, delimiter):
@@ -248,9 +268,5 @@ def read_weights(path: str, *, delimiter: str = ",") -> list[tuple[str, Fraction
         if label in seen:
             raise ParseError(f"duplicate weight for class {label!r}", line=line)
         seen.add(label)
-        try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad weight {text!r}", line=line, column=2) from None
-        out.append((label, value))
+        out.append((label, _parse_number(_WEIGHT, Fraction, text, "weight", line, 2)))
     return out

@@ -78,11 +78,18 @@ def _ratio(numerator: int, denominator: int) -> MetricValue:
 
 @dataclass(frozen=True)
 class ClassWeights:
-    """Non-negative per-class weights with a positive sum."""
+    """Non-negative per-class weights with a positive sum.
+
+    Entries must be ints or Fractions: a float such as 0.1 is not the decimal
+    it was written as, and would leak its binary rounding into exact metrics.
+    """
 
     w: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        for x in self.w:
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise InvalidWeightsError(f"weights must be ints or Fractions, got {x!r}")
         converted = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.w)
         if any(x < 0 for x in converted):
             raise InvalidWeightsError(f"weights must be non-negative, got {self.w!r}")
@@ -244,7 +251,13 @@ def _root_ratio(numerator: int, radicand: int) -> Numeric:
     root = math.isqrt(radicand)
     if root * root == radicand:
         return Fraction(numerator, root)
-    return numerator / math.sqrt(radicand)
+    try:
+        return numerator / math.sqrt(radicand)
+    except OverflowError:
+        # The radicand is past float range. int / int rounds once and cannot
+        # overflow, since |MCC| <= 1 means |numerator| <= root; and root, above
+        # 10**154 here, is within 1 part in 10**154 of the true square root.
+        return numerator / root
 
 
 def mcc_binary(o: OneVsRest) -> MetricValue:

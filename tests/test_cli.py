@@ -1,11 +1,16 @@
 """Tests for the command-line interface: flags, exit codes, output plumbing."""
 
+import contextlib
+import io
 import json
 import math
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clfmetrics import evaluate, parse_json, read_matrix
 from clfmetrics.cli import main
@@ -195,6 +200,21 @@ class TestExitCodes:
     def test_success_is_zero(self, four_class_file):
         assert main(["evaluate", "--kind", "matrix", four_class_file]) == 0
 
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--format", "text"],
+        ["evaluate", "--format", "json"],
+        ["compare", "--format", "text"],
+        ["compare", "--format", "json"],
+    ])
+    def test_counts_beyond_float_range_report(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.csv"
+        path.write_text(f",a,b\na,1{'0' * 200},3\nb,7,5{'0' * 199}\n", encoding="utf-8")
+        paths = [str(path)] * (2 if command[0] == "compare" else 1)
+        assert main([*command, "--kind", "matrix", *paths]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "mcc" in captured.out
+
 
 class TestCompare:
     def test_compare_file_with_itself_zeroes_deltas(self, four_class_file, capsys):
@@ -273,3 +293,39 @@ class TestLargeK:
         assert "..." in rows["macro_f1"]
         exact = rows["macro_precision"].split()[-1]
         assert Fraction(exact) == evaluate(read_matrix(matrix_file)).metric("macro_precision").unwrap()
+
+
+CSV_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet=",\n\r\t\"ab01239-.e/ +_\u0663\ufeff", max_size=120).map(lambda t: t.encode("utf-8")),
+)
+
+
+class TestAnyInputBytes:
+    """Whatever the file holds, the CLI reports and exits 0, 2 or 3; it never crashes."""
+
+    @given(
+        kind=st.sampled_from(["labels", "probs", "matrix", "weights"]),
+        payload=CSV_BYTES,
+        fmt=st.sampled_from(["text", "json"]),
+    )
+    @example(kind="matrix", payload=f",a,b\na,1{'0' * 200},3\nb,7,5{'0' * 199}\n".encode(), fmt="text")
+    @example(kind="weights", payload=b"a,1e1000000\nb,1\n", fmt="text")
+    @example(kind="matrix", payload=",a,b\na,+1,1_000\nb, 2 ,\u0663\n".encode(), fmt="json")
+    @settings(max_examples=150, deadline=timedelta(seconds=1))
+    def test_exit_code_is_in_the_contract(self, tmp_path_factory, kind, payload, fmt):
+        work = tmp_path_factory.getbasetemp()
+        path = work / f"fuzz-{kind}.csv"
+        path.write_bytes(payload)
+        if kind == "weights":
+            matrix = work / "fuzz-weights-matrix.csv"
+            matrix.write_text(",a,b\na,3,1\nb,2,4\n", encoding="utf-8")
+            argv = ["evaluate", "--kind", "matrix", "--weights", str(path), str(matrix)]
+        else:
+            argv = ["evaluate", "--kind", kind, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--format", fmt])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (out.getvalue() != "")

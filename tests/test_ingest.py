@@ -201,6 +201,17 @@ class TestReadMatrix:
             read_matrix(path)
         assert err.value.column == 2
 
+    @pytest.mark.parametrize("text", ["+1", "1_000", " 2", "2 ", "\u0663", "--1", "-", "1" * 4301])
+    def test_count_outside_the_grammar_reports_column(self, tmp_path, text):
+        path = write(tmp_path, "m.csv", f",a,b\na,1,{text}\nb,0,3\n")
+        with pytest.raises(ParseError, match="bad count") as err:
+            read_matrix(path)
+        assert (err.value.line, err.value.column) == (2, 3)
+
+    def test_negative_zero_is_a_zero_count(self, tmp_path):
+        path = write(tmp_path, "m.csv", ",a,b\na,1,-0\nb,0,3\n")
+        assert read_matrix(path).counts == ((1, 0), (0, 3))
+
     def test_extra_rows_rejected(self, tmp_path):
         path = write(tmp_path, "m.csv", ",a,b\na,1,2\nb,0,3\nb,0,3\n")
         with pytest.raises(NonSquareError):
@@ -229,7 +240,7 @@ class TestReadWeights:
         assert err.value.column == 2
 
     def test_decimal_weights_are_exact(self, tmp_path):
-        path = write(tmp_path, "w.csv", "a,0.1\nb,1/3\nc,2e-1\n")
+        path = write(tmp_path, "w.csv", "a,0.1\nb,1/3\nc,.2\n")
         assert read_weights(path) == [("a", Fraction(1, 10)), ("b", Fraction(1, 3)), ("c", Fraction(1, 5))]
 
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1/0"])
@@ -238,6 +249,18 @@ class TestReadWeights:
         with pytest.raises(ParseError) as err:
             read_weights(path)
         assert (err.value.line, err.value.column) == (1, 2)
+
+    # Each form Fraction() would take but the weight grammar does not.
+    @pytest.mark.parametrize("text", ["2e-1", "1e1000000", "1E3", "+1", " 1", "1 ", "1_000", "\u0663", "2.", "0.5/2", "1/-3"])
+    def test_weight_outside_the_grammar_reports_column(self, tmp_path, text):
+        path = write(tmp_path, "w.csv", f"a,{text}\n")
+        with pytest.raises(ParseError, match="bad weight") as err:
+            read_weights(path)
+        assert (err.value.line, err.value.column) == (1, 2)
+
+    def test_negative_weight_is_read_for_the_non_negative_check(self, tmp_path):
+        path = write(tmp_path, "w.csv", "a,-1\nb,-.5\nc,-1/3\n")
+        assert read_weights(path) == [("a", -1), ("b", Fraction(-1, 2)), ("c", Fraction(-1, 3))]
 
     def test_empty_class_name(self, tmp_path):
         path = write(tmp_path, "w.csv", ",1\n")

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from clfmetrics import (
@@ -159,3 +160,44 @@ class TestSharedStructure:
             assert kappa_multiclass(m) == kappa_multiclass(scaled)
             a, b = mcc_multiclass(m).unwrap(), mcc_multiclass(scaled).unwrap()
             assert math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=1e-15)
+
+
+def root_ratio_decimal(numerator: int, radicand: int) -> float:
+    """Reference numerator / sqrt(radicand) in 80-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return float(Decimal(numerator) / Decimal(radicand).sqrt())
+
+
+class TestCountsBeyondFloatRange:
+    """Radicands past ~1.8e308, which math.sqrt cannot take."""
+
+    E = 10**200
+    TILES = (
+        OneVsRest(tp=E, fp=3, fn=7, tn=5 * E // 10),
+        OneVsRest(tp=3, fp=E, fn=5 * E // 10, tn=7),  # negative correlation
+        OneVsRest(tp=3 * E, fp=E, fn=2 * E, tn=5 * E + 1),
+        OneVsRest(tp=E, fp=E, fn=E, tn=E + 1),  # MCC 2.5e-201: squaring the ratio underflows to 0
+    )
+
+    def test_binary_matches_decimal_reference(self):
+        for o in self.TILES:
+            factors = (o.tp + o.fn, o.tp + o.fp, o.tn + o.fn, o.tn + o.fp)
+            expected = root_ratio_decimal(o.tp * o.tn - o.fp * o.fn, math.prod(factors))
+            assert math.isclose(mcc_binary(o).as_float(), expected, rel_tol=1e-15), o
+
+    def test_multiclass_matches_decimal_reference(self):
+        rng = random.Random(308)
+        for _ in range(50):
+            k = rng.randint(2, 5)
+            grid = tuple(tuple(rng.randint(0, 10**rng.randint(0, 250)) for _ in range(k)) for _ in range(k))
+            m = ConfusionMatrix.from_grid(tuple("abcde"[:k]), grid)
+            c, s = m.trace, m.grand_total
+            sum_pt = sum(p * t for p, t in zip(m.col_totals, m.row_totals))
+            r1 = s * s - sum(p * p for p in m.col_totals)
+            r2 = s * s - sum(t * t for t in m.row_totals)
+            got = mcc_multiclass(m).as_float()
+            if r1 == 0 or r2 == 0:
+                assert got == 0
+                continue
+            assert math.isclose(got, root_ratio_decimal(c * s - sum_pt, r1 * r2), rel_tol=1e-15), grid

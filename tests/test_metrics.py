@@ -1,6 +1,7 @@
 """Tests for the confusion-matrix scalar metrics and defined/undefined propagation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,18 @@ class TestBalancedAccuracyWeighted:
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidWeightsError):
             ClassWeights((Fraction(-1), Fraction(2)))
+
+    @pytest.mark.parametrize("entry", [0.1, 1.0, True, False, "1", None])
+    def test_non_exact_entry_rejected(self, entry):
+        with pytest.raises(InvalidWeightsError, match=re.escape(repr(entry))):
+            ClassWeights((Fraction(1), entry))
+
+    def test_float_weights_cannot_leak_into_the_exact_average(self):
+        m = ConfusionMatrix.from_grid(("a", "b"), ((1, 1), (0, 2)))  # recalls 1/2 and 1
+        exact = ClassWeights((Fraction(1, 10), Fraction(3, 10)))
+        assert balanced_accuracy_weighted(m, exact).unwrap() == Fraction(7, 8)
+        with pytest.raises(InvalidWeightsError):
+            ClassWeights((0.1, 0.3))
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(InvalidWeightsError):
