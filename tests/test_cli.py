@@ -304,6 +304,10 @@ CSV_BYTES = st.one_of(
 class TestAnyInputBytes:
     """Whatever the file holds, the CLI reports and exits 0, 2 or 3; it never crashes."""
 
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
     @given(
         kind=st.sampled_from(["labels", "probs", "matrix", "weights"]),
         payload=CSV_BYTES,
@@ -313,12 +317,11 @@ class TestAnyInputBytes:
     @example(kind="weights", payload=b"a,1e1000000\nb,1\n", fmt="text")
     @example(kind="matrix", payload=",a,b\na,+1,1_000\nb, 2 ,\u0663\n".encode(), fmt="json")
     @settings(max_examples=150, deadline=timedelta(seconds=1))
-    def test_exit_code_is_in_the_contract(self, tmp_path_factory, kind, payload, fmt):
-        work = tmp_path_factory.getbasetemp()
-        path = work / f"fuzz-{kind}.csv"
+    def test_exit_code_is_in_the_contract(self, work, kind, payload, fmt):
+        path = work / f"{kind}.csv"
         path.write_bytes(payload)
         if kind == "weights":
-            matrix = work / "fuzz-weights-matrix.csv"
+            matrix = work / "weighted-matrix.csv"
             matrix.write_text(",a,b\na,3,1\nb,2,4\n", encoding="utf-8")
             argv = ["evaluate", "--kind", "matrix", "--weights", str(path), str(matrix)]
         else:

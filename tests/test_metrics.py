@@ -161,13 +161,6 @@ class TestBalancedAccuracyWeighted:
         with pytest.raises(InvalidWeightsError, match=re.escape(repr(entry))):
             ClassWeights((Fraction(1), entry))
 
-    def test_float_weights_cannot_leak_into_the_exact_average(self):
-        m = ConfusionMatrix.from_grid(("a", "b"), ((1, 1), (0, 2)))  # recalls 1/2 and 1
-        exact = ClassWeights((Fraction(1, 10), Fraction(3, 10)))
-        assert balanced_accuracy_weighted(m, exact).unwrap() == Fraction(7, 8)
-        with pytest.raises(InvalidWeightsError):
-            ClassWeights((0.1, 0.3))
-
     def test_all_zero_weights_rejected(self):
         with pytest.raises(InvalidWeightsError):
             ClassWeights((Fraction(0), Fraction(0)))
