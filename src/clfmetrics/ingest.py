@@ -28,7 +28,8 @@ _Number = TypeVar("_Number", int, Fraction)
 # The only number forms read, in ASCII digits. A minus sign passes the grammar so
 # that a negative value meets its own, clearer error further on.
 _COUNT = re.compile(r"-?[0-9]+")
-_WEIGHT = re.compile(r"-?(?:[0-9]*\.?[0-9]+|[0-9]+/[0-9]+)")  # 2, 0.1, .5 or 1/3
+# Each digit run has one place to go, so a failed match backtracks in linear time.
+_WEIGHT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+|/[0-9]+)?|\.[0-9]+)")  # 2, 0.1, .5 or 1/3
 
 
 class IngestError(Exception):

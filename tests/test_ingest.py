@@ -252,8 +252,17 @@ class TestReadWeights:
             read_weights(path)
         assert (err.value.line, err.value.column) == (1, 2)
 
-    # Forms outside the weight grammar; Fraction() took all but the last two.
-    @pytest.mark.parametrize("text", ["2e-1", "1e1000000", "1E3", "+1", " 1", "1 ", "1_000", "\u0663", "2.", "0.5/2", "1/-3"])
+    # Forms outside the weight grammar; Fraction() took all but "2.", "0.5/2" and "1/-3".
+    # The long digit runs would take minutes if the grammar backtracked quadratically.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2e-1", "1e1000000", "1E3", "+1", " 1", "1 ", "1_000", "\u0663", "2.", "0.5/2", "1/-3",
+            pytest.param("1" * 100_000 + "x", id="long-digits-x"),
+            pytest.param("1" * 100_000 + ".x", id="long-digits-dot-x"),
+            pytest.param("1" * 100_000 + "/x", id="long-digits-slash-x"),
+        ],
+    )
     def test_weight_outside_the_grammar_reports_column(self, tmp_path, text):
         path = write(tmp_path, "w.csv", f"a,{text}\n")
         with pytest.raises(ParseError, match="bad weight") as err:
