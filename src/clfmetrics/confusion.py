@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 
 class UnknownLabelError(ValueError):
@@ -95,18 +96,20 @@ class ConfusionMatrix:
 
     def __post_init__(self) -> None:
         k = self.registry.k
-        grid = tuple(tuple(row) for row in self.counts)
+        grid = tuple(map(tuple, self.counts))
         if len(grid) != k or any(len(row) != k for row in grid):
             raise ValueError(f"counts must be a {k}x{k} grid to match the registry")
-        for row in grid:
-            for cell in row:
-                if not isinstance(cell, int) or isinstance(cell, bool):
-                    raise ValueError(f"counts must be integers, got {cell!r}")
-                if cell < 0:
-                    raise ValueError(f"counts must be non-negative, got {cell}")
+        # Two checks in C pass any grid of plain non-negative ints; the loop only names the first bad cell.
+        if set(map(type, chain.from_iterable(grid))) != {int} or min(map(min, grid)) < 0:
+            for row in grid:
+                for cell in row:
+                    if not isinstance(cell, int) or isinstance(cell, bool):
+                        raise ValueError(f"counts must be integers, got {cell!r}")
+                    if cell < 0:
+                        raise ValueError(f"counts must be non-negative, got {cell}")
         object.__setattr__(self, "counts", grid)
-        object.__setattr__(self, "row_totals", tuple(sum(row) for row in grid))
-        object.__setattr__(self, "col_totals", tuple(sum(col) for col in zip(*grid)))
+        object.__setattr__(self, "row_totals", tuple(map(sum, grid)))
+        object.__setattr__(self, "col_totals", tuple(map(sum, zip(*grid))))
         object.__setattr__(self, "grand_total", sum(self.row_totals))
 
     @classmethod
@@ -181,7 +184,17 @@ def from_pairs(
     registry (the first such pair in input order, once the stream is
     consumed), and EmptyInputError if there are no pairs and no registry.
     """
-    tally = Counter(pairs)
+    return from_tally(Counter(pairs), registry)
+
+
+def from_tally(
+    tally: Mapping[tuple[str, str], int],
+    registry: ClassRegistry | None = None,
+) -> ConfusionMatrix:
+    """Lay out a count per distinct (actual, predicted) pair as a confusion matrix.
+
+    The registry is inferred, and errors are raised, as in from_pairs.
+    """
     if registry is None:
         if not tally:
             raise EmptyInputError("empty input: no label pairs and no registry to infer classes from")

@@ -18,10 +18,11 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator, TypeVar
 
-from .confusion import ClassRegistry, ConfusionMatrix, UnknownLabelError, from_pairs
+from .confusion import ClassRegistry, ConfusionMatrix, UnknownLabelError, from_pairs, from_tally
 from .proba import ProbRecord
 
 _Number = TypeVar("_Number", int, Fraction)
@@ -30,6 +31,8 @@ _Number = TypeVar("_Number", int, Fraction)
 _COUNT = re.compile(r"-?[0-9]+")
 # Each digit run has one place to go, so a failed match backtracks in linear time.
 _WEIGHT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+|/[0-9]+)?|\.[0-9]+)")  # 2, 0.1, .5 or 1/3
+# Characters of label lines counted per step; larger steps only raise peak memory.
+_TALLY_CHUNK = 1 << 14
 
 
 class IngestError(Exception):
@@ -110,14 +113,19 @@ def stream_labels(
     if has_header:
         next(rows, None)
     for line, row in rows:
-        if len(row) != 2:
-            raise ParseError(f"expected 2 fields, got {len(row)}", line=line)
-        actual, predicted = row
-        if actual == "":
-            raise EmptyLabelError("empty actual label", line=line, column=1)
-        if predicted == "":
-            raise EmptyLabelError("empty predicted label", line=line, column=2)
-        yield actual, predicted
+        yield _label_pair(row, line)
+
+
+def _label_pair(row: list[str], line: int | None) -> tuple[str, str]:
+    """The (actual, predicted) pair of a non-blank label row; raises the row's IngestError."""
+    if len(row) != 2:
+        raise ParseError(f"expected 2 fields, got {len(row)}", line=line)
+    actual, predicted = row
+    if actual == "":
+        raise EmptyLabelError("empty actual label", line=line, column=1)
+    if predicted == "":
+        raise EmptyLabelError("empty predicted label", line=line, column=2)
+    return actual, predicted
 
 
 def read_labels(
@@ -245,11 +253,44 @@ def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
 def tally_labels(
     path: str, *, delimiter: str = ",", has_header: bool = False
 ) -> ConfusionMatrix:
-    """Stream a label file straight into a confusion matrix.
+    """Tally a label file into a confusion matrix, reading each distinct line once.
 
-    Memory stays bounded by the K x K tally regardless of file length.
+    Identical lines are counted in C and each distinct line is parsed on its
+    own, so memory stays bounded by the number of distinct lines, not by the
+    file's length. A file this cannot read line by line (one with a quote,
+    which may open a field spanning lines, a row error, an oversized field or
+    an undecodable byte) takes the stream_labels path instead, which names
+    the fault with its line.
     """
-    return from_pairs(stream_labels(path, delimiter=delimiter, has_header=has_header))
+    tally = _tally_distinct_lines(path, delimiter, has_header)
+    if tally is None:
+        return from_pairs(stream_labels(path, delimiter=delimiter, has_header=has_header))
+    return from_tally(tally)
+
+
+def _tally_distinct_lines(path: str, delimiter: str, has_header: bool) -> Counter[tuple[str, str]] | None:
+    """Pair counts of a label file whose every line parses alone to a valid row or a blank, else None."""
+    lines: Counter[str] = Counter()
+    pair_of: dict[str, tuple[str, str] | None] = {}  # each distinct line vetted so far; None if blank
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            if has_header:
+                next(filter(None, csv.reader(handle, delimiter=delimiter)), None)
+            while chunk := handle.readlines(_TALLY_CHUNK):
+                lines.update(chunk)
+                new = [*set(chunk).difference(pair_of)]
+                if '"' in "".join(new):
+                    return None
+                # Without quotes every line is a CSV row of its own.
+                for line, row in zip(new, csv.reader(new, delimiter=delimiter)):
+                    pair_of[line] = _label_pair(row, None) if row else None
+    except (IngestError, csv.Error, UnicodeDecodeError):
+        return None
+    tally: Counter[tuple[str, str]] = Counter()
+    for line, n in lines.items():
+        if pair := pair_of[line]:
+            tally[pair] += n
+    return tally
 
 
 def read_weights(path: str, *, delimiter: str = ",") -> list[tuple[str, Fraction]]:

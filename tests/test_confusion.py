@@ -1,6 +1,7 @@
 """Tests for confusion-matrix construction, marginals, tiling and merging."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from clfmetrics import (
     merge,
     one_vs_rest,
 )
+from clfmetrics.confusion import from_tally
 from conftest import FOUR_CLASS_GRID, random_matrix
 
 
@@ -90,6 +92,14 @@ class TestFromPairs:
         assert m.row_totals == (9, 14, 13, 16)
         assert m.grand_total == 52
 
+    def test_from_tally_lays_out_the_counts_from_pairs_would(self):
+        pairs = [("b", "a"), ("a", "a"), ("b", "a"), ("c", "b")]
+        assert from_tally(Counter(pairs)) == from_pairs(pairs)
+        reg = ClassRegistry(("a", "b", "c", "d"))
+        assert from_tally({("b", "a"): 2}, registry=reg) == from_pairs([("b", "a")] * 2, registry=reg)
+        with pytest.raises(EmptyInputError):
+            from_tally({})
+
     def test_consumes_a_lazy_stream(self):
         pairs = iter([("a", "b"), ("b", "a"), ("a", "a")])
         m = from_pairs(pairs)
@@ -123,6 +133,24 @@ class TestMatrixValidation:
     def test_float_count_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             ConfusionMatrix.from_grid(("a", "b"), ((1.0, 2), (0, 2)))
+
+    def test_bool_count_rejected(self):
+        with pytest.raises(ValueError, match="integers, got True"):
+            ConfusionMatrix.from_grid(("a", "b"), ((1, 2), (True, 2)))
+
+    def test_int_subclass_count_accepted(self):
+        class Count(int):
+            pass
+
+        m = ConfusionMatrix.from_grid(("a", "b"), ((Count(3), 1), (0, Count(2))))
+        assert m.counts == ((3, 1), (0, 2))
+        assert (m.row_totals, m.col_totals, m.grand_total) == ((4, 2), (3, 3), 6)
+
+    def test_first_bad_cell_in_row_major_order_is_named(self):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            ConfusionMatrix.from_grid(("a", "b"), ((1, -1), (2.5, 2)))
+        with pytest.raises(ValueError, match="integers, got 2.5"):
+            ConfusionMatrix.from_grid(("a", "b"), ((1, 2.5), (-1, 2)))
 
     def test_marginals(self, four_class_matrix):
         m = four_class_matrix

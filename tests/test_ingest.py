@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clfmetrics import (
     EmptyLabelError,
+    IngestError,
     NameMismatchError,
     NegativeEntryError,
     NonSquareError,
@@ -76,6 +79,111 @@ class TestReadLabels:
         path = write(tmp_path, "l.csv", "a,a\na,b\nb,b\n")
         m = tally_labels(path)
         assert m.counts == ((1, 1), (0, 1))
+
+
+def outcome(read):
+    """What read() returns, or the type, text, line and column of the error it raises."""
+    try:
+        return read()
+    except (IngestError, ValueError) as exc:  # ValueError: an undecodable byte, or too few classes
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def assert_tally_matches_stream(path, **kwargs):
+    """tally_labels gives the matrix, or the error, that tallying stream_labels gives."""
+    fast = outcome(lambda: tally_labels(path, **kwargs))
+    assert fast == outcome(lambda: from_pairs(stream_labels(path, **kwargs)))
+    return fast
+
+
+# The TestReadLabels inputs, read through tally_labels too.
+READ_LABELS_CASES = {
+    "three_rows_no_header": (b"a,a\na,b\nb,b\n", {}),
+    "header_skipped": (b"actual,predicted\na,a\nb,a\n", {"has_header": True}),
+    "header_as_data": (b"actual,predicted\na,a\n", {}),
+    "header_leaves_one_class": (b"actual,predicted\na,a\n", {"has_header": True}),
+    "three_fields": (b"a,a\na,b,c\n", {}),
+    "empty_label": (b"a,a\n,b\n", {}),
+    "tab_delimiter": (b"a\tb\nb\tb\n", {"delimiter": "\t"}),
+    "crlf_endings": (b"a,a\r\nb,b\r\n", {}),
+    "blank_lines": (b"a,a\n\nb,b\n", {}),
+}
+
+LABEL_TOKENS = st.sampled_from(
+    [b"a", b"b", "\u00e9".encode(), b" ", b",", b"\t", b'"', b"\r", b"\n", b"\r\n", b"\xff"]
+)
+
+
+class TestTallyLabels:
+    """tally_labels counts distinct lines but must agree with the row stream on every file."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("tally")
+
+    @pytest.mark.parametrize("case", READ_LABELS_CASES)
+    def test_read_labels_cases(self, tmp_path, case):
+        data, kwargs = READ_LABELS_CASES[case]
+        path = tmp_path / "l.csv"
+        path.write_bytes(data)
+        assert_tally_matches_stream(str(path), **kwargs)
+
+    def test_quoted_field_spanning_lines_is_one_label(self, tmp_path):
+        path = write(tmp_path, "l.csv", 'a,"x\ny,z"\nb,b\n')
+        m = tally_labels(path)
+        assert m.registry.labels == ("a", "b", "x\ny,z")
+        assert m == from_pairs([("a", "x\ny,z"), ("b", "b")])
+
+    def test_bad_row_after_100k_valid_rows_is_reported_at_its_line(self, tmp_path):
+        rows = "".join(f"{'abc'[i % 3]},{'abc'[i * 7 % 3]}\n" for i in range(100_000))
+        path = write(tmp_path, "l.csv", rows + "a,b,c\nb,b\n")
+        with pytest.raises(ParseError, match="expected 2 fields, got 3") as err:
+            tally_labels(path)
+        assert err.value.line == 100_001
+
+    def test_row_error_wins_over_a_later_undecodable_byte(self, tmp_path):
+        path = tmp_path / "l.csv"
+        # The byte lies in the first 16 KiB that the tally reads, past the 8 KiB the stream decodes first.
+        path.write_bytes(b"a,a\na,b,c\n" + b"b,b\n" * 3_000 + b"\xff,a\n")
+        with pytest.raises(ParseError) as err:
+            tally_labels(str(path))
+        assert err.value.line == 2
+
+    def test_undecodable_byte_is_the_streams_decode_error(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"a,b\n" * 20_000 + b"\xff,a\n")
+        assert assert_tally_matches_stream(str(path))[0] is UnicodeDecodeError
+
+    @pytest.mark.parametrize("field", ["x" * 200_000, '"' + "x" * 200_000 + '"'])
+    def test_over_long_field_is_a_parse_error_with_line(self, tmp_path, field):
+        path = write(tmp_path, "l.csv", "a,a\nb," + field + "\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            tally_labels(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    def test_many_chunks_with_late_classes_and_mixed_line_ends(self, tmp_path, has_header):
+        rows = (f"c{i % 37},c{i * i % 41}" + ("\r\n" if i % 5 else "\n") for i in range(60_000))
+        path = tmp_path / "l.csv"
+        path.write_bytes(("\nh,h\n" + "".join(rows) + "\nlate,arrival").encode())
+        m = tally_labels(str(path), has_header=has_header)
+        assert m == from_pairs(read_labels(str(path), has_header=has_header))
+        assert m.grand_total == 60_001 + (not has_header)
+        assert "arrival" in m.registry
+
+    @given(
+        body=st.lists(LABEL_TOKENS, max_size=60).map(b"".join),
+        bom=st.booleans(),
+        header=st.sampled_from([b"", b"actual,predicted\n", b'"act\nual",x\n']),
+        has_header=st.booleans(),
+        delimiter=st.sampled_from([",", "\t"]),
+    )
+    @example(body=b'a,"x\ny,z"\nb,b\n', bom=False, header=b"", has_header=False, delimiter=",")
+    @settings(max_examples=300, deadline=None)
+    def test_tally_matches_the_stream_on_any_file(self, work, body, bom, header, has_header, delimiter):
+        path = work / "l.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + header + body)
+        assert_tally_matches_stream(str(path), delimiter=delimiter, has_header=has_header)
 
 
 class TestReadProbs:
