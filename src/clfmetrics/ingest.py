@@ -8,9 +8,10 @@ Matrix files:      header ``,<class1>,...,<classK>``, then row i as
                    Row names must repeat the header names in the same order,
                    which catches silently transposed matrices.
 
-All readers are single-pass streams over UTF-8 text (LF or CRLF, with or
+All readers open their file once and stream UTF-8 text (LF or CRLF, with or
 without a byte-order mark), and every error carries the 1-based line number
-it was raised on.
+it was raised on. tally_labels alone may read a seekable file twice: a fast
+count of distinct lines, then, if that gives up, the row stream from the start.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, TextIO, TypeVar
 
 from .confusion import ClassRegistry, ConfusionMatrix, UnknownLabelError, from_pairs, from_tally
 from .proba import ProbRecord
@@ -94,22 +95,36 @@ def _parse_number(
     raise ParseError(f"bad {what} {text!r}", line=line, column=column)
 
 
+def _open_text(path: str) -> TextIO:
+    return open(path, "r", encoding="utf-8-sig", newline="")  # drops a leading BOM
+
+
+def _rows(handle: TextIO, delimiter: str) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank CSV rows of an open file, each with its 1-based line number."""
+    reader = csv.reader(handle, delimiter=delimiter)
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:  # an oversized field, say
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+
+
 def _open_rows(path: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:  # drops a leading BOM
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            for row in reader:
-                if row:
-                    yield reader.line_num, row
-        except csv.Error as exc:  # an oversized field, say
-            raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+    with _open_text(path) as handle:
+        yield from _rows(handle, delimiter)
 
 
 def stream_labels(
     path: str, *, delimiter: str = ",", has_header: bool = False
 ) -> Iterator[tuple[str, str]]:
     """Yield (actual, predicted) label pairs from a two-column file, lazily."""
-    rows = _open_rows(path, delimiter)
+    with _open_text(path) as handle:
+        yield from _label_pairs(handle, delimiter, has_header)
+
+
+def _label_pairs(handle: TextIO, delimiter: str, has_header: bool) -> Iterator[tuple[str, str]]:
+    rows = _rows(handle, delimiter)
     if has_header:
         next(rows, None)
     for line, row in rows:
@@ -259,31 +274,34 @@ def tally_labels(
     own, so memory stays bounded by the number of distinct lines, not by the
     file's length. A file this cannot read line by line (one with a quote,
     which may open a field spanning lines, a row error, an oversized field or
-    an undecodable byte) takes the stream_labels path instead, which names
-    the fault with its line.
+    an undecodable byte) is read again from the start as the stream_labels
+    row stream, which names the fault with its line. So is any input that
+    cannot be read twice, such as a pipe, from its first byte.
     """
-    tally = _tally_distinct_lines(path, delimiter, has_header)
-    if tally is None:
-        return from_pairs(stream_labels(path, delimiter=delimiter, has_header=has_header))
-    return from_tally(tally)
+    with _open_text(path) as handle:
+        if handle.seekable():
+            tally = _tally_distinct_lines(handle, delimiter, has_header)
+            if tally is not None:
+                return from_tally(tally)
+            handle.seek(0)
+        return from_pairs(_label_pairs(handle, delimiter, has_header))
 
 
-def _tally_distinct_lines(path: str, delimiter: str, has_header: bool) -> Counter[tuple[str, str]] | None:
+def _tally_distinct_lines(handle: TextIO, delimiter: str, has_header: bool) -> Counter[tuple[str, str]] | None:
     """Pair counts of a label file whose every line parses alone to a valid row or a blank, else None."""
     lines: Counter[str] = Counter()
     pair_of: dict[str, tuple[str, str] | None] = {}  # each distinct line vetted so far; None if blank
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            if has_header:
-                next(filter(None, csv.reader(handle, delimiter=delimiter)), None)
-            while chunk := handle.readlines(_TALLY_CHUNK):
-                lines.update(chunk)
-                new = [*set(chunk).difference(pair_of)]
-                if '"' in "".join(new):
-                    return None
-                # Without quotes every line is a CSV row of its own.
-                for line, row in zip(new, csv.reader(new, delimiter=delimiter)):
-                    pair_of[line] = _label_pair(row, None) if row else None
+        if has_header:
+            next(filter(None, csv.reader(handle, delimiter=delimiter)), None)
+        while chunk := handle.readlines(_TALLY_CHUNK):
+            lines.update(chunk)
+            new = [*set(chunk).difference(pair_of)]
+            if '"' in "".join(new):
+                return None
+            # Without quotes every line is a CSV row of its own.
+            for line, row in zip(new, csv.reader(new, delimiter=delimiter)):
+                pair_of[line] = _label_pair(row, None) if row else None
     except (IngestError, csv.Error, UnicodeDecodeError):
         return None
     tally: Counter[tuple[str, str]] = Counter()

@@ -1,5 +1,7 @@
 """Tests for the three CSV readers and their error reporting."""
 
+import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -32,55 +34,6 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-class TestReadLabels:
-    def test_three_rows_no_header(self, tmp_path):
-        path = write(tmp_path, "l.csv", "a,a\na,b\nb,b\n")
-        assert read_labels(path) == [("a", "a"), ("a", "b"), ("b", "b")]
-
-    def test_header_skipped_when_requested(self, tmp_path):
-        path = write(tmp_path, "l.csv", "actual,predicted\na,a\n")
-        assert read_labels(path, has_header=True) == [("a", "a")]
-        # without the flag the header row is data
-        assert read_labels(path)[0] == ("actual", "predicted")
-
-    def test_three_fields_is_a_parse_error_with_line(self, tmp_path):
-        path = write(tmp_path, "l.csv", "a,a\na,b,c\n")
-        with pytest.raises(ParseError) as err:
-            read_labels(path)
-        assert err.value.line == 2
-        assert "2 fields" in str(err.value)
-
-    def test_empty_label_reports_line_and_column(self, tmp_path):
-        path = write(tmp_path, "l.csv", "a,a\n,b\n")
-        with pytest.raises(EmptyLabelError) as err:
-            read_labels(path)
-        assert err.value.line == 2
-        assert err.value.column == 1
-
-    def test_tab_delimiter(self, tmp_path):
-        path = write(tmp_path, "l.tsv", "a\tb\nb\tb\n")
-        assert read_labels(path, delimiter="\t") == [("a", "b"), ("b", "b")]
-
-    def test_crlf_endings(self, tmp_path):
-        path = tmp_path / "l.csv"
-        path.write_bytes(b"a,a\r\nb,b\r\n")
-        assert read_labels(str(path)) == [("a", "a"), ("b", "b")]
-
-    def test_blank_lines_are_skipped(self, tmp_path):
-        path = write(tmp_path, "l.csv", "a,a\n\nb,b\n")
-        assert len(read_labels(path)) == 2
-
-    def test_stream_is_lazy(self, tmp_path):
-        path = write(tmp_path, "l.csv", "a,a\nb,b\n")
-        stream = stream_labels(path)
-        assert next(stream) == ("a", "a")
-
-    def test_tally_straight_to_matrix(self, tmp_path):
-        path = write(tmp_path, "l.csv", "a,a\na,b\nb,b\n")
-        m = tally_labels(path)
-        assert m.counts == ((1, 1), (0, 1))
-
-
 def outcome(read):
     """What read() returns, or the type, text, line and column of the error it raises."""
     try:
@@ -96,18 +49,100 @@ def assert_tally_matches_stream(path, **kwargs):
     return fast
 
 
-# The TestReadLabels inputs, read through tally_labels too.
-READ_LABELS_CASES = {
-    "three_rows_no_header": (b"a,a\na,b\nb,b\n", {}),
-    "header_skipped": (b"actual,predicted\na,a\nb,a\n", {"has_header": True}),
-    "header_as_data": (b"actual,predicted\na,a\n", {}),
-    "header_leaves_one_class": (b"actual,predicted\na,a\n", {"has_header": True}),
-    "three_fields": (b"a,a\na,b,c\n", {}),
-    "empty_label": (b"a,a\n,b\n", {}),
-    "tab_delimiter": (b"a\tb\nb\tb\n", {"delimiter": "\t"}),
-    "crlf_endings": (b"a,a\r\nb,b\r\n", {}),
-    "blank_lines": (b"a,a\n\nb,b\n", {}),
+class TestReadLabels:
+    """Each case that reads a file also checks that tally_labels agrees with tallying the row stream."""
+
+    def test_three_rows_no_header(self, tmp_path):
+        path = write(tmp_path, "l.csv", "a,a\na,b\nb,b\n")
+        assert read_labels(path) == [("a", "a"), ("a", "b"), ("b", "b")]
+        assert_tally_matches_stream(path)
+
+    def test_header_skipped_when_requested(self, tmp_path):
+        path = write(tmp_path, "l.csv", "actual,predicted\na,a\n")
+        assert read_labels(path, has_header=True) == [("a", "a")]
+        # without the flag the header row is data
+        assert read_labels(path)[0] == ("actual", "predicted")
+        assert_tally_matches_stream(path)
+        assert_tally_matches_stream(path, has_header=True)  # one class left: the same error
+        path = write(tmp_path, "l2.csv", "actual,predicted\na,a\nb,a\n")
+        assert_tally_matches_stream(path, has_header=True)
+
+    def test_three_fields_is_a_parse_error_with_line(self, tmp_path):
+        path = write(tmp_path, "l.csv", "a,a\na,b,c\n")
+        with pytest.raises(ParseError) as err:
+            read_labels(path)
+        assert err.value.line == 2
+        assert "2 fields" in str(err.value)
+        assert_tally_matches_stream(path)
+
+    def test_empty_label_reports_line_and_column(self, tmp_path):
+        path = write(tmp_path, "l.csv", "a,a\n,b\n")
+        with pytest.raises(EmptyLabelError) as err:
+            read_labels(path)
+        assert err.value.line == 2
+        assert err.value.column == 1
+        assert_tally_matches_stream(path)
+
+    def test_tab_delimiter(self, tmp_path):
+        path = write(tmp_path, "l.tsv", "a\tb\nb\tb\n")
+        assert read_labels(path, delimiter="\t") == [("a", "b"), ("b", "b")]
+        assert_tally_matches_stream(path, delimiter="\t")
+
+    def test_crlf_endings(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"a,a\r\nb,b\r\n")
+        assert read_labels(str(path)) == [("a", "a"), ("b", "b")]
+        assert_tally_matches_stream(str(path))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write(tmp_path, "l.csv", "a,a\n\nb,b\n")
+        assert len(read_labels(path)) == 2
+        assert_tally_matches_stream(path)
+
+    def test_stream_is_lazy(self, tmp_path):
+        path = write(tmp_path, "l.csv", "a,a\nb,b\n")
+        stream = stream_labels(path)
+        assert next(stream) == ("a", "a")
+
+    def test_tally_straight_to_matrix(self, tmp_path):
+        path = write(tmp_path, "l.csv", "a,a\na,b\nb,b\n")
+        m = tally_labels(path)
+        assert m.counts == ((1, 1), (0, 1))
+
+
+def feed(fd, data):
+    """Write data to a pipe's write end, then close it."""
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    except BrokenPipeError:  # the reader stopped early
+        pass
+    finally:
+        os.close(fd)
+
+
+def outcome_through_a_pipe(data, read):
+    """outcome(read(path)) for a path naming a pipe fed with data, which can be read only once."""
+    r, w = os.pipe()
+    writer = threading.Thread(target=feed, args=(w, data))
+    writer.start()
+    try:
+        return outcome(lambda: read(f"/dev/fd/{r}"))
+    finally:
+        os.close(r)
+        writer.join()
+
+
+PIPED_LABEL_FILES = {
+    "quoted_field_spanning_lines": (b'a,"x\ny,z"\nb,b\n', {}),
+    "quote_past_the_first_chunk": (b"a,a\nb,a\n" * 5_000 + b'b,"b"\n', {}),
+    "bad_row_past_the_first_chunk": (b"a,b\n" * 10_000 + b"a,b,c\n", {}),
+    "bad_row_in_a_small_file": (b"a,a\n,b\n", {}),
+    "undecodable_byte": (b"a,a\n" * 5_000 + b"\xff,b\n", {}),
+    "bom_header_and_clean_rows": (b"\xef\xbb\xbfh,h\n" + b"a,b\nb,a\n\n" * 5_000, {"has_header": True}),
 }
+
 
 LABEL_TOKENS = st.sampled_from(
     [b"a", b"b", "\u00e9".encode(), b" ", b",", b"\t", b'"', b"\r", b"\n", b"\r\n", b"\xff"]
@@ -120,13 +155,6 @@ class TestTallyLabels:
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
         return tmp_path_factory.mktemp("tally")
-
-    @pytest.mark.parametrize("case", READ_LABELS_CASES)
-    def test_read_labels_cases(self, tmp_path, case):
-        data, kwargs = READ_LABELS_CASES[case]
-        path = tmp_path / "l.csv"
-        path.write_bytes(data)
-        assert_tally_matches_stream(str(path), **kwargs)
 
     def test_quoted_field_spanning_lines_is_one_label(self, tmp_path):
         path = write(tmp_path, "l.csv", 'a,"x\ny,z"\nb,b\n')
@@ -170,6 +198,15 @@ class TestTallyLabels:
         assert m == from_pairs(read_labels(str(path), has_header=has_header))
         assert m.grand_total == 60_001 + (not has_header)
         assert "arrival" in m.registry
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+    @pytest.mark.parametrize("case", PIPED_LABEL_FILES)
+    def test_a_pipe_is_read_once_as_the_stream(self, tmp_path, case):
+        data, kwargs = PIPED_LABEL_FILES[case]
+        path = tmp_path / "l.csv"
+        path.write_bytes(data)
+        expected = outcome(lambda: from_pairs(stream_labels(str(path), **kwargs)))
+        assert outcome_through_a_pipe(data, lambda name: tally_labels(name, **kwargs)) == expected
 
     @given(
         body=st.lists(LABEL_TOKENS, max_size=60).map(b"".join),
