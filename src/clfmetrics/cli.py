@@ -74,9 +74,7 @@ def _build_parser() -> _Parser:
 def _load_weights(path: str, matrix: ConfusionMatrix, delimiter: str) -> ClassWeights:
     """Read class,weight rows and lay them over the frequency defaults."""
     base = list(ClassWeights.from_actual_frequencies(matrix).w) if matrix.grand_total else [0] * matrix.k
-    for label, value in read_weights(path, delimiter=delimiter):
-        if label not in matrix.registry:
-            raise IngestError(f"weight for unknown class {label!r}")
+    for label, value in read_weights(path, delimiter=delimiter, registry=matrix.registry):
         base[matrix.registry.index(label)] = value
     return ClassWeights(tuple(base))
 

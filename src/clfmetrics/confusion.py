@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 
@@ -82,40 +83,62 @@ class OneVsRest:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """K x K cross-table of (actual, predicted) counts with its class registry.
+    """Cross-table of (actual, predicted) counts over a class registry, stored sparsely.
 
-    Immutable after construction and safe to share across threads. Marginal
-    totals are precomputed once.
+    Takes a mapping (i, j) -> count or a dense K x K grid and keeps only the nonzero
+    cells, read-only: a build costs the distinct pairs, not K x K. Equality and hashing
+    compare the registry and those cells; the totals and the trace come from one pass
+    over them. Immutable and safe to share across threads.
     """
 
     registry: ClassRegistry
-    counts: tuple[tuple[int, ...], ...]
+    cells: Mapping[tuple[int, int], int]
     row_totals: tuple[int, ...] = field(init=False, compare=False)
     col_totals: tuple[int, ...] = field(init=False, compare=False)
+    trace: int = field(init=False, compare=False)
     grand_total: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         k = self.registry.k
-        grid = tuple(map(tuple, self.counts))
-        if len(grid) != k or any(len(row) != k for row in grid):
-            raise ValueError(f"counts must be a {k}x{k} grid to match the registry")
-        # Two checks in C pass any grid of plain non-negative ints; the loop only names the first bad cell.
-        if set(map(type, chain.from_iterable(grid))) != {int} or min(map(min, grid)) < 0:
-            for row in grid:
-                for cell in row:
-                    if not isinstance(cell, int) or isinstance(cell, bool):
-                        raise ValueError(f"counts must be integers, got {cell!r}")
-                    if cell < 0:
-                        raise ValueError(f"counts must be non-negative, got {cell}")
-        object.__setattr__(self, "counts", grid)
-        object.__setattr__(self, "row_totals", tuple(map(sum, grid)))
-        object.__setattr__(self, "col_totals", tuple(map(sum, zip(*grid))))
-        object.__setattr__(self, "grand_total", sum(self.row_totals))
+        counts = self.cells
+        if not isinstance(counts, Mapping):
+            if len(counts) != k or any(len(row) != k for row in counts):
+                raise ValueError(f"counts must be a {k}x{k} grid to match the registry")
+            # Row-major, so the first bad cell is named; plain zeros need no check.
+            counts = {(i, j): n for i, row in enumerate(counts) for j, n in enumerate(row) if n or type(n) is not int}
+        cells, rows, cols, trace = {}, [0] * k, [0] * k, 0
+        for (i, j), n in counts.items():
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"counts must be integers, got {n!r}")
+            if n < 0:
+                raise ValueError(f"counts must be non-negative, got {n}")
+            if not (0 <= i < k and 0 <= j < k):
+                raise ClassOutOfRangeError(f"cell {(i, j)} out of range for K={k}")
+            if n:
+                cells[i, j] = n
+                rows[i] += n
+                cols[j] += n
+                trace += n if i == j else 0
+        object.__setattr__(self, "cells", MappingProxyType(cells))
+        object.__setattr__(self, "row_totals", tuple(rows))
+        object.__setattr__(self, "col_totals", tuple(cols))
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "grand_total", sum(rows))
+
+    def __hash__(self) -> int:
+        return hash((self.registry, frozenset(self.cells.items())))
+
+    def __reduce__(self):  # a read-only mapping does not pickle; its dict does
+        return type(self), (self.registry, dict(self.cells))
+
+    @cached_property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """The dense K x K grid, rows actual and columns predicted; built on first read, at a cost of K x K cells."""
+        return tuple(tuple(self.cells.get((i, j), 0) for j in range(self.k)) for i in range(self.k))
 
     @classmethod
     def zeros(cls, registry: ClassRegistry) -> "ConfusionMatrix":
-        k = registry.k
-        return cls(registry, tuple((0,) * k for _ in range(k)))
+        return cls(registry, {})
 
     @classmethod
     def from_grid(cls, labels: Sequence[str], grid: Sequence[Sequence[int]]) -> "ConfusionMatrix":
@@ -124,10 +147,6 @@ class ConfusionMatrix:
     @property
     def k(self) -> int:
         return self.registry.k
-
-    @property
-    def trace(self) -> int:
-        return sum(self.counts[i][i] for i in range(self.k))
 
     def row_total(self, i: int) -> int:
         self._check_index(i)
@@ -140,7 +159,7 @@ class ConfusionMatrix:
     def one_vs_rest(self, k: int) -> OneVsRest:
         """Collapse the matrix to the four tiles seen from reference class k."""
         self._check_index(k)
-        tp = self.counts[k][k]
+        tp = self.cells.get((k, k), 0)
         fp = self.col_totals[k] - tp
         fn = self.row_totals[k] - tp
         tn = self.grand_total - tp - fp - fn
@@ -151,15 +170,14 @@ class ConfusionMatrix:
         if sorted(order) != list(range(self.k)):
             raise ValueError(f"order must be a permutation of 0..{self.k - 1}")
         labels = tuple(self.registry.labels[i] for i in order)
-        grid = tuple(tuple(self.counts[i][j] for j in order) for i in order)
-        return ConfusionMatrix(ClassRegistry(labels), grid)
+        new = {old: new for new, old in enumerate(order)}
+        return ConfusionMatrix(ClassRegistry(labels), {(new[i], new[j]): n for (i, j), n in self.cells.items()})
 
     def scaled(self, factor: int) -> "ConfusionMatrix":
         """Multiply every cell by a positive integer factor."""
         if not isinstance(factor, int) or factor < 1:
             raise ValueError(f"factor must be a positive integer, got {factor!r}")
-        grid = tuple(tuple(cell * factor for cell in row) for row in self.counts)
-        return ConfusionMatrix(self.registry, grid)
+        return ConfusionMatrix(self.registry, {cell: n * factor for cell, n in self.cells.items()})
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         return merge(self, other)
@@ -176,7 +194,7 @@ def from_pairs(
     """Tally (actual, predicted) label pairs into a confusion matrix.
 
     The pairs may be any iterable, including a lazy stream: tallying is
-    single-pass and keeps at most K*K counters in memory. When no registry
+    single-pass and keeps one counter per distinct pair. When no registry
     is supplied, the class set is inferred as the lexicographically sorted
     union of all labels seen, which keeps output deterministic across runs.
 
@@ -199,11 +217,8 @@ def from_tally(
         if not tally:
             raise EmptyInputError("empty input: no label pairs and no registry to infer classes from")
         registry = ClassRegistry(tuple(sorted({label for pair in tally for label in pair})))
-    k = registry.k
-    grid = [[0] * k for _ in range(k)]
-    for (actual, predicted), n in tally.items():  # first-seen order: the first bad pair raises
-        grid[registry.index(actual)][registry.index(predicted)] = n
-    return ConfusionMatrix(registry, grid)
+    index = registry.index  # first-seen order: the first bad pair raises
+    return ConfusionMatrix(registry, {(index(actual), index(pred)): n for (actual, pred), n in tally.items()})
 
 
 def one_vs_rest(m: ConfusionMatrix, k: int) -> OneVsRest:
@@ -221,8 +236,4 @@ def merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:
         raise RegistryMismatchError(
             f"registries differ: {a.registry.labels!r} vs {b.registry.labels!r}"
         )
-    grid = tuple(
-        tuple(x + y for x, y in zip(row_a, row_b))
-        for row_a, row_b in zip(a.counts, b.counts)
-    )
-    return ConfusionMatrix(a.registry, grid)
+    return ConfusionMatrix(a.registry, Counter(a.cells) + Counter(b.cells))

@@ -10,12 +10,15 @@ Matrix files:      header ``,<class1>,...,<classK>``, then row i as
 
 All readers open their file once and stream UTF-8 text (LF or CRLF, with or
 without a byte-order mark), and every error carries the 1-based line number
-it was raised on. tally_labels alone may read a seekable file twice: a fast
-count of distinct lines, then, if that gives up, the row stream from the start.
+it was raised on, save a byte that is not UTF-8 in input that cannot be read
+twice, such as a pipe. tally_labels alone may read a seekable file twice: a
+fast count of distinct lines, then, if that gives up, the row stream from the
+start. A file with a byte that is not UTF-8 is decoded again to find its line.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import re
@@ -34,6 +37,8 @@ _COUNT = re.compile(r"-?[0-9]+")
 _WEIGHT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+|/[0-9]+)?|\.[0-9]+)")  # 2, 0.1, .5 or 1/3
 # Characters of label lines counted per step; larger steps only raise peak memory.
 _TALLY_CHUNK = 1 << 14
+# Bytes decoded per step while looking for the first invalid UTF-8 byte of a file.
+_RESCAN_CHUNK = 1 << 16
 
 
 class IngestError(Exception):
@@ -108,6 +113,34 @@ def _rows(handle: TextIO, delimiter: str) -> Iterator[tuple[int, list[str]]]:
                 yield reader.line_num, row
     except csv.Error as exc:  # an oversized field, say
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(handle, exc) from None
+
+
+def _undecodable(handle: TextIO, exc: UnicodeDecodeError) -> ParseError:
+    """Name the first invalid UTF-8 byte of an open file, with its line if the file can be read again.
+
+    The decoder's error counts its position from the start of its own block,
+    so a seekable file's raw bytes are decoded again from the start, in
+    bounded chunks, to find the first bad byte and count the lines before it.
+    """
+    line = None
+    if handle.seekable():
+        raw = handle.buffer
+        raw.seek(0)
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        newlines = 0
+        while True:
+            chunk = raw.read(_RESCAN_CHUNK)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as found:  # its object is this chunk, after any bytes of a split character
+                exc, line = found, newlines + 1 + found.object.count(b"\n", 0, found.start)
+                break
+            if not chunk:
+                break
+            newlines += chunk.count(b"\n")
+    return ParseError(f"input is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})", line=line)
 
 
 def _open_rows(path: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
@@ -234,11 +267,11 @@ def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
         raise ParseError("duplicate class columns in header", line=header_line)
     registry = ClassRegistry(tuple(names))
 
-    grid: list[tuple[int, ...]] = []
+    cells: dict[tuple[int, int], int] = {}
+    i = 0  # data rows read
     last_line = header_line
     for line, row in rows:
         last_line = line
-        i = len(grid)
         if i >= registry.k:
             raise NonSquareError(
                 f"expected {registry.k} data rows, found more", line=line
@@ -251,18 +284,18 @@ def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
             raise NameMismatchError(
                 f"row name {row[0]!r} does not match header class {names[i]!r}", line=line
             )
-        entries = []
         for pos, text in enumerate(row[1:], start=2):
             value = _parse_number(_COUNT, int, text, "count", line, pos)
             if value < 0:
                 raise NegativeEntryError(f"negative count {value}", line=line, column=pos)
-            entries.append(value)
-        grid.append(tuple(entries))
-    if len(grid) != registry.k:
+            if value:
+                cells[i, pos - 2] = value
+        i += 1
+    if i != registry.k:
         raise NonSquareError(
-            f"expected {registry.k} data rows, got {len(grid)}", line=last_line
+            f"expected {registry.k} data rows, got {i}", line=last_line
         )
-    return ConfusionMatrix(registry, tuple(grid))
+    return ConfusionMatrix(registry, cells)
 
 
 def tally_labels(
@@ -311,11 +344,14 @@ def _tally_distinct_lines(handle: TextIO, delimiter: str, has_header: bool) -> C
     return tally
 
 
-def read_weights(path: str, *, delimiter: str = ",") -> list[tuple[str, Fraction]]:
+def read_weights(
+    path: str, *, delimiter: str = ",", registry: ClassRegistry | None = None
+) -> list[tuple[str, Fraction]]:
     """Read class,weight rows, in file order, as exact fractions: 0.1 is 1/10. Duplicate classes are rejected.
 
     A weight is an ASCII decimal (2, 0.1, .5) or ratio (1/3); exponents, signs
-    other than a leading minus, spaces and non-ASCII digits are rejected.
+    other than a leading minus, spaces and non-ASCII digits are rejected. Given
+    a registry, a class outside it is rejected at its line.
     """
     out: list[tuple[str, Fraction]] = []
     seen: set[str] = set()
@@ -328,5 +364,8 @@ def read_weights(path: str, *, delimiter: str = ",") -> list[tuple[str, Fraction
         if label in seen:
             raise ParseError(f"duplicate weight for class {label!r}", line=line)
         seen.add(label)
-        out.append((label, _parse_number(_WEIGHT, Fraction, text, "weight", line, 2)))
+        weight = _parse_number(_WEIGHT, Fraction, text, "weight", line, 2)
+        if registry is not None and label not in registry:
+            raise ParseError(f"weight for unknown class {label!r}", line=line, column=1)
+        out.append((label, weight))
     return out

@@ -200,7 +200,7 @@ def _mean_of(
 
 def balanced_accuracy(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
     """Unweighted mean of per-class recalls, computed from the diagonal and row totals."""
-    recalls = [_ratio(m.counts[k][k], m.row_totals[k]) for k in range(m.k)]
+    recalls = [_ratio(m.cells.get((k, k), 0), m.row_totals[k]) for k in range(m.k)]
     return _mean_of(recalls, lenient)[0]
 
 

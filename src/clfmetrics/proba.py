@@ -9,6 +9,7 @@ bridge probability outputs into the confusion-matrix world.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -91,13 +92,14 @@ def xent_unit(record: ProbRecord, options: XentOptions = _DEFAULT_OPTIONS) -> fl
 
 
 def _one_pass(records: Iterable[ProbRecord], registry: ClassRegistry | None, options: XentOptions):
-    """(K x K hardened tally, fsum of per-unit cross-entropy, record count) in one pass.
+    """(hardened (true, argmax) index-pair tally, fsum of per-unit cross-entropy, record count) in one pass.
 
     Without a registry nothing is tallied and the first record fixes the
-    width. Memory is the K x K tally, however many records stream past.
+    width. Memory is the distinct index pairs, however many records stream past.
     """
     width = registry.k if registry is not None else None
-    grid = [[0] * width for _ in range(width or 0)]
+    # A defaultdict, not a Counter: a Counter's `+= 1` costs several times more per record.
+    tally: defaultdict[tuple[int, int], int] | None = defaultdict(int) if registry is not None else None
     count = 0
 
     def terms() -> Iterable[float]:
@@ -107,13 +109,13 @@ def _one_pass(records: Iterable[ProbRecord], registry: ClassRegistry | None, opt
                 if width is not None:
                     raise MixedDimensionsError(f"record has {record.k} classes, expected {width}")
                 width = record.k
-            if grid:
-                grid[record.true_class][argmax_rule(record.probs)] += 1
+            if tally is not None:
+                tally[record.true_class, argmax_rule(record.probs)] += 1
             count += 1
             yield xent_unit(record, options)
 
     total = math.fsum(terms())
-    return grid, total, count
+    return tally, total, count
 
 
 def _reduce(total: float, count: int, options: XentOptions) -> float:
@@ -148,5 +150,5 @@ def score_records(
     records: Iterable[ProbRecord], registry: ClassRegistry, options: XentOptions = _DEFAULT_OPTIONS
 ) -> tuple[ConfusionMatrix, float]:
     """The hardened matrix and the dataset cross-entropy of one record stream, read once."""
-    grid, total, count = _one_pass(records, registry, options)
-    return ConfusionMatrix(registry, grid), _reduce(total, count, options)
+    tally, total, count = _one_pass(records, registry, options)
+    return ConfusionMatrix(registry, tally), _reduce(total, count, options)

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from datetime import timedelta
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import clfmetrics
 from clfmetrics import evaluate, parse_json, read_matrix
 from clfmetrics.cli import main
 
@@ -138,6 +142,14 @@ class TestEvaluate:
         ]) == 2
         assert "unknown class" in capsys.readouterr().err
 
+    def test_weight_for_unknown_class_names_its_line(self, tmp_path, capsys):
+        labels = tmp_path / "l.csv"
+        labels.write_text("a,a\na,b\nb,b\n", encoding="utf-8")
+        weights = tmp_path / "w.csv"
+        weights.write_text("a,1\nzz,2\n", encoding="utf-8")
+        assert main(["evaluate", "--kind", "labels", "--weights", str(weights), str(labels)]) == 2
+        assert capsys.readouterr().err == "clfmetrics: error: line 2, column 1: weight for unknown class 'zz'\n"
+
 
 class TestExitCodes:
     def test_empty_labels_file_is_input_error(self, tmp_path, capsys):
@@ -182,6 +194,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 2002, column 3: bad probability 'oops'" in captured.err
+
+    def test_undecodable_byte_is_input_error_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"a,b\n" * 50_000 + b"a,\xffb\n")
+        assert main(["evaluate", "--kind", "labels", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "clfmetrics: error: line 50001: input is not valid UTF-8: byte 0xff (invalid start byte)\n"
 
     def test_bad_kind_is_usage_error(self, four_class_file):
         with pytest.raises(SystemExit) as exc:
@@ -293,6 +312,47 @@ class TestLargeK:
         assert "..." in rows["macro_f1"]
         exact = rows["macro_precision"].split()[-1]
         assert Fraction(exact) == evaluate(read_matrix(matrix_file)).metric("macro_precision").unwrap()
+
+
+class TestLargeKMemory:
+    """K=20,000 in a small file: memory follows the nonzero cells, so the CLI fits in 512 MiB of address space."""
+
+    K = 20_000
+
+    @staticmethod
+    def run_capped(argv):
+        resource = pytest.importorskip("resource")
+        cap = 512 << 20
+
+        def limit():  # a per-process limit on this child alone
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+        return subprocess.run(
+            [sys.executable, "-m", "clfmetrics", *argv], preexec_fn=limit, env=env, capture_output=True, timeout=120
+        )
+
+    def test_sparse_label_file(self, tmp_path):
+        rng = random.Random(20_000)
+        rows = (f"c{i},c{i if rng.random() < 0.7 else rng.randrange(self.K)}\n" for i in range(self.K))
+        path = tmp_path / "labels.csv"
+        path.write_text("".join(rows), encoding="utf-8")
+        result = self.run_capped(["evaluate", "--kind", "labels", "--format", "json", str(path)])
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert len(json.loads(result.stdout)["classes"]) == self.K
+
+    def test_two_row_probability_file(self, tmp_path):
+        rng = random.Random(20_001)
+        names = [f"c{i}" for i in range(self.K)]
+        lines = ["actual," + ",".join(names)]
+        for _ in range(2):
+            hot = rng.randrange(self.K)
+            lines.append(f"c{rng.randrange(self.K)}," + ",".join("1" if j == hot else "0.0" for j in range(self.K)))
+        path = tmp_path / "probs.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = self.run_capped(["evaluate", "--kind", "probs", "--format", "json", str(path)])
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert len(json.loads(result.stdout)["classes"]) == self.K
 
 
 CSV_BYTES = st.one_of(

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clfmetrics import (
+    ClassRegistry,
     EmptyLabelError,
     IngestError,
     NameMismatchError,
@@ -38,7 +39,7 @@ def outcome(read):
     """What read() returns, or the type, text, line and column of the error it raises."""
     try:
         return read()
-    except (IngestError, ValueError) as exc:  # ValueError: an undecodable byte, or too few classes
+    except (IngestError, ValueError) as exc:  # ValueError: too few classes
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
 
@@ -139,7 +140,6 @@ PIPED_LABEL_FILES = {
     "quote_past_the_first_chunk": (b"a,a\nb,a\n" * 5_000 + b'b,"b"\n', {}),
     "bad_row_past_the_first_chunk": (b"a,b\n" * 10_000 + b"a,b,c\n", {}),
     "bad_row_in_a_small_file": (b"a,a\n,b\n", {}),
-    "undecodable_byte": (b"a,a\n" * 5_000 + b"\xff,b\n", {}),
     "bom_header_and_clean_rows": (b"\xef\xbb\xbfh,h\n" + b"a,b\nb,a\n\n" * 5_000, {"has_header": True}),
 }
 
@@ -180,7 +180,8 @@ class TestTallyLabels:
     def test_undecodable_byte_is_the_streams_decode_error(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_bytes(b"a,b\n" * 20_000 + b"\xff,a\n")
-        assert assert_tally_matches_stream(str(path))[0] is UnicodeDecodeError
+        error = ParseError, "line 20001: input is not valid UTF-8: byte 0xff (invalid start byte)", 20_001, None
+        assert assert_tally_matches_stream(str(path)) == error
 
     @pytest.mark.parametrize("field", ["x" * 200_000, '"' + "x" * 200_000 + '"'])
     def test_over_long_field_is_a_parse_error_with_line(self, tmp_path, field):
@@ -418,6 +419,13 @@ class TestReadWeights:
         path = write(tmp_path, "w.csv", "a,-1\nb,-.5\nc,-1/3\n")
         assert read_weights(path) == [("a", -1), ("b", Fraction(-1, 2)), ("c", Fraction(-1, 3))]
 
+    def test_class_outside_the_registry_is_rejected_at_its_line(self, tmp_path):
+        path = write(tmp_path, "w.csv", "a,1\nzz,2\n")
+        with pytest.raises(ParseError, match="weight for unknown class 'zz'") as err:
+            read_weights(path, registry=ClassRegistry(("a", "b")))
+        assert (err.value.line, err.value.column) == (2, 1)
+        assert read_weights(path) == [("a", 1), ("zz", 2)]
+
     def test_empty_class_name(self, tmp_path):
         path = write(tmp_path, "w.csv", ",1\n")
         with pytest.raises(EmptyLabelError):
@@ -443,6 +451,49 @@ class TestByteOrderMark:
         path = tmp_path / "w.csv"
         path.write_bytes(b"\xef\xbb\xbfa,1\nb,2\n")
         assert read_weights(str(path)) == [("a", 1), ("b", 2)]
+
+
+# Each file's first invalid byte lies on the given line; "é" lines put a split character on the rescan's chunk edges.
+UNDECODABLE_FILES = {
+    "labels": (tally_labels, "é,b\n".encode() * 30_000 + b"a,\xffb\nb,b\n", {}, 30_001, "0xff (invalid start byte)"),
+    "labels_with_header": (
+        tally_labels, b"actual,predicted\n" + "é,b\n".encode() * 30_000 + b"a,\xffb\n", {"has_header": True},
+        30_002, "0xff (invalid start byte)",
+    ),
+    "labels_stream": (
+        read_labels, "é,b\n".encode() * 30_000 + b"\xe9,b\n", {}, 30_001, "0xe9 (invalid continuation byte)"
+    ),
+    "labels_ending_inside_a_character": (tally_labels, b"a,b\n" * 3 + b"a,\xc3", {}, 4, "0xc3 (unexpected end of data)"),
+    "probs": (
+        read_probs, "actual,é,b\n".encode() + "é,0.5,0.5\n".encode() * 10_000 + b"b,0.5,0.\xff\n", {},
+        10_002, "0xff (invalid start byte)",
+    ),
+    "matrix": (read_matrix, b",a,b\na,1,2\nb,3,\xff\n", {}, 3, "0xff (invalid start byte)"),
+    "weights": (read_weights, b"a,1\n\xffb,2\n", {}, 2, "0xff (invalid start byte)"),
+}
+
+
+class TestUndecodableBytes:
+    @pytest.mark.parametrize("case", UNDECODABLE_FILES)
+    def test_first_bad_byte_is_named_with_its_line(self, tmp_path, case):
+        read, data, kwargs, line, byte = UNDECODABLE_FILES[case]
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        message = f"line {line}: input is not valid UTF-8: byte {byte}"
+        assert outcome(lambda: read(str(path), **kwargs)) == (ParseError, message, line, None)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+    @pytest.mark.parametrize(
+        "read, data",
+        [
+            (tally_labels, b"a,a\n" * 5_000 + b"\xff,b\n"),
+            (read_probs, b"actual,a,b\n" + b"a,1,0\n" * 5_000 + b"\xff,0,1\n"),
+        ],
+        ids=["labels", "probs"],
+    )
+    def test_a_pipe_says_the_input_is_not_utf8(self, read, data):
+        expected = (ParseError, "input is not valid UTF-8: byte 0xff (invalid start byte)", None, None)
+        assert outcome_through_a_pipe(data, read) == expected
 
 
 class TestRoundTrip:

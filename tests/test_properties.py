@@ -1,6 +1,8 @@
 """Property-based checks of the structural invariants."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from clfmetrics import (
     ClassRegistry,
     ConfusionMatrix,
+    OneVsRest,
     ProbRecord,
     XentOptions,
     accuracy,
@@ -32,6 +35,7 @@ from clfmetrics import (
     xent_dataset,
     xent_unit,
 )
+from clfmetrics.confusion import from_tally
 
 RATE_METRICS = (
     accuracy,
@@ -237,3 +241,66 @@ def test_one_pass_matches_separate_reductions(records, reduce):
     ref_matrix, ref_xent = two_pass_reference(records, registry, options)
     assert matrix == ref_matrix
     assert xent.hex() == ref_xent.hex()
+
+
+# Sparse storage: every builder must give the matrix a dense grid gives.
+@st.composite
+def sparse_tallies(draw, min_k=2, max_k=8):
+    """A registry and a pair tally over it that leaves most cells zero."""
+    k = draw(st.integers(min_k, max_k))
+    labels = tuple(f"c{i}" for i in range(k))
+    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    tally = draw(st.dictionaries(pairs, st.integers(1, 50), max_size=k + 2))
+    return ClassRegistry(labels), tally
+
+
+def dense(registry, tally):
+    grid = [[0] * registry.k for _ in range(registry.k)]
+    for (actual, predicted), n in tally.items():
+        grid[registry.index(actual)][registry.index(predicted)] += n
+    return grid
+
+
+@given(sparse_tallies())
+def test_sparse_build_equals_dense_build(case):
+    registry, tally = case
+    grid = dense(registry, tally)
+    m = from_tally(tally, registry)
+    reference = ConfusionMatrix.from_grid(registry.labels, grid)
+    assert m == reference
+    assert hash(m) == hash(reference)
+    assert pickle.loads(pickle.dumps(m)) == copy.deepcopy(m) == m
+    assert m.counts == tuple(map(tuple, grid))
+    assert m.row_totals == tuple(map(sum, grid))
+    assert m.col_totals == tuple(map(sum, zip(*grid)))
+    assert m.trace == sum(grid[i][i] for i in range(m.k))
+    assert m.grand_total == sum(map(sum, grid))
+    for k in range(m.k):
+        tp = grid[k][k]
+        fp = sum(grid[i][k] for i in range(m.k)) - tp
+        fn = sum(grid[k]) - tp
+        assert m.one_vs_rest(k) == OneVsRest(tp, fp, fn, m.grand_total - tp - fp - fn)
+
+
+@given(sparse_tallies(min_k=3, max_k=3), sparse_tallies(min_k=3, max_k=3), st.integers(1, 9), st.permutations(range(3)))
+def test_merge_permute_and_scale_equal_their_dense_longhand(a, b, factor, order):
+    (registry, ta), (_, tb) = a, b
+    ga, gb = dense(registry, ta), dense(registry, tb)
+    ma, mb = from_tally(ta, registry), from_tally(tb, registry)
+    summed = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)]
+    assert merge(ma, mb) == ma + mb == ConfusionMatrix.from_grid(registry.labels, summed)
+    permuted = [[ga[i][j] for j in order] for i in order]
+    assert ma.permuted(order) == ConfusionMatrix.from_grid([registry.labels[i] for i in order], permuted)
+    scaled = [[n * factor for n in row] for row in ga]
+    assert ma.scaled(factor) == ConfusionMatrix.from_grid(registry.labels, scaled)
+
+
+@given(st.lists(st.one_of(prob_records(k=4), tied_records), max_size=40))
+def test_score_records_matrix_equals_a_dense_tally(records):
+    registry = ClassRegistry(("a", "b", "c", "d"))
+    grid = [[0] * 4 for _ in range(4)]
+    for r in records:
+        grid[r.true_class][argmax_rule(r.probs)] += 1
+    if records:
+        assert score_records(records, registry)[0] == ConfusionMatrix(registry, grid)
+    assert harden(records, registry) == ConfusionMatrix(registry, grid)
