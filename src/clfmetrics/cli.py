@@ -14,9 +14,9 @@ from typing import Sequence
 
 from . import __version__
 from .confusion import ConfusionMatrix
-from .ingest import IngestError, read_matrix, read_weights, stream_probs, tally_labels
+from .ingest import IngestError, read_matrix, read_weights, score_probs, tally_labels
 from .metrics import ClassWeights, EvaluationReport, evaluate
-from .proba import XentOptions, score_records
+from .proba import XentOptions
 from .report import (
     color_enabled,
     compare_reports,
@@ -87,8 +87,7 @@ def _evaluate_one(path: str, kind: str, args: argparse.Namespace, options: XentO
     elif kind == "matrix":
         matrix = read_matrix(path, delimiter=delimiter)
     else:
-        registry, records = stream_probs(path, delimiter=delimiter)
-        matrix, cross_entropy = score_records(records, registry, options)
+        matrix, cross_entropy = score_probs(path, delimiter=delimiter, options=options)
 
     weights = None
     weights_source = None

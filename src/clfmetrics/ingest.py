@@ -8,12 +8,15 @@ Matrix files:      header ``,<class1>,...,<classK>``, then row i as
                    Row names must repeat the header names in the same order,
                    which catches silently transposed matrices.
 
-All readers open their file once and stream UTF-8 text (LF or CRLF, with or
-without a byte-order mark), and every error carries the 1-based line number
-it was raised on, save a byte that is not UTF-8 in input that cannot be read
-twice, such as a pipe. tally_labels alone may read a seekable file twice: a
-fast count of distinct lines, then, if that gives up, the row stream from the
-start. A file with a byte that is not UTF-8 is decoded again to find its line.
+Every reader takes UTF-8 text (LF or CRLF, with or without a byte-order
+mark), and every error carries the 1-based line number it was raised on,
+save a byte that is not UTF-8 in input that cannot be read twice, such as a
+pipe. The row streams open their file once and read it once. Two readers may
+read a file that can be read twice a second time, from the start, as that
+row stream: tally_labels, after a fast count of distinct lines gives up, and
+score_probs, after scoring two halves of a large regular file in two
+processes gives up. A file with a byte that is not UTF-8 is decoded again to
+find its line.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterator, TextIO, TypeVar
+from itertools import starmap
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .confusion import ClassRegistry, ConfusionMatrix, UnknownLabelError, from_pairs, from_tally
-from .proba import ProbRecord
+from .proba import ProbRecord, XentOptions, score_pairs, score_tally
 
 _Number = TypeVar("_Number", int, Fraction)
 # The only number forms read, in ASCII digits. A minus sign passes the grammar so
@@ -81,7 +85,7 @@ class NonSquareError(IngestError):
 
 
 class NegativeEntryError(IngestError):
-    """A matrix file holds a negative count."""
+    """A matrix file holds a negative count, or a weights file a negative weight."""
 
 
 class NameMismatchError(IngestError):
@@ -215,30 +219,70 @@ def _prob_row_error(row: list[str], line: int) -> IngestError:
     return ProbSumOutOfToleranceError(f"probabilities sum to {total!r}", line=line, total=total)
 
 
+def _prob_rows(
+    rows: Iterable[tuple[int | None, list[str]]], registry: ClassRegistry
+) -> Iterator[tuple[int, tuple[float, ...]]]:
+    """(true class index, probabilities) of each data row, vetted by ProbRecord.check_probs.
+
+    A bad row raises its IngestError, with its line and its first bad field.
+    """
+    k = registry.k
+    check_probs = ProbRecord.check_probs
+    for line, row in rows:
+        if len(row) != k + 1:
+            raise ParseError(f"expected {k + 1} fields, got {len(row)}", line=line)
+        try:
+            true = registry.index(row[0])
+        except UnknownLabelError:
+            raise UnknownActualLabelError(f"actual label {row[0]!r} is not a header class", line=line) from None
+        try:
+            probs = tuple(map(float, row[1:]))
+            check_probs(probs)
+        except ValueError:  # a bad float, or InvalidRecordError
+            raise _prob_row_error(row, line) from None
+        yield true, probs
+
+
 def stream_probs(path: str, *, delimiter: str = ",") -> tuple[ClassRegistry, Iterator[ProbRecord]]:
     """Open a probability file: the header registry plus a lazy record stream.
 
-    The stream holds one record at a time, so hardening and cross-entropy
-    run in memory bounded by K x K, not by N. ProbRecord parses and validates
-    each vector; here its errors gain the line and the first bad field's column.
+    The stream reads the file once and holds one record at a time, so
+    hardening and cross-entropy run in memory bounded by the distinct (actual,
+    predicted) pairs, not by N. Each row is parsed and vetted once, by the row
+    loop score_probs also runs, before it becomes a ProbRecord; its errors
+    carry the line and the first bad field's column.
     """
     rows = _open_rows(path, delimiter)
     registry = _read_prob_header(rows)
+    return registry, starmap(ProbRecord._from_checked, _prob_rows(rows, registry))
 
-    def records() -> Iterator[ProbRecord]:
-        k = registry.k
-        for line, row in rows:
-            if len(row) != k + 1:
-                raise ParseError(f"expected {k + 1} fields, got {len(row)}", line=line)
-            try:
-                record = ProbRecord(registry.index(row[0]), row[1:])
-            except UnknownLabelError:
-                raise UnknownActualLabelError(f"actual label {row[0]!r} is not a header class", line=line) from None
-            except ValueError:  # a bad float, or InvalidRecordError
-                raise _prob_row_error(row, line) from None
-            yield record
 
-    return registry, records()
+def score_probs(
+    path: str, *, delimiter: str = ",", options: XentOptions = XentOptions()
+) -> tuple[ConfusionMatrix, float]:
+    """The hardened matrix and the dataset cross-entropy of a probability file.
+
+    A regular file of at least halves.PARALLEL_MIN_BYTES is scored in two
+    processes when os.fork exists, the process may run on two CPUs and runs no
+    other thread, and the file's first line is its header with no quote and no
+    bare carriage return. The data after the header is split at the first
+    newline after its midpoint, and a forked child scores the second half
+    while this process scores the first; each reads its own byte range with
+    os.pread, so no file offset is shared. The child sends back its tally and
+    its exact cross-entropy sum, which add to the serial result bit for bit. A
+    quote in either half, any error in either process, or a short reply from
+    the child ends the child and scores the file serially from its first
+    byte, so every error is the serial stream's, with its line. Either way
+    each process holds the distinct (actual, predicted) pairs, not the rows.
+    """
+    from .halves import score_halves  # its own module: runs on other kinds neither compile nor load it
+
+    halves = score_halves(path, delimiter, options.epsilon)
+    if halves is not None:
+        return score_tally(*halves, options)
+    rows = _open_rows(path, delimiter)
+    registry = _read_prob_header(rows)
+    return score_tally(registry, score_pairs(_prob_rows(rows, registry), options.epsilon), options)
 
 
 def read_probs(path: str, *, delimiter: str = ",") -> tuple[ClassRegistry, list[ProbRecord]]:
@@ -349,9 +393,9 @@ def read_weights(
 ) -> list[tuple[str, Fraction]]:
     """Read class,weight rows, in file order, as exact fractions: 0.1 is 1/10. Duplicate classes are rejected.
 
-    A weight is an ASCII decimal (2, 0.1, .5) or ratio (1/3); exponents, signs
-    other than a leading minus, spaces and non-ASCII digits are rejected. Given
-    a registry, a class outside it is rejected at its line.
+    A weight is a non-negative ASCII decimal (2, 0.1, .5) or ratio (1/3);
+    exponents, signs, spaces and non-ASCII digits are rejected. Given a
+    registry, a class outside it is rejected at its line.
     """
     out: list[tuple[str, Fraction]] = []
     seen: set[str] = set()
@@ -367,5 +411,7 @@ def read_weights(
         weight = _parse_number(_WEIGHT, Fraction, text, "weight", line, 2)
         if registry is not None and label not in registry:
             raise ParseError(f"weight for unknown class {label!r}", line=line, column=1)
+        if weight < 0:
+            raise NegativeEntryError(f"negative weight {text}", line=line, column=2)
         out.append((label, weight))
     return out

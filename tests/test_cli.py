@@ -6,17 +6,19 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from datetime import timedelta
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clfmetrics
-from clfmetrics import evaluate, parse_json, read_matrix
+from clfmetrics import evaluate, halves, parse_json, read_matrix
 from clfmetrics.cli import main
 
 FOUR_CLASS_CSV = ",a,b,c,d\na,6,1,1,1\nb,2,9,2,1\nc,1,1,10,1\nd,2,1,1,12\n"
@@ -392,3 +394,67 @@ class TestAnyInputBytes:
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
         assert (code == 0) == (out.getvalue() != "")
+
+
+LABEL_FIELDS = st.sampled_from([b"a", b"b", b"c", b"", b'"a"', b"\xff", "\u00e9".encode(), b"\xef\xbb\xbfa"])
+VALUE_FIELDS = st.sampled_from([b"0", b"1", b"0.5", b"2", b"-1", b"1.5", b"nan", b"x", b"1/3", b"", b'"', b"\xff"])
+# A valid file of each kind; each case puts one drawn row in it, in place of a line or between two.
+VALID_LINES = {
+    "labels": [b"a,b", b"b,a", b"a,a"],
+    "probs": [b"actual,a,b", b"a,0.5,0.5", b"b,1,0", b"a,0.25,0.75"],
+    "matrix": [b",a,b", b"a,1,2", b"b,3,4"],
+    "weights": [b"a,1"],
+}
+LINE_ENDS = st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n"])
+
+
+@st.composite
+def content_lines(draw, kind):
+    """The lines of a valid file of the kind with one drawn row put in, mostly of the right width."""
+    width = len(VALID_LINES[kind][-1].split(b","))
+    fields = LABEL_FIELDS if kind == "labels" else VALUE_FIELDS
+    rest = [draw(fields) for _ in range(draw(st.sampled_from([width - 1] * 4 + [width - 2, width])))]
+    row = b",".join([draw(LABEL_FIELDS), *rest])
+    lines = list(VALID_LINES[kind])
+    at = draw(st.integers(0, len(lines)))
+    lines[at:at + draw(st.integers(0, 1))] = [row]
+    return lines
+
+
+# Conditions of the whole file, not of one line: no data rows, a single class, or weights that are all zero.
+WHOLE_FILE_ERRORS = (
+    "empty input", "cross-entropy over zero records", "at least 2 classes", "weights must not all be zero"
+)
+
+
+class TestEveryContentErrorNamesItsLine:
+    """Whatever a file holds, an exit-2 error caused by its content carries `line N`."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("lines")
+
+    @given(
+        kind=st.sampled_from(["labels", "probs", "probs-split", "matrix", "weights"]),
+        data=st.data(),
+        ends=st.lists(LINE_ENDS, min_size=1, max_size=4),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_content_errors_carry_a_line_number(self, work, kind, data, ends):
+        base = kind.removesuffix("-split")
+        lines = data.draw(content_lines(base))
+        path = work / f"{base}.csv"
+        path.write_bytes(b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines)))
+        if base == "weights":
+            matrix = work / "weighted-matrix.csv"
+            matrix.write_text(",a,b\na,3,1\nb,2,4\n", encoding="utf-8")
+            argv = ["evaluate", "--kind", "matrix", "--weights", str(path), str(matrix)]
+        else:
+            argv = ["evaluate", "--kind", base, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(halves, "PARALLEL_MIN_BYTES", 0 if kind == "probs-split" else 1 << 62):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        message = err.getvalue()
+        if code == 2 and not any(condition in message for condition in WHOLE_FILE_ERRORS):
+            assert re.search(r"error: line [0-9]+", message), message

@@ -16,6 +16,7 @@ from clfmetrics import (
     NegativeEntryError,
     NonSquareError,
     ParseError,
+    ProbRecord,
     ProbSumOutOfToleranceError,
     UnknownActualLabelError,
     from_pairs,
@@ -231,6 +232,7 @@ class TestReadProbs:
         assert registry.labels == ("a", "b", "c")
         assert records[0].true_class == 1
         assert records[0].probs == (0.2, 0.5, 0.3)
+        assert records == [ProbRecord(1, ("0.2", "0.5", "0.3"))]
 
     def test_sum_out_of_tolerance(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,b\na,0.4,0.5\n")
@@ -415,9 +417,14 @@ class TestReadWeights:
             read_weights(path)
         assert (err.value.line, err.value.column) == (1, 2)
 
-    def test_negative_weight_is_read_for_the_non_negative_check(self, tmp_path):
-        path = write(tmp_path, "w.csv", "a,-1\nb,-.5\nc,-1/3\n")
-        assert read_weights(path) == [("a", -1), ("b", Fraction(-1, 2)), ("c", Fraction(-1, 3))]
+    @pytest.mark.parametrize("text", ["-1", "-.5", "-1/3"])
+    def test_negative_weight_is_rejected_at_its_line(self, tmp_path, text):
+        path = write(tmp_path, "w.csv", f"a,1\nb,{text}\n")
+        with pytest.raises(NegativeEntryError, match=f"negative weight {text}") as err:
+            read_weights(path)
+        assert (err.value.line, err.value.column) == (2, 2)
+        path = write(tmp_path, "w0.csv", "a,-0\n")
+        assert read_weights(path) == [("a", 0)]
 
     def test_class_outside_the_registry_is_rejected_at_its_line(self, tmp_path):
         path = write(tmp_path, "w.csv", "a,1\nzz,2\n")

@@ -5,7 +5,8 @@ import math
 import pickle
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clfmetrics import (
@@ -36,6 +37,7 @@ from clfmetrics import (
     xent_unit,
 )
 from clfmetrics.confusion import from_tally
+from clfmetrics.proba import PROB_SUM_TOLERANCE, InvalidRecordError, exact_steps, round_steps
 
 RATE_METRICS = (
     accuracy,
@@ -304,3 +306,67 @@ def test_score_records_matrix_equals_a_dense_tally(records):
     if records:
         assert score_records(records, registry)[0] == ConfusionMatrix(registry, grid)
     assert harden(records, registry) == ConfusionMatrix(registry, grid)
+
+
+def longhand_accepts(probs):
+    """The per-value vector check, written out: each value in [0, 1] (NaN fails), then the sum."""
+    return all(0.0 <= p <= 1.0 for p in probs) and abs(math.fsum(probs) - 1.0) <= PROB_SUM_TOLERANCE
+
+
+def check_accepts(probs):
+    try:
+        ProbRecord.check_probs(probs)
+    except InvalidRecordError:
+        return False
+    return True
+
+
+# Values that a valid vector holds, next to every kind that must be rejected, in any position.
+PROB_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan, math.inf, -math.inf, -0.0, -1e-300, 1.0000001, 2.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(PROB_VALUES, max_size=6))
+@example((0.5, math.nan, 0.5))  # min and max both skip this NaN; only the sum test rejects it
+@example((0.5, 0.5, math.nan))
+@example((1.0, math.inf, -math.inf))
+@example(())
+def test_vector_check_matches_the_per_value_longhand(probs):
+    assert check_accepts(tuple(probs)) == longhand_accepts(probs)
+
+
+@settings(max_examples=300)
+@given(st.lists(PROB_VALUES, min_size=1, max_size=6), st.data())
+def test_vector_check_matches_the_longhand_on_vectors_that_sum_to_one(raw, data):
+    """A valid vector with one value swapped for any other: the cases the sum test alone must decide."""
+    weights = [abs(x) if math.isfinite(x) else 1.0 for x in raw]
+    total = math.fsum(weights) or 1.0
+    probs = [w / total for w in weights]
+    probs[data.draw(st.integers(0, len(probs) - 1))] = data.draw(PROB_VALUES)
+    assert check_accepts(tuple(probs)) == longhand_accepts(probs)
+
+
+NON_NEGATIVE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.0]),
+    st.floats(0.0, 1e308),
+    st.floats(0.0, 1e-300),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(NON_NEGATIVE, max_size=30), st.integers(0, 30))
+@example([1e308, 1e308], 1)
+@example([5e-324] * 3, 2)
+def test_two_exact_half_sums_round_to_fsum(values, cut):
+    halves = sum(map(exact_steps, values[:cut])) + sum(map(exact_steps, values[cut:]))
+    try:
+        expected = math.fsum(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            round_steps(halves)
+        return
+    assert round_steps(halves).hex() == expected.hex()
