@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .confusion import ConfusionMatrix, OneVsRest
 from .proba import DEFAULT_EPSILON
@@ -93,13 +93,13 @@ class ClassWeights:
         converted = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.w)
         if any(x < 0 for x in converted):
             raise InvalidWeightsError(f"weights must be non-negative, got {self.w!r}")
-        if sum(converted) == 0:
+        if exact_sum(converted) == 0:
             raise InvalidWeightsError("weights must not all be zero")
         object.__setattr__(self, "w", converted)
 
     @property
     def total(self) -> Fraction:
-        return sum(self.w, Fraction(0))
+        return exact_sum(self.w)
 
     @classmethod
     def uniform(cls, k: int) -> "ClassWeights":
@@ -156,15 +156,46 @@ def harmonic_f1(precision: MetricValue | Numeric, recall: MetricValue | Numeric)
 
 
 def per_class(m: ConfusionMatrix) -> PerClassBreakdown:
-    """One-vs-rest precision, recall and F1 for every class.
+    """One-vs-rest precision, recall and F1 for every class, from its integer tallies.
 
-    A never-predicted class has undefined precision, a class absent from the
-    actual labels has undefined recall; F1 inherits the first undefined input.
+    With tp the diagonal cell, col the column total and row the row total,
+    precision is tp/col, recall tp/row and F1 is 2tp/(row + col), which equals
+    the harmonic mean 2pr/(p + r) whenever both are defined. The undefined
+    precedence is that of harmonic_f1: a never-predicted class has undefined
+    precision, a class absent from the actual labels undefined recall, F1
+    inherits the first of those, and a class with tp = 0 has a degenerate 0/0 F1.
     """
-    tiles = [m.one_vs_rest(k) for k in range(m.k)]
-    precisions = tuple(_ratio(o.tp, o.tp + o.fp) for o in tiles)
-    recalls = tuple(_ratio(o.tp, o.tp + o.fn) for o in tiles)
-    return PerClassBreakdown(precisions, recalls, tuple(map(harmonic_f1, precisions, recalls)))
+    cells, rows, cols = m.cells, m.row_totals, m.col_totals
+    precision, recall, f1 = [], [], []
+    for k in range(m.k):
+        tp, row, col = cells.get((k, k), 0), rows[k], cols[k]
+        precision.append(MetricValue.defined(Fraction(tp, col)) if col else _UNDEF_EMPTY)
+        recall.append(MetricValue.defined(Fraction(tp, row)) if row else _UNDEF_EMPTY)
+        if not (row and col):
+            f1.append(_UNDEF_EMPTY)
+        else:
+            f1.append(MetricValue.defined(Fraction(2 * tp, row + col)) if tp else _UNDEF_ZERO_OVER_ZERO)
+    return PerClassBreakdown(tuple(precision), tuple(recall), tuple(f1))
+
+
+def exact_sum(terms: Iterable[int | Fraction]) -> Fraction:
+    """The exact sum of ints and Fractions.
+
+    Numerators are added per denominator, then the distinct denominators'
+    Fractions are added in a balanced pairwise tree, so no running sum drags
+    an ever-growing denominator through every term (the cost of a left-to-right
+    loop), and no common denominator of all terms is formed at once (the cost
+    of math.lcm over many coprime denominators).
+    """
+    by_denominator: dict[int, int] = {}
+    for t in terms:
+        d = t.denominator
+        by_denominator[d] = by_denominator.get(d, 0) + t.numerator
+    parts = [Fraction(n, d) for d, n in by_denominator.items()]
+    while len(parts) > 1:
+        # Add neighbours pairwise; an odd last part waits for the next round.
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1 :]
+    return parts[0] if parts else Fraction(0)
 
 
 def _mean_of(
@@ -174,7 +205,7 @@ def _mean_of(
 
     Weights default to 1 each, and a zero-weight class never counts. Strict
     mode refuses to average past an undefined value; lenient mode skips it
-    and renormalizes the weight sum over the classes kept.
+    and renormalizes the weight sum over the classes kept. Both sums are exact.
     """
     if weights is None:
         weights_k: Sequence[Numeric] = (1,) * len(values)
@@ -182,7 +213,7 @@ def _mean_of(
         weights_k = weights.w
     else:
         raise InvalidWeightsError(f"expected {len(values)} weights, got {len(weights.w)}")
-    total, weight, skipped = Fraction(0), 0, 0
+    terms, kept, skipped = [], [], 0
     for w_k, v in zip(weights_k, values):
         if w_k == 0:
             continue
@@ -191,17 +222,16 @@ def _mean_of(
                 return v, 0
             skipped += 1
         else:
-            total += w_k * v.unwrap()
-            weight += w_k
-    if weight == 0:
+            terms.append(v.unwrap() if weights is None else w_k * v.unwrap())
+            kept.append(w_k)
+    if not kept:
         return _UNDEF_EMPTY, skipped
-    return MetricValue.defined(total / weight), skipped
+    return MetricValue.defined(exact_sum(terms) / exact_sum(kept)), skipped
 
 
 def balanced_accuracy(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
-    """Unweighted mean of per-class recalls, computed from the diagonal and row totals."""
-    recalls = [_ratio(m.cells.get((k, k), 0), m.row_totals[k]) for k in range(m.k)]
-    return _mean_of(recalls, lenient)[0]
+    """Unweighted mean of per-class recalls."""
+    return _mean_of(per_class(m).recall, lenient)[0]
 
 
 def balanced_accuracy_weighted(

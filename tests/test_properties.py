@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,16 @@ from clfmetrics import (
     xent_unit,
 )
 from clfmetrics.confusion import from_tally
+from clfmetrics.metrics import (
+    ClassWeights,
+    MetricValue,
+    PerClassBreakdown,
+    UndefinedReason,
+    _mean_of,
+    _ratio,
+    exact_sum,
+    harmonic_f1,
+)
 from clfmetrics.proba import PROB_SUM_TOLERANCE, InvalidRecordError, exact_steps, round_steps
 
 RATE_METRICS = (
@@ -340,13 +351,16 @@ def test_vector_check_matches_the_per_value_longhand(probs):
 
 
 @settings(max_examples=300)
-@given(st.lists(PROB_VALUES, min_size=1, max_size=6), st.data())
-def test_vector_check_matches_the_longhand_on_vectors_that_sum_to_one(raw, data):
+@given(st.lists(PROB_VALUES, min_size=1, max_size=6), st.integers(0, 5), PROB_VALUES)
+@example(raw=[8.988465674311579e307, 8.98846567431158e307], position=0, value=0.5)  # their sum overflows
+def test_vector_check_matches_the_longhand_on_vectors_that_sum_to_one(raw, position, value):
     """A valid vector with one value swapped for any other: the cases the sum test alone must decide."""
     weights = [abs(x) if math.isfinite(x) else 1.0 for x in raw]
+    top = max(weights) or 1.0
+    weights = [w / top for w in weights]  # each in [0, 1], so the sum cannot overflow
     total = math.fsum(weights) or 1.0
     probs = [w / total for w in weights]
-    probs[data.draw(st.integers(0, len(probs) - 1))] = data.draw(PROB_VALUES)
+    probs[position % len(probs)] = value
     assert check_accepts(tuple(probs)) == longhand_accepts(probs)
 
 
@@ -370,3 +384,94 @@ def test_two_exact_half_sums_round_to_fsum(values, cut):
             round_steps(halves)
         return
     assert round_steps(halves).hex() == expected.hex()
+
+
+# per_class and the exact sum against the formulations they replaced.
+def tile_per_class(m):
+    """Per-class values through one-vs-rest tiles, _ratio, then harmonic_f1."""
+    tiles = [m.one_vs_rest(k) for k in range(m.k)]
+    precision = tuple(_ratio(o.tp, o.tp + o.fp) for o in tiles)
+    recall = tuple(_ratio(o.tp, o.tp + o.fn) for o in tiles)
+    return PerClassBreakdown(precision, recall, tuple(map(harmonic_f1, precision, recall)))
+
+
+@settings(max_examples=300)
+@given(sparse_tallies(max_k=10))
+@example((ClassRegistry(("c0", "c1", "c2")), {}))
+@example((ClassRegistry(("c0", "c1", "c2")), {("c0", "c1"): 3, ("c1", "c0"): 2}))  # tp = 0, c2 empty
+@example((ClassRegistry(("c0", "c1", "c2")), {("c0", "c0"): 4, ("c2", "c0"): 1, ("c1", "c2"): 2}))
+def test_per_class_equals_the_one_vs_rest_formulation(case):
+    registry, tally = case
+    m = from_tally(tally, registry)
+    got, expected = per_class(m), tile_per_class(m)
+    for name in ("precision", "recall", "f1"):
+        for g, e in zip(getattr(got, name), getattr(expected, name), strict=True):
+            assert (g.value, g.reason) == (e.value, e.reason), name
+            assert type(g.value) is type(e.value)
+
+
+def loop_mean(values, lenient, weights=None):
+    """_mean_of as a left-to-right running Fraction sum."""
+    weights_k = (1,) * len(values) if weights is None else weights.w
+    total, weight, skipped = Fraction(0), 0, 0
+    for w_k, v in zip(weights_k, values):
+        if w_k == 0:
+            continue
+        if not v.is_defined:
+            if not lenient:
+                return v, 0
+            skipped += 1
+        else:
+            total += w_k * v.unwrap()
+            weight += w_k
+    if weight == 0:
+        return MetricValue.undefined(UndefinedReason.EMPTY_DENOMINATOR), skipped
+    return MetricValue.defined(total / weight), skipped
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 101, 65537, 2**61 - 1, 2**89 - 1)
+DENOMINATORS = st.one_of(
+    st.sampled_from((1, 2, 4, 6, 12)),  # repeated
+    st.sampled_from(PRIMES),  # pairwise coprime
+    st.integers(1, 10**40),  # long
+)
+RATIONALS = st.builds(lambda n, d: Fraction(n, d), st.integers(0, 10**30), DENOMINATORS)
+PER_CLASS_VALUES = st.one_of(
+    st.builds(MetricValue.defined, RATIONALS),
+    st.sampled_from(tuple(MetricValue.undefined(r) for r in UndefinedReason)),
+)
+WEIGHTS = st.one_of(st.integers(0, 5), st.just(0), RATIONALS)
+
+
+@given(st.lists(st.one_of(st.integers(-(10**30), 10**30), RATIONALS, RATIONALS.map(lambda x: -x)), max_size=40))
+@example([])
+@example([Fraction(1, p) for p in PRIMES])
+def test_exact_sum_equals_the_builtin_sum(terms):
+    assert exact_sum(terms) == sum(terms, Fraction(0))
+    assert type(exact_sum(terms)) is Fraction
+
+
+@settings(max_examples=300)
+@given(st.data(), st.lists(PER_CLASS_VALUES, max_size=12), st.booleans(), st.booleans())
+def test_mean_of_equals_the_running_sum(data, values, lenient, weighted):
+    weights = None
+    if weighted and values:
+        w = data.draw(st.lists(WEIGHTS, min_size=len(values), max_size=len(values)))
+        w[0] = w[0] or 1  # not all zero
+        weights = ClassWeights(tuple(w))
+        assert weights.total == sum(w, Fraction(0))
+    got, expected = _mean_of(values, lenient, weights), loop_mean(values, lenient, weights)
+    assert (got[0].value, got[0].reason, got[1]) == (expected[0].value, expected[0].reason, expected[1])
+    assert type(got[0].value) is type(expected[0].value)
+
+
+def test_mean_of_long_denominators_equals_the_running_sum():
+    """Recalls like a dense K=1000 count matrix's: row totals near 500,000, so the mean's denominator is long."""
+    rng = random.Random(1000)
+    values = [MetricValue.defined(Fraction(rng.randint(0, 1000), rng.randint(400_000, 600_000))) for _ in range(1000)]
+    weights = ClassWeights(tuple(Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in values))
+    for lenient in (False, True):
+        for w in (None, weights):
+            got = _mean_of(values, lenient, w)
+            assert got == loop_mean(values, lenient, w)
+    assert got[0].unwrap().denominator.bit_length() > 5_000

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clfmetrics import (
@@ -24,7 +24,7 @@ from clfmetrics import (
     render_text,
     xent_dataset,
 )
-from clfmetrics.report import color_enabled, format_comparison, render_comparison_json
+from clfmetrics.report import _json_text, color_enabled, format_comparison, render_comparison_json
 
 
 class TestFractionDecimal:
@@ -159,6 +159,38 @@ class TestJsonRoundTrip:
     def test_unknown_format_rejected(self, four_class_matrix):
         with pytest.raises(ValueError):
             format_report(evaluate(four_class_matrix), "yaml")
+
+
+# Any code point, lone surrogates included, next to the characters JSON must escape.
+JSON_STRINGS = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from(["", "\x00\x1f\x7f", '"\\/', "\u2028\ud800\udfff", "\U0001f600", "caf\u00e9"]),
+)
+JSON_TREES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.sampled_from([2**64, -(2**200), 10**4299]),
+        JSON_STRINGS,
+    ),
+    lambda children: st.lists(children) | st.dictionaries(JSON_STRINGS, children),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(JSON_TREES)
+    @example({"a": [], "b": {}, "c": [[[]], [{}]], "d": [True, False, None, -0, 10**4299]})
+    def test_writes_the_bytes_of_json_dumps_with_indent_2(self, tree):
+        assert _json_text(tree) + "\n" == json.dumps(tree, indent=2, ensure_ascii=True) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), Fraction(1, 2)], ids=["float", "tuple", "fraction"])
+    def test_other_types_are_refused(self, value):
+        for tree in (value, [value], {"k": value}):
+            with pytest.raises(TypeError):
+                _json_text(tree)
 
 
 class TestComparison:
