@@ -112,7 +112,7 @@ def _write(payload: bytes) -> None:
         buffer.write(payload)
         sys.stdout.flush()
     else:
-        sys.stdout.write(payload.decode("utf-8"))
+        sys.stdout.write(payload.decode("utf-8", errors="backslashreplace"))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

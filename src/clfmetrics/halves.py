@@ -16,7 +16,7 @@ import threading
 from typing import Iterator
 
 from .confusion import ClassRegistry
-from .ingest import IngestError, _prob_rows, _read_prob_header
+from .ingest import IngestError, _prob_rows, _read_header
 from .proba import Scores, score_pairs
 
 # A probability file this large is scored in two processes: forking costs a few ms.
@@ -78,7 +78,7 @@ def _plain_header(line: bytes, delimiter: str) -> ClassRegistry | None:
     if '"' in text or "\r" in text:
         return None
     row = next(csv.reader([text], delimiter=delimiter))
-    return _read_prob_header(iter([(1, row)])) if row else None
+    return _read_header(iter([(1, row)]))[1] if row else None
 
 
 def _fork_halves(

@@ -8,15 +8,19 @@ Matrix files:      header ``,<class1>,...,<classK>``, then row i as
                    Row names must repeat the header names in the same order,
                    which catches silently transposed matrices.
 
+Probability and matrix headers share one reader and its rules: a first cell,
+then at least 2 class names, none empty and none repeated.
+
 Every reader takes UTF-8 text (LF or CRLF, with or without a byte-order
 mark), and every error carries the 1-based line number it was raised on,
 save a byte that is not UTF-8 in input that cannot be read twice, such as a
 pipe. The row streams open their file once and read it once. Two readers may
 read a file that can be read twice a second time, from the start, as that
-row stream: tally_labels, after a fast count of distinct lines gives up, and
-score_probs, after scoring two halves of a large regular file in two
-processes gives up. A file with a byte that is not UTF-8 is decoded again to
-find its line.
+row stream: tally_labels, after its one counting pass over the lines gives
+up (on a quote, looked for in the first 16K characters first, or on a bad
+row), and score_probs, after scoring two halves of a large regular file in
+two processes gives up. A file with a byte that is not UTF-8 is decoded
+again to find its line.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ _Number = TypeVar("_Number", int, Fraction)
 _COUNT = re.compile(r"-?[0-9]+")
 # Each digit run has one place to go, so a failed match backtracks in linear time.
 _WEIGHT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+|/[0-9]+)?|\.[0-9]+)")  # 2, 0.1, .5 or 1/3
-# Characters of label lines counted per step; larger steps only raise peak memory.
-_TALLY_CHUNK = 1 << 14
 # Bytes decoded per step while looking for the first invalid UTF-8 byte of a file.
 _RESCAN_CHUNK = 1 << 16
 
@@ -187,23 +189,21 @@ def read_labels(
     return list(stream_labels(path, delimiter=delimiter, has_header=has_header))
 
 
-def _read_prob_header(rows: Iterator[tuple[int, list[str]]]) -> ClassRegistry:
+def _read_header(rows: Iterator[tuple[int, list[str]]]) -> tuple[int, ClassRegistry]:
+    """The line and classes of a probability or matrix header: a first cell, then 2 or more distinct names."""
     try:
         line, header = next(rows)
     except StopIteration:
         raise ParseError("missing header row", line=1) from None
-    if len(header) < 3:
-        raise ParseError(
-            f"header needs an actual column plus at least 2 class columns, got {len(header)} fields",
-            line=line,
-        )
     names = header[1:]
+    if len(names) < 2:
+        raise ParseError(f"header needs a first cell and 2 or more class names, got {len(header)} fields", line=line)
     for pos, name in enumerate(names, start=2):
         if name == "":
             raise ParseError("empty class name in header", line=line, column=pos)
     if len(set(names)) != len(names):
         raise ParseError("duplicate class columns in header", line=line)
-    return ClassRegistry(tuple(names))
+    return line, ClassRegistry(tuple(names))
 
 
 def _prob_row_error(row: list[str], line: int) -> IngestError:
@@ -253,7 +253,7 @@ def stream_probs(path: str, *, delimiter: str = ",") -> tuple[ClassRegistry, Ite
     carry the line and the first bad field's column.
     """
     rows = _open_rows(path, delimiter)
-    registry = _read_prob_header(rows)
+    registry = _read_header(rows)[1]
     return registry, starmap(ProbRecord._from_checked, _prob_rows(rows, registry))
 
 
@@ -281,7 +281,7 @@ def score_probs(
     if halves is not None:
         return score_tally(*halves, options)
     rows = _open_rows(path, delimiter)
-    registry = _read_prob_header(rows)
+    registry = _read_header(rows)[1]
     return score_tally(registry, score_pairs(_prob_rows(rows, registry), options.epsilon), options)
 
 
@@ -298,22 +298,10 @@ def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
     leading column of row names matching the header class names in the same order.
     """
     rows = _open_rows(path, delimiter)
-    try:
-        header_line, header = next(rows)
-    except StopIteration:
-        raise ParseError("missing header row", line=1) from None
-    names = header[1:]
-    if len(names) < 2:
-        raise NonSquareError(
-            f"header needs at least 2 class columns, got {len(names)}", line=header_line
-        )
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate class columns in header", line=header_line)
-    registry = ClassRegistry(tuple(names))
-
+    last_line, registry = _read_header(rows)
+    names = registry.labels
     cells: dict[tuple[int, int], int] = {}
     i = 0  # data rows read
-    last_line = header_line
     for line, row in rows:
         last_line = line
         if i >= registry.k:
@@ -345,15 +333,18 @@ def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
 def tally_labels(
     path: str, *, delimiter: str = ",", has_header: bool = False
 ) -> ConfusionMatrix:
-    """Tally a label file into a confusion matrix, reading each distinct line once.
+    """Tally a label file into a confusion matrix, parsing each distinct line once.
 
-    Identical lines are counted in C and each distinct line is parsed on its
-    own, so memory stays bounded by the number of distinct lines, not by the
-    file's length. A file this cannot read line by line (one with a quote,
-    which may open a field spanning lines, a row error, an oversized field or
-    an undecodable byte) is read again from the start as the stream_labels
-    row stream, which names the fault with its line. So is any input that
-    cannot be read twice, such as a pipe, from its first byte.
+    One pass counts the file's lines in C, then each distinct line is parsed
+    once and its count added to its pair, so memory stays bounded by the
+    number of distinct lines, not by the file's length. A file this cannot
+    read line by line (one with a quote, which may open a field spanning
+    lines, a row error, an oversized field or an undecodable byte) is read
+    again from the start as the stream_labels row stream, which names the
+    fault with its line; the first 16K characters are checked for a quote
+    before the rest is counted, so a file that quotes its fields gives up
+    early. So is any input that cannot be read twice, such as a pipe, from
+    its first byte.
     """
     with _open_text(path) as handle:
         if handle.seekable():
@@ -364,27 +355,25 @@ def tally_labels(
         return from_pairs(_label_pairs(handle, delimiter, has_header))
 
 
-def _tally_distinct_lines(handle: TextIO, delimiter: str, has_header: bool) -> Counter[tuple[str, str]] | None:
+def _tally_distinct_lines(handle: TextIO, delimiter: str, has_header: bool) -> dict[tuple[str, str], int] | None:
     """Pair counts of a label file whose every line parses alone to a valid row or a blank, else None."""
-    lines: Counter[str] = Counter()
-    pair_of: dict[str, tuple[str, str] | None] = {}  # each distinct line vetted so far; None if blank
     try:
         if has_header:
             next(filter(None, csv.reader(handle, delimiter=delimiter)), None)
-        while chunk := handle.readlines(_TALLY_CHUNK):
-            lines.update(chunk)
-            new = [*set(chunk).difference(pair_of)]
-            if '"' in "".join(new):
+        lines: Counter[str] = Counter()
+        # The first 16K characters, then the rest: a file that quotes its fields mostly shows it early.
+        for block in (handle.readlines(1 << 14), handle):
+            lines.update(block)
+            if '"' in "".join(lines):
                 return None
-            # Without quotes every line is a CSV row of its own.
-            for line, row in zip(new, csv.reader(new, delimiter=delimiter)):
-                pair_of[line] = _label_pair(row, None) if row else None
+        tally: dict[tuple[str, str], int] = {}
+        # Without quotes every line is a CSV row of its own.
+        for row, n in zip(csv.reader(lines, delimiter=delimiter), lines.values()):
+            if row:
+                pair = _label_pair(row, None)
+                tally[pair] = tally.get(pair, 0) + n
     except (IngestError, csv.Error, UnicodeDecodeError):
         return None
-    tally: Counter[tuple[str, str]] = Counter()
-    for line, n in lines.items():
-        if pair := pair_of[line]:
-            tally[pair] += n
     return tally
 
 

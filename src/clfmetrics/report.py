@@ -253,9 +253,9 @@ def parse_json(text: str) -> EvaluationReport:
 
 
 def format_report(report: EvaluationReport, fmt: str = "text") -> bytes:
-    """Serialize a report to UTF-8 bytes in the requested format."""
+    """Serialize a report to UTF-8 bytes in the requested format; a path's undecodable bytes read as in JSON."""
     if fmt == "text":
-        return render_text(report).encode("utf-8")
+        return render_text(report).encode("utf-8", errors="backslashreplace")
     if fmt == "json":
         return render_json(report).encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
@@ -397,7 +397,7 @@ def render_comparison_json(comparison: ComparisonReport) -> str:
 
 def format_comparison(comparison: ComparisonReport, fmt: str = "text", color: bool = False) -> bytes:
     if fmt == "text":
-        return render_comparison_text(comparison, color=color).encode("utf-8")
+        return render_comparison_text(comparison, color=color).encode("utf-8", errors="backslashreplace")
     if fmt == "json":
         return render_comparison_json(comparison).encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")

@@ -236,6 +236,24 @@ class TestExitCodes:
         assert captured.err == ""
         assert "mcc" in captured.out
 
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate", "{m}"], ["compare", "{m}", "{m}"], ["evaluate", "--weights", "{w}", "{plain}"]],
+        ids=["evaluate", "compare", "weights"],
+    )
+    def test_path_that_is_not_utf8_is_written_as_json_spells_it(self, four_class_file, tmp_path, capsys, command):
+        paths = {"m": tmp_path / os.fsdecode(b"m\xff.csv"), "w": tmp_path / os.fsdecode(b"w\xff.csv")}
+        try:
+            paths["m"].write_text(FOUR_CLASS_CSV, encoding="utf-8")
+            paths["w"].write_text("a,2\n", encoding="utf-8")
+        except (OSError, UnicodeError):
+            pytest.skip("the file system takes only UTF-8 names")
+        names = {key: str(path) for key, path in paths.items()} | {"plain": four_class_file}
+        assert main([command[0], "--kind", "matrix", *(arg.format(**names) for arg in command[1:])]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "\\udcff.csv" in captured.out  # the escape json.dumps writes for the byte 0xff
+
 
 class TestCompare:
     def test_compare_file_with_itself_zeroes_deltas(self, four_class_file, capsys):

@@ -172,7 +172,8 @@ class TestTallyLabels:
 
     def test_row_error_wins_over_a_later_undecodable_byte(self, tmp_path):
         path = tmp_path / "l.csv"
-        # The byte lies in the first 16 KiB that the tally reads, past the 8 KiB the stream decodes first.
+        # The tally's count meets the byte and gives up; the stream meets the bad row first, as
+        # the byte lies past the 8 KiB it decodes first.
         path.write_bytes(b"a,a\na,b,c\n" + b"b,b\n" * 3_000 + b"\xff,a\n")
         with pytest.raises(ParseError) as err:
             tally_labels(str(path))
@@ -193,13 +194,18 @@ class TestTallyLabels:
 
     @pytest.mark.parametrize("has_header", [False, True])
     def test_many_chunks_with_late_classes_and_mixed_line_ends(self, tmp_path, has_header):
-        rows = (f"c{i % 37},c{i * i % 41}" + ("\r\n" if i % 5 else "\n") for i in range(60_000))
+        rows = "".join(f"c{i % 37},c{i * i % 41}" + ("\r\n" if i % 5 else "\n") for i in range(60_000))
         path = tmp_path / "l.csv"
-        path.write_bytes(("\nh,h\n" + "".join(rows) + "\nlate,arrival").encode())
+        path.write_bytes(("\nh,h\n" + rows + "\nlate,arrival").encode())
         m = tally_labels(str(path), has_header=has_header)
         assert m == from_pairs(read_labels(str(path), has_header=has_header))
         assert m.grand_total == 60_001 + (not has_header)
         assert "arrival" in m.registry
+        # A field that spans lines, quoted far past the first 16K characters the tally checks for quotes;
+        # parsed as a row of its own, its two lines would shift the counts of the repeated line after it.
+        path.write_bytes(("\nh,h\n" + rows + 'late,"arr\r\nival"\n' + "late,arr\n" * 3).encode())
+        quoted = assert_tally_matches_stream(str(path), has_header=has_header)
+        assert "arr\r\nival" in quoted.registry
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
     @pytest.mark.parametrize("case", PIPED_LABEL_FILES)
@@ -223,6 +229,24 @@ class TestTallyLabels:
         path = work / "l.csv"
         path.write_bytes(b"\xef\xbb\xbf" * bom + header + body)
         assert_tally_matches_stream(str(path), delimiter=delimiter, has_header=has_header)
+
+
+HEADER_FAULTS = {  # file text: the line, message and column of its ParseError
+    "missing_header": ("", (1, "missing header row", None)),
+    "one_class": ("\nx,a\n", (2, "header needs a first cell and 2 or more class names, got 2 fields", None)),
+    "empty_class_name": ("\nx,a,,b\n", (2, "empty class name in header", 3)),
+    "duplicate_class": ("\nx,a,b,a\n", (2, "duplicate class columns in header", None)),
+}
+
+
+@pytest.mark.parametrize("read", [read_probs, read_matrix])
+@pytest.mark.parametrize("case", HEADER_FAULTS)
+def test_probability_and_matrix_headers_share_one_set_of_rules(tmp_path, read, case):
+    text, (line, message, column) = HEADER_FAULTS[case]
+    with pytest.raises(ParseError) as err:
+        read(write(tmp_path, "h.csv", text))
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).endswith(message)
 
 
 class TestReadProbs:
