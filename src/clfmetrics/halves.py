@@ -1,23 +1,28 @@
 """Score a large probability file in two processes, with the serial stream's result.
 
 score_halves is ingest.score_probs's first try; it is a module of its own so
-that only a run that scores a probability file compiles and loads it.
+that only a run that scores a probability file compiles and loads it. Each
+process reads its half in steps of whole lines and scores each step as one
+block of C-level passes, which accept a step or refuse it; a refusal sends
+the whole file through the serial stream, the only code that names errors.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import marshal
+import math
 import os
 import signal
 import stat
 import threading
-from typing import Iterator
+from collections import Counter
+from itertools import repeat
+from typing import Iterable, Iterator
 
 from .confusion import ClassRegistry
-from .ingest import IngestError, _prob_rows, _read_header
-from .proba import Scores, score_pairs
+from .ingest import IngestError, _read_header
+from .proba import PROB_SUM_TOLERANCE, Scores
 
 # A probability file this large is scored in two processes: forking costs a few ms.
 PARALLEL_MIN_BYTES = 1 << 20
@@ -26,7 +31,7 @@ _HALF_CHUNK = 1 << 16
 
 
 class _SerialOnly(Exception):
-    """The two halves cannot give the serial result, for the reason given."""
+    """The halves cannot give the serial result (a refused step, a failed child): read the file serially from byte 0."""
 
 
 def score_halves(path: str, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores] | None:
@@ -96,7 +101,7 @@ def _fork_halves(
         code = 1
         try:
             os.close(read_end)
-            tally, total, count = _score_range(fd, *second, registry, delimiter, epsilon)
+            tally, total, count = _score_steps(_range_steps(fd, *second), registry, delimiter, epsilon)
             reply = memoryview(marshal.dumps((dict(tally), total, count)))
             while reply:
                 reply = reply[os.write(write_end, reply):]
@@ -106,7 +111,7 @@ def _fork_halves(
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
-            tally, total, count = _score_range(fd, *first, registry, delimiter, epsilon)
+            tally, total, count = _score_steps(_range_steps(fd, *first), registry, delimiter, epsilon)
             reply = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -120,17 +125,8 @@ def _fork_halves(
     return tally, total + their_total, count + their_count
 
 
-def _score_range(fd: int, start: int, end: int, registry: ClassRegistry, delimiter: str, epsilon: float) -> Scores:
-    return score_pairs(_prob_rows(_range_rows(fd, start, end, delimiter), registry), epsilon)
-
-
-def _range_rows(fd: int, start: int, end: int, delimiter: str) -> Iterator[tuple[None, list[str]]]:
-    """The non-blank CSV rows, without line numbers, of the bytes start..end of a file that end a line.
-
-    Reads at most _HALF_CHUNK bytes per step (more only for a longer line) and
-    parses each step's whole lines apart, which is the serial stream's
-    parse as long as no quote can join lines: a quote raises _SerialOnly.
-    """
+def _range_steps(fd: int, start: int, end: int) -> Iterator[str]:
+    """The text of the bytes start..end of a file, in steps that end a line: _HALF_CHUNK bytes, more for a long line."""
     pending: list[bytes] = []  # read since the last line end
     while start < end:
         block = os.pread(fd, min(_HALF_CHUNK, end - start), start)
@@ -142,10 +138,54 @@ def _range_rows(fd: int, start: int, end: int, delimiter: str) -> Iterator[tuple
         if not cut:
             pending.append(block)
             continue
-        lines = b"".join([*pending, block[:cut]])
-        pending = [block[cut:]]
-        if b'"' in lines:
-            raise _SerialOnly("a quote")
-        for row in csv.reader(io.StringIO(lines.decode("utf-8"), newline=""), delimiter=delimiter):
-            if row:
-                yield None, row
+        text, pending = b"".join([*pending, block[:cut]]).decode("utf-8"), [block[cut:]]
+        yield text
+
+
+def _score_steps(steps: Iterable[str], registry: ClassRegistry, delimiter: str, epsilon: float) -> Scores:
+    """score_pairs of the serial stream's rows of texts that each end a line, or _SerialOnly."""
+    index = {label: i for i, label in enumerate(registry.labels)}
+    tally: Counter[tuple[int, int]] = Counter()
+    total = sum(_score_step(text, index, delimiter, epsilon, tally) for text in steps)
+    return tally, total, sum(tally.values())
+
+
+def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float, tally: Counter) -> int:
+    """Add the (true, argmax) pairs of a text's non-blank lines to tally; their exact_steps cross-entropy sum.
+
+    A fixed number of C-level passes, whatever the row count, that accept
+    exactly the texts whose rows the serial stream accepts: no quote or NUL,
+    K + 1 fields on each line, none past csv.field_size_limit(), known labels
+    and vectors that ProbRecord.check_probs passes. Any other raises _SerialOnly.
+    """
+    if '"' in text or "\0" in text:
+        raise _SerialOnly("a quote or a NUL")
+    # csv ends a line at CR, LF or CRLF only; str.splitlines would also split a field at \x85 and others.
+    lines = [*filter(None, text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))]
+    if not lines:
+        return 0
+    k = len(index)
+    if any(map(k.__ne__, map(str.count, lines, repeat(delimiter)))):
+        raise _SerialOnly("a row of the wrong width")
+    fields = delimiter.join(lines).split(delimiter)
+    del lines
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, fields)) > limit:
+        raise _SerialOnly("a field past csv.field_size_limit()")
+    try:
+        trues = [*map(index.__getitem__, fields[:: k + 1])]
+        del fields[:: k + 1]
+        floats = [*map(float, fields)]
+    except (KeyError, ValueError):
+        raise _SerialOnly("an unknown label or a bad float") from None
+    del fields  # a step's largest object: dropped before the row passes, which bounds peak memory
+    rows = [*zip(*[iter(floats)] * k)]
+    # check_probs on every row: min and max may pass over a NaN, but then its row's sum is NaN and fails `TOL >=`.
+    sums_ok = map(PROB_SUM_TOLERANCE.__ge__, map(abs, map(float.__sub__, map(math.fsum, rows), repeat(1.0))))
+    if not (0.0 <= min(floats) and max(floats) <= 1.0 and all(sums_ok)):
+        raise _SerialOnly("a probability out of range or a sum off")
+    tally.update(zip(trues, map(tuple.index, rows, map(max, rows))))
+    # exact_steps(-log(max(p[true], epsilon))) of each row, a shift per row.
+    clipped = map(max, map(tuple.__getitem__, rows, trues), repeat(epsilon))
+    numerators, denominators = zip(*map(float.as_integer_ratio, map(float.__neg__, map(math.log, clipped))))
+    return sum(map(int.__lshift__, numerators, map((1075).__sub__, map(int.bit_length, denominators))))

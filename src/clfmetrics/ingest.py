@@ -268,12 +268,16 @@ def score_probs(
     bare carriage return. The data after the header is split at the first
     newline after its midpoint, and a forked child scores the second half
     while this process scores the first; each reads its own byte range with
-    os.pread, so no file offset is shared. The child sends back its tally and
-    its exact cross-entropy sum, which add to the serial result bit for bit. A
-    quote in either half, any error in either process, or a short reply from
-    the child ends the child and scores the file serially from its first
-    byte, so every error is the serial stream's, with its line. Either way
-    each process holds the distinct (actual, predicted) pairs, not the rows.
+    os.pread, so no file offset is shared, in steps of whole lines, and
+    scores each step as one block of C-level passes rather than row by row.
+    A block is accepted only when it gives exactly the serial stream's rows.
+    The child sends back its tally and its exact cross-entropy sum, which add
+    to the serial result bit for bit. A refused block (a quote, a NUL, a field
+    past the csv limit, or any row the serial stream would reject) in either
+    half, any other error in either process, or a short reply from the child
+    ends the child and scores the file serially from its first byte, so every
+    error is the serial stream's, with its line. Either way each process holds
+    the distinct (actual, predicted) pairs, not the rows.
     """
     from .halves import score_halves  # its own module: runs on other kinds neither compile nor load it
 

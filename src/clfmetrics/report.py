@@ -71,14 +71,18 @@ def _text_value(v: MetricValue) -> str:
 
 
 def _rational_parts(value: Fraction) -> list[str]:
-    """Digits of the numerator, and of the denominator unless it is 1, at any size.
-
-    str(int) refuses ints longer than sys.get_int_max_str_digits(); Decimal does not.
-    """
-    parts = [str(Decimal(value.numerator))]
+    """Digits of the numerator, and of the denominator unless it is 1, at any size."""
+    parts = [_digits(value.numerator)]
     if value.denominator != 1:
-        parts.append(str(Decimal(value.denominator)))
+        parts.append(_digits(value.denominator))
     return parts
+
+
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # str(int) refuses ints longer than sys.get_int_max_str_digits(); Decimal does not
+        return str(Decimal(n))
 
 
 def _parse_rational(text: str) -> Fraction:

@@ -31,46 +31,64 @@ ROWS = [b"a,0.7,0.2,0.1\n", b"b,0.1,0.8,0.1\n", b"c,0.3,0.3,0.4\n", b"b,0.4,0.4,
 BODY = b"".join(ROWS) * 20  # 120 rows: the midpoint falls inside the data
 # Over 256 KiB of data, so each half reads several 64 KiB steps.
 BIG_BODY = b"".join(ROWS) * 4_000
+WIDE_HEADER = b"actual," + b",".join(b"class_with_a_long_name_%04d" % i for i in range(3_000)) + b"\n"
 
-# name -> (file bytes, whether the split path must complete without falling back)
+# name -> (file bytes, whether the split path must complete without falling back, exit code)
 CORPUS = {
-    "plain": (HEADER + BODY, True),
-    "big": (HEADER + BIG_BODY, True),
-    "crlf": (HEADER.replace(b"\n", b"\r\n") + BODY.replace(b"\n", b"\r\n"), True),
-    "bom": (b"\xef\xbb\xbf" + HEADER + BODY, True),
-    "blank_lines": (HEADER + b"\n" + BODY.replace(b"c,0,0,1\n", b"c,0,0,1\n\n\r\n") + b"\n\n", True),
-    "crlf_bom_blank_lines": (b"\xef\xbb\xbf" + (HEADER + b"\n" + BODY + b"\n").replace(b"\n", b"\r\n"), True),
-    "no_final_newline": (HEADER + BODY + b"a,0.5,0.25,0.25", True),
-    "bom_in_the_data": (HEADER + BODY + b"\xef\xbb\xbfa,0.5,0.5,0\n", False),
-    "one_row": (HEADER + ROWS[0], True),
+    "plain": (HEADER + BODY, True, 0),
+    "big": (HEADER + BIG_BODY, True, 0),
+    "crlf": (HEADER.replace(b"\n", b"\r\n") + BODY.replace(b"\n", b"\r\n"), True, 0),
+    "bom": (b"\xef\xbb\xbf" + HEADER + BODY, True, 0),
+    "blank_lines": (HEADER + b"\n" + BODY.replace(b"c,0,0,1\n", b"c,0,0,1\n\n\r\n") + b"\n\n", True, 0),
+    "crlf_bom_blank_lines": (b"\xef\xbb\xbf" + (HEADER + b"\n" + BODY + b"\n").replace(b"\n", b"\r\n"), True, 0),
+    "no_final_newline": (HEADER + BODY + b"a,0.5,0.25,0.25", True, 0),
+    "bom_in_the_data": (HEADER + BODY + b"\xef\xbb\xbfa,0.5,0.5,0\n", False, 2),
+    "one_row": (HEADER + ROWS[0], True, 0),
     "lines_longer_than_a_read_step": (
-        b"actual," + b",".join(b"class_with_a_long_name_%04d" % i for i in range(3_000)) + b"\n"
+        WIDE_HEADER
         + (b"class_with_a_long_name_0007," + b",".join(b"1" if i == 3 else b"0" * 22 for i in range(3_000)) + b"\n") * 6,
         True,
+        0,
     ),
-    "header_only": (HEADER, True),
-    "bad_float_in_the_first_half": (HEADER + b"a,0.5,oops,0.5\n" + BODY, False),
-    "bad_float_in_the_second_half": (HEADER + BIG_BODY + b"b,0.5,0.5,oops\n" + BODY, False),
-    "out_of_range_in_the_second_half": (HEADER + BODY + b"a,1.2,-0.2,0\n", False),
-    "nan_in_the_second_half": (HEADER + BODY + b"a,0.5,nan,0.5\n", False),
-    "sum_off_in_the_second_half": (HEADER + BODY + b"a,0.4,0.4,0.1\n", False),
-    "unknown_actual_label": (HEADER + BODY + b"z,0.5,0.5,0\n", False),
-    "wrong_field_count": (HEADER + BODY + b"a,0.5,0.5\n", False),
-    "undecodable_in_the_second_half": (HEADER + BIG_BODY + b"a,0.5,0.\xff,0.5\n", False),
-    "undecodable_header": (b"actual,\xff,b\n" + BODY, False),
-    "oversized_field": (HEADER + BODY + b"a," + b"1" * 200_000 + b",0,0\n", False),
-    "quote_in_the_first_half": (HEADER + b'"a",0.5,0.5,0\n' + BIG_BODY, False),
-    "quote_in_the_second_half": (HEADER + BIG_BODY + b'"b",0.5,0.5,0\n', False),
-    "quoted_field_spanning_the_midpoint": (HEADER + BODY + b'a,0.5,0.5,"0\n\n' + BODY + b'"\n' + BODY, False),
-    "quoted_header": (b'actual,"a",b,c\n' + BODY, False),
-    "bare_cr_header": (HEADER.replace(b"\n", b"\r") + BODY, False),
-    "bare_cr_rows": (HEADER + BIG_BODY.replace(b"\n", b"\r"), True),
-    "crlf_split_across_read_steps": (HEADER + BIG_BODY.replace(b"\n", b"\r\r\n"), True),
-    "blank_first_line": (b"\n" + HEADER + BODY, False),
-    "duplicate_class_columns": (b"actual,a,a,c\n" + BODY, False),
-    "empty_class_name": (b"actual,a,,c\n" + BODY, False),
-    "one_class_header": (b"actual,a\n" + BODY, False),
-    "empty": (b"", False),
+    # Each line is longer than csv.field_size_limit() (131072), but no field is.
+    "lines_longer_than_the_field_limit": (
+        WIDE_HEADER
+        + (b"class_with_a_long_name_0007," + b",".join(b"1" if i == 3 else b"0" * 50 for i in range(3_000)) + b"\n") * 3,
+        True,
+        0,
+    ),
+    # csv keeps \x85 and U+2028 inside a field; str.splitlines would end a line at each.
+    "unicode_line_breaks_in_a_label": ((HEADER + BODY).replace(b"b,", "b\x85\u2028b,".encode()), True, 0),
+    "header_only": (HEADER, True, 2),
+    "bad_float_in_the_first_half": (HEADER + b"a,0.5,oops,0.5\n" + BODY, False, 2),
+    "bad_float_in_the_second_half": (HEADER + BIG_BODY + b"b,0.5,0.5,oops\n" + BODY, False, 2),
+    "out_of_range_in_the_second_half": (HEADER + BODY + b"a,1.2,-0.2,0\n", False, 2),
+    "nan_in_the_second_half": (HEADER + BODY + b"a,0.5,nan,0.5\n", False, 2),
+    "nan_in_the_first_column": (HEADER + b"a,nan,0.5,0.5\n" + BODY, False, 2),
+    "nan_in_the_last_column": (HEADER + BODY + b"a,0.5,0.5,nan\n", False, 2),
+    "inf": (HEADER + BODY + b"a,inf,0,0\n" + BODY, False, 2),
+    "sum_just_past_the_tolerance": (HEADER + BODY + b"a,0.5,0.5,1.0000001e-6\n" + BODY, False, 2),
+    "nul": (HEADER + BODY + b"a,0.5,0.5,0\x00\n" + BODY, False, 2),
+    "sum_off_in_the_second_half": (HEADER + BODY + b"a,0.4,0.4,0.1\n", False, 2),
+    "unknown_actual_label": (HEADER + BODY + b"z,0.5,0.5,0\n", False, 2),
+    "wrong_field_count": (HEADER + BODY + b"a,0.5,0.5\n", False, 2),
+    "undecodable_in_the_second_half": (HEADER + BIG_BODY + b"a,0.5,0.\xff,0.5\n", False, 2),
+    "undecodable_header": (b"actual,\xff,b\n" + BODY, False, 2),
+    "oversized_field": (HEADER + BODY + b"a," + b"1" * 200_000 + b",0,0\n", False, 2),
+    # A valid number, but longer than csv.field_size_limit(): the serial stream refuses it.
+    "valid_oversized_field": (HEADER + BODY + b"a,0.5" + b"0" * 140_000 + b",0.5,0\n" + BODY, False, 2),
+    "quote_in_the_first_half": (HEADER + b'"a",0.5,0.5,0\n' + BIG_BODY, False, 0),
+    "quote_in_the_second_half": (HEADER + BIG_BODY + b'"b",0.5,0.5,0\n', False, 0),
+    "quoted_field_spanning_the_midpoint": (HEADER + BODY + b'a,0.5,0.5,"0\n\n' + BODY + b'"\n' + BODY, False, 2),
+    "quoted_header": (b'actual,"a",b,c\n' + BODY, False, 0),
+    "bare_cr_header": (HEADER.replace(b"\n", b"\r") + BODY, False, 0),
+    "bare_cr_rows": (HEADER + BIG_BODY.replace(b"\n", b"\r"), True, 0),
+    "crlf_split_across_read_steps": (HEADER + BIG_BODY.replace(b"\n", b"\r\r\n"), True, 0),
+    "blank_first_line": (b"\n" + HEADER + BODY, False, 0),
+    "duplicate_class_columns": (b"actual,a,a,c\n" + BODY, False, 2),
+    "empty_class_name": (b"actual,a,,c\n" + BODY, False, 2),
+    "one_class_header": (b"actual,a\n" + BODY, False, 2),
+    "empty": (b"", False, 2),
 }
 
 ARGVS = {
@@ -118,12 +136,12 @@ def serial_and_split(monkeypatch, argv):
 @pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS.keys())
 @pytest.mark.parametrize("case", CORPUS)
 def test_split_run_matches_the_serial_run(tmp_path, monkeypatch, case, argv):
-    data, completes = CORPUS[case]
+    data, completes, code = CORPUS[case]
     path = tmp_path / "p.csv"
     path.write_bytes(data)
     serial, split, merged = serial_and_split(monkeypatch, [*argv, str(path)])
     assert split == serial
-    assert serial[0] in (0, 2)
+    assert serial[0] == code
     assert merged == [completes]
 
 

@@ -1,10 +1,13 @@
 """Property-based checks of the structural invariants."""
 
 import copy
+import csv
+import io
 import math
 import pickle
 import random
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +41,8 @@ from clfmetrics import (
     xent_unit,
 )
 from clfmetrics.confusion import from_tally
+from clfmetrics.halves import _score_steps, _SerialOnly
+from clfmetrics.ingest import IngestError, _prob_rows
 from clfmetrics.metrics import (
     ClassWeights,
     MetricValue,
@@ -48,7 +53,7 @@ from clfmetrics.metrics import (
     exact_sum,
     harmonic_f1,
 )
-from clfmetrics.proba import PROB_SUM_TOLERANCE, InvalidRecordError, exact_steps, round_steps
+from clfmetrics.proba import PROB_SUM_TOLERANCE, InvalidRecordError, exact_steps, round_steps, score_pairs
 
 RATE_METRICS = (
     accuracy,
@@ -362,6 +367,74 @@ def test_vector_check_matches_the_longhand_on_vectors_that_sum_to_one(raw, posit
     probs = [w / total for w in weights]
     probs[position % len(probs)] = value
     assert check_accepts(tuple(probs)) == longhand_accepts(probs)
+
+
+# The block scorer of a split probability file, against the serial csv rows. csv keeps \x85 and U+2028 in a field.
+BLOCK_REGISTRY = ClassRegistry(("a", "b\x85", "c\u2028c"))
+BLOCK_VECTORS = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (1 / 3,) * 3, (0.1, 0.2, 0.7), (0.5, 0.5, 5e-324)]),
+    # The sum test's edge: 1e-6 off is accepted, 1.0000001e-6 off is not.
+    st.sampled_from([(0.5, 0.5, 1e-6), (0.5, 0.5, 1.0000001e-6), (0.5, 0.5 - 1e-6, 0), (0.5, 0.5 - 1.0000001e-6, 0)]),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(any).map(lambda w: tuple(x / math.fsum(w) for x in w)),
+)
+# None drops the field; a token past the row's end widens it. The field limit is 64 in the test.
+BLOCK_FAULTS = [None, "nan", "inf", "-inf", "-0.0", "5e-324", " 0.5", "0.5 ", "\x0c0\x85", "1_0", "", "z", "a ", '"a"']
+BLOCK_FAULTS += ["0.5,0.5", "0.5\t0.5", "0\x00", "1e-6", "1.0000001e-6", "0." + "0" * 70 + "1", "a" * 65]
+LINE_ENDS = ["\n", "\r\n", "\r", "\n\n", "\r\r\n", "\r\n\n"]
+
+
+@st.composite
+def block_lines(draw, delimiter):
+    """A data line with its line end: a valid row, or, one time in four, one with a faulty token."""
+    fields = [draw(st.sampled_from(BLOCK_REGISTRY.labels)), *map(repr, draw(BLOCK_VECTORS))]
+    if draw(st.sampled_from([False, False, False, True])):
+        where, token = draw(st.integers(0, len(fields))), draw(st.sampled_from(BLOCK_FAULTS))
+        if where == len(fields):
+            fields.append(token or "0")
+        elif token is None:
+            del fields[where]
+        else:
+            fields[where] = token
+    return delimiter.join(fields) + draw(st.sampled_from(LINE_ENDS))
+
+
+@st.composite
+def block_steps(draw):
+    """A delimiter and the step texts of a byte range: each ends a line, save perhaps the last."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    lines = draw(st.lists(st.one_of(block_lines(delimiter), st.just("\n")), max_size=12))  # "\n" after "\r": a CRLF
+    cuts = sorted(draw(st.sets(st.integers(0, len(lines)))))
+    steps = ["".join(lines[a:b]) for a, b in pairwise([0, *cuts, len(lines)])]
+    if steps and draw(st.booleans()):
+        steps[-1] = steps[-1].rstrip("\r\n")  # a file without a final line end
+    return delimiter, steps
+
+
+@settings(max_examples=500, deadline=None)
+@given(block_steps(), st.sampled_from([1e-15, 1e-6, 5e-324]))
+@example(block_steps=(",", ["b\x85,0.5,0.25,0.25\n"]), epsilon=1e-15)  # str.splitlines would end the line at \x85
+@example(block_steps=(",", ["a,0.5,0.5,0\nb\x85,0.5,nan,0.5\n"]), epsilon=1e-15)  # min and max skip the NaN
+@example(block_steps=(",", ["a,0." + "0" * 70 + "5,0.5,0.5\n"]), epsilon=1e-15)  # a valid field past the limit
+def test_block_scorer_equals_the_serial_rows_or_refuses(block_steps, epsilon):
+    """_score_steps refuses, or gives score_pairs of the serial rows exactly; it refuses valid rows only for a quote."""
+    delimiter, steps = block_steps
+    text = "".join(steps)
+    limit = csv.field_size_limit(64)
+    try:
+        try:
+            rows = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+            expected = score_pairs(_prob_rows(((None, row) for row in rows if row), BLOCK_REGISTRY), epsilon)
+        except (IngestError, csv.Error):
+            expected = None
+        try:
+            tally, total, count = _score_steps(steps, BLOCK_REGISTRY, delimiter, epsilon)
+        except _SerialOnly:
+            assert expected is None or '"' in text
+            return
+    finally:
+        csv.field_size_limit(limit)
+    assert expected is not None
+    assert (dict(tally), total, count) == (dict(expected[0]), expected[1], expected[2])
 
 
 NON_NEGATIVE = st.one_of(
