@@ -1,14 +1,15 @@
 """Command-line front end: evaluate one model, or compare two.
 
 Exit codes are a stable scripting contract: 0 success, 2 input error
-(unreadable or malformed data), 3 usage error (bad flags or arguments).
-Output is deterministic for identical inputs and flags; set
-CLFMETRICS_NO_COLOR to disable ANSI styling on terminals.
+(unreadable or malformed data), 3 usage error (bad flags or arguments), 4
+output error (stdout cannot be written). Output is deterministic for identical
+inputs and flags; set CLFMETRICS_NO_COLOR to disable ANSI styling on terminals.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .report import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_USAGE = 3
+EXIT_OUTPUT = 4
 
 _DELIMITERS = {"comma": ",", "tab": "\t"}
 
@@ -107,6 +109,8 @@ def _evaluate_one(path: str, kind: str, args: argparse.Namespace, options: XentO
 
 
 def _write(payload: bytes) -> None:
+    if sys.stdout is None:  # the process started with its stdout closed
+        raise OSError("stdout is closed")
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is not None:
         buffer.write(payload)
@@ -137,9 +141,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_INPUT
 
     if args.command == "evaluate":
-        _write(format_report(reports[0], args.format))
+        payload = format_report(reports[0], args.format)
     else:
-        _write(format_comparison(compare_reports(*reports), args.format, color=color_enabled()))
+        payload = format_comparison(compare_reports(*reports), args.format, color=color_enabled())
+    try:
+        _write(payload)
+    except OSError as exc:
+        if sys.stdout is not None:  # os.devnull in its place, so that the flush at exit cannot fail again
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that has gone wants no more, not an error
+            print(f"clfmetrics: error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

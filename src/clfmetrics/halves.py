@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .confusion import ClassRegistry
 from .ingest import IngestError, _read_header
-from .proba import PROB_SUM_TOLERANCE, Scores
+from .proba import PROB_SUM_TOLERANCE, Scores, exact_sum_steps
 
 # A probability file this large is scored in two processes: forking costs a few ms.
 PARALLEL_MIN_BYTES = 1 << 20
@@ -151,7 +151,7 @@ def _score_steps(steps: Iterable[str], registry: ClassRegistry, delimiter: str, 
 
 
 def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float, tally: Counter) -> int:
-    """Add the (true, argmax) pairs of a text's non-blank lines to tally; their exact_steps cross-entropy sum.
+    """Add the (true, argmax) pairs of a text's non-blank lines to tally; their cross-entropy sum, by exact_sum_steps.
 
     A fixed number of C-level passes, whatever the row count, that accept
     exactly the texts whose rows the serial stream accepts: no quote or NUL,
@@ -180,12 +180,12 @@ def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float
         raise _SerialOnly("an unknown label or a bad float") from None
     del fields  # a step's largest object: dropped before the row passes, which bounds peak memory
     rows = [*zip(*[iter(floats)] * k)]
+    tops = [*map(max, rows)]  # each row's maximum, for the range check and the argmax
     # check_probs on every row: min and max may pass over a NaN, but then its row's sum is NaN and fails `TOL >=`.
     sums_ok = map(PROB_SUM_TOLERANCE.__ge__, map(abs, map(float.__sub__, map(math.fsum, rows), repeat(1.0))))
-    if not (0.0 <= min(floats) and max(floats) <= 1.0 and all(sums_ok)):
+    if not (0.0 <= min(floats) and max(tops) <= 1.0 and all(sums_ok)):
         raise _SerialOnly("a probability out of range or a sum off")
-    tally.update(zip(trues, map(tuple.index, rows, map(max, rows))))
-    # exact_steps(-log(max(p[true], epsilon))) of each row, a shift per row.
+    tally.update(zip(trues, map(tuple.index, rows, tops)))
+    # -log(max(p[true], epsilon)) of each row: the negated exact sum of the logs.
     clipped = map(max, map(tuple.__getitem__, rows, trues), repeat(epsilon))
-    numerators, denominators = zip(*map(float.as_integer_ratio, map(float.__neg__, map(math.log, clipped))))
-    return sum(map(int.__lshift__, numerators, map((1075).__sub__, map(int.bit_length, denominators))))
+    return -exact_sum_steps(map(math.log, clipped))

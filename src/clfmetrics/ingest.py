@@ -271,7 +271,7 @@ def score_probs(
     os.pread, so no file offset is shared, in steps of whole lines, and
     scores each step as one block of C-level passes rather than row by row.
     A block is accepted only when it gives exactly the serial stream's rows.
-    The child sends back its tally and its exact cross-entropy sum, which add
+    The child sends back its tally and its exact_sum_steps total, which add
     to the serial result bit for bit. A refused block (a quote, a NUL, a field
     past the csv limit, or any row the serial stream would reject) in either
     half, any other error in either process, or a short reply from the child

@@ -136,13 +136,25 @@ def score_pairs(pairs: Iterable[tuple[int, tuple[float, ...]]], epsilon: float) 
 
 
 def exact_steps(x: float) -> int:
-    """The integer n with x == n * 2**-1074, which every finite float has."""
+    """The integer n with x == n * 2**-1074, which every finite float has; exact_sum_steps sums many at once."""
     a, b = x.as_integer_ratio()  # b is 2**e with e <= 1074; a shift, not a division
     return a << (1075 - b.bit_length())
 
 
+def exact_sum_steps(values: Iterable[float]) -> int:
+    """sum(map(exact_steps, values)) of finite floats, in a few math.fsum passes rather than a call per value.
+
+    Each pass takes out s, the rounded remainder, leaving under half an ulp of s; only a zero remainder rounds to 0.0.
+    """
+    values, total = [*values], 0
+    while s := math.fsum(values):
+        total += exact_steps(s)
+        values.append(-s)
+    return total
+
+
 def round_steps(total: int) -> float:
-    """A sum of exact_steps counts rounded once to the nearest float: the bits math.fsum gives for the floats."""
+    """A sum of exact_steps or exact_sum_steps counts rounded once to the nearest float: math.fsum of the floats."""
     return float(Fraction(total, 1 << 1074))
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: flags, exit codes, output plumbing."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -373,6 +374,39 @@ class TestLargeKMemory:
         result = self.run_capped(["evaluate", "--kind", "probs", "--format", "json", str(path)])
         assert (result.returncode, result.stderr) == (0, b"")
         assert len(json.loads(result.stdout)["classes"]) == self.K
+
+
+class TestOutputFaults:
+    """A stdout that cannot take the report exits 4, with at most one stderr line and no traceback."""
+
+    @staticmethod
+    def run(argv, **kwargs):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+        return subprocess.run(argv, env=env, stderr=subprocess.PIPE, timeout=120, **kwargs)
+
+    @staticmethod
+    def cli(path):
+        return [sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "matrix", path]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_full_device(self, four_class_file):
+        with open("/dev/full", "wb") as full:
+            result = self.run(self.cli(four_class_file), stdout=full)
+        message = f"clfmetrics: error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert (result.returncode, result.stderr) == (4, message.encode())
+
+    def test_a_pipe_whose_reader_has_gone_is_quiet(self, four_class_file):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.run(self.cli(four_class_file), stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (4, b"")
+
+    def test_a_closed_stdout(self, four_class_file):
+        result = self.run(["sh", "-c", 'exec "$@" >&-', "sh", *self.cli(four_class_file)])
+        assert (result.returncode, result.stderr) == (4, b"clfmetrics: error: cannot write output: stdout is closed\n")
 
 
 CSV_BYTES = st.one_of(

@@ -3,7 +3,8 @@
 Each case runs `clfmetrics` in process twice: serially, with the size at which
 a file is split raised out of reach, and in two forked halves, with it lowered
 to 0 so that small files are split too. After the split run no child may be
-left unreaped and no descriptor left open.
+left unreaped and no descriptor left open. The last test runs the tool as it
+is shipped, on files over the split threshold, from a file and through a pipe.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ import errno
 import io
 import marshal
 import os
+import random
 import subprocess
 import sys
 import time
@@ -21,7 +23,7 @@ from clfmetrics import halves
 from clfmetrics.cli import main
 
 CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-pytestmark = pytest.mark.skipif(
+splits = pytest.mark.skipif(
     not hasattr(os, "fork") or len(CPUS) < 2 or not os.path.isdir("/proc/self/fd"),
     reason="the split needs os.fork and two CPUs; the descriptor check needs /proc/self/fd",
 )
@@ -66,6 +68,8 @@ CORPUS = {
     "nan_in_the_second_half": (HEADER + BODY + b"a,0.5,nan,0.5\n", False, 2),
     "nan_in_the_first_column": (HEADER + b"a,nan,0.5,0.5\n" + BODY, False, 2),
     "nan_in_the_last_column": (HEADER + BODY + b"a,0.5,0.5,nan\n", False, 2),
+    # The row's maximum is NaN, which hides the 1.5 from the range check; the row's NaN sum refuses it.
+    "nan_before_a_value_above_one": (HEADER + BODY + b"a,nan,1.5,0\n" + BODY, False, 2),
     "inf": (HEADER + BODY + b"a,inf,0,0\n" + BODY, False, 2),
     "sum_just_past_the_tolerance": (HEADER + BODY + b"a,0.5,0.5,1.0000001e-6\n" + BODY, False, 2),
     "nul": (HEADER + BODY + b"a,0.5,0.5,0\x00\n" + BODY, False, 2),
@@ -133,6 +137,7 @@ def serial_and_split(monkeypatch, argv):
     return serial, split, merged
 
 
+@splits
 @pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS.keys())
 @pytest.mark.parametrize("case", CORPUS)
 def test_split_run_matches_the_serial_run(tmp_path, monkeypatch, case, argv):
@@ -145,6 +150,7 @@ def test_split_run_matches_the_serial_run(tmp_path, monkeypatch, case, argv):
     assert merged == [completes]
 
 
+@splits
 def test_tab_delimited_file_is_split(tmp_path, monkeypatch):
     path = tmp_path / "p.tsv"
     path.write_bytes((HEADER + BIG_BODY).replace(b",", b"\t"))
@@ -154,6 +160,7 @@ def test_tab_delimited_file_is_split(tmp_path, monkeypatch):
     assert (serial[0], merged) == (0, [True])
 
 
+@splits
 def test_compare_splits_each_side(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_bytes(HEADER + BIG_BODY)
@@ -164,6 +171,7 @@ def test_compare_splits_each_side(tmp_path, monkeypatch):
     assert (serial[0], merged) == (0, [True, True])
 
 
+@splits
 def test_a_short_reply_from_the_child_falls_back(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_bytes(HEADER + BIG_BODY)
@@ -178,6 +186,7 @@ def test_a_short_reply_from_the_child_falls_back(tmp_path, monkeypatch):
     assert (serial[0], merged) == (0, [False])
 
 
+@splits
 def test_a_pipe_is_read_serially(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_bytes(HEADER.replace(b"\n", b"\r\n") + BIG_BODY.replace(b"\n", b"\r\n") + b"b,0.5,0.5,oops\r\n")
@@ -195,6 +204,7 @@ def test_a_pipe_is_read_serially(tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@splits
 def test_a_named_pipe_is_opened_once(tmp_path):
     """The split path must not open a named pipe: data written to that first reader would be lost."""
     fifo = tmp_path / "p.fifo"
@@ -225,3 +235,50 @@ def test_a_named_pipe_is_opened_once(tmp_path):
         cli.stdout.close()
     assert cli.returncode == 0
     assert b"classes (3): a, b, c" in out
+
+
+def split_threshold_files():
+    """name -> (bytes of about 2 MB, over the 1 MiB split threshold, extra arguments, exit code)."""
+    rng = random.Random(7)
+    names = [f"c{i}" for i in range(10)]
+    rows = []
+    for _ in range(10_000):
+        weights = [rng.random() for _ in names]
+        total = sum(weights)
+        rows.append(rng.choice(names) + "," + ",".join(repr(w / total) for w in weights) + "\r\n")
+    header = "actual," + ",".join(names) + "\r\n"
+    body, last = "".join(rows[:-3]), "".join(rows[-3:])
+    files = {
+        "split": (header + body + last, [], 0),
+        "split-bad": (header + body + "c1,oops" + ",0.1" * 9 + "\r\n" + last, [], 2),
+        "split-cr": (header + (body + last).replace("\r\n", "\r"), [], 0),
+        "split-tab": ((header + body + last).replace(",", "\t"), ["--delimiter", "tab"], 0),
+        # A valid number longer than csv.field_size_limit().
+        "split-long": (header + body + "c1,0.1" + "0" * 140_000 + ",0.1" * 9 + "\r\n" + last, [], 2),
+    }
+    return {name: (text.encode(), args, code) for name, (text, args, code) in files.items()}
+
+
+SPLIT_THRESHOLD_FILES = split_threshold_files()
+
+
+@pytest.mark.parametrize("name", SPLIT_THRESHOLD_FILES)
+def test_a_file_read_as_stdin_gives_the_pipe_run(tmp_path, name):
+    """Redirected from a file, /dev/stdin is a regular file and may be split; fed through a pipe, it is read serially.
+
+    Without two CPUs both runs are serial, and the test still holds.
+    """
+    data, args, code = SPLIT_THRESHOLD_FILES[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(data)
+    argv = [sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "probs", "--format", "json", *args, "/dev/stdin"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(halves.__file__)))
+    with open(path, "rb") as stdin:
+        from_file = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=120)
+    through_pipe = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=120)
+    assert (from_file.stdout, from_file.stderr, from_file.returncode) == (
+        through_pipe.stdout,
+        through_pipe.stderr,
+        through_pipe.returncode,
+    )
+    assert from_file.returncode == code

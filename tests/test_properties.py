@@ -53,7 +53,14 @@ from clfmetrics.metrics import (
     exact_sum,
     harmonic_f1,
 )
-from clfmetrics.proba import PROB_SUM_TOLERANCE, InvalidRecordError, exact_steps, round_steps, score_pairs
+from clfmetrics.proba import (
+    PROB_SUM_TOLERANCE,
+    InvalidRecordError,
+    exact_steps,
+    exact_sum_steps,
+    round_steps,
+    score_pairs,
+)
 
 RATE_METRICS = (
     accuracy,
@@ -383,10 +390,22 @@ BLOCK_FAULTS += ["0.5,0.5", "0.5\t0.5", "0\x00", "1e-6", "1.0000001e-6", "0." + 
 LINE_ENDS = ["\n", "\r\n", "\r", "\n\n", "\r\r\n", "\r\n\n"]
 
 
+# True-class probabilities at the clipping edges: exactly 0, below each epsilon drawn, equal to 5e-324, exactly 1.
+TRUE_CLASS_EDGES = [0.0, 1e-300, 1e-16, 1e-7, 5e-324, 1.0]
+
+
+def edge_vector(p, true):
+    """A vector that gives the true class p and splits the rest evenly."""
+    rest = (1.0 - p) / 2
+    return tuple(p if i == true else rest for i in range(3))
+
+
 @st.composite
 def block_lines(draw, delimiter):
     """A data line with its line end: a valid row, or, one time in four, one with a faulty token."""
-    fields = [draw(st.sampled_from(BLOCK_REGISTRY.labels)), *map(repr, draw(BLOCK_VECTORS))]
+    true = draw(st.integers(0, len(BLOCK_REGISTRY.labels) - 1))
+    edges = st.sampled_from(TRUE_CLASS_EDGES).map(lambda p: edge_vector(p, true))
+    fields = [BLOCK_REGISTRY.labels[true], *map(repr, draw(st.one_of(BLOCK_VECTORS, edges)))]
     if draw(st.sampled_from([False, False, False, True])):
         where, token = draw(st.integers(0, len(fields))), draw(st.sampled_from(BLOCK_FAULTS))
         if where == len(fields):
@@ -435,6 +454,36 @@ def test_block_scorer_equals_the_serial_rows_or_refuses(block_steps, epsilon):
         csv.field_size_limit(limit)
     assert expected is not None
     assert (dict(tally), total, count) == (dict(expected[0]), expected[1], expected[2])
+
+
+# Finite floats of every exponent up to 2**900, so no sum of a few dozen overflows.
+EXACT_SUM_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**900, -(2.0**900), 1.0, 0.1]),
+    st.floats(-(2.0**900), 2.0**900),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def exact_sum_lists(draw):
+    """Floats of mixed exponents in any order, some of them with their exact negation in the list too."""
+    values = draw(st.lists(EXACT_SUM_FLOATS, max_size=30))
+    values += [-x for x in values[: draw(st.integers(0, len(values)))]]
+    return draw(st.permutations(values))
+
+
+@settings(max_examples=500)
+@given(exact_sum_lists())
+@example([])
+@example([2.0**900, 1.0, -(2.0**900)])  # the huge values cancel exactly and leave the 1.0
+@example([2.0**900, 5e-324])  # a sum that spans every exponent: one pass per 53 bits of it
+@example([2.0**-k for k in range(0, 1075, 50)])
+@example([0.1] * 10)
+def test_exact_sum_steps_is_the_sum_of_exact_steps(values):
+    before = list(values)
+    assert exact_sum_steps(values) == sum(map(exact_steps, values))
+    assert values == before  # the argument is left as it was
 
 
 NON_NEGATIVE = st.one_of(
