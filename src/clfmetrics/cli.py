@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import IO, Sequence
 
 from . import __version__
 from .confusion import ConfusionMatrix
@@ -34,11 +34,18 @@ _DELIMITERS = {"comma": ",", "tab": "\t"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2 on usage errors; this tool reserves 2 for input errors."""
+    """argparse exits 2 on usage errors and drops a failed write; here 2 is for input errors,
+    and help and version go to stdout through _write, so that a failed write exits 4."""
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message: str, file: IO[str] | None = None) -> None:
+        if file is sys.stderr:
+            _say(message)
+        elif message and _write(message.encode("utf-8")) != EXIT_OK:
+            self.exit(EXIT_OUTPUT)
 
 
 def _build_parser() -> _Parser:
@@ -108,15 +115,33 @@ def _evaluate_one(path: str, kind: str, args: argparse.Namespace, options: XentO
     )
 
 
-def _write(payload: bytes) -> None:
-    if sys.stdout is None:  # the process started with its stdout closed
-        raise OSError("stdout is closed")
-    buffer = getattr(sys.stdout, "buffer", None)
-    if buffer is not None:
-        buffer.write(payload)
-        sys.stdout.flush()
-    else:
-        sys.stdout.write(payload.decode("utf-8", errors="backslashreplace"))
+def _write(payload: bytes) -> int:
+    """Write payload to stdout: EXIT_OK, or EXIT_OUTPUT when stdout cannot take it."""
+    try:
+        if sys.stdout is None:  # the process started with its stdout closed
+            raise OSError("stdout is closed")
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is not None:
+            buffer.write(payload)
+            sys.stdout.flush()
+        else:
+            sys.stdout.write(payload.decode("utf-8", errors="backslashreplace"))
+    except OSError as exc:
+        if sys.stdout is not None:  # os.devnull in its place, so that the flush at exit cannot fail again
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that has gone wants no more, not an error
+            _say(f"clfmetrics: error: cannot write output: {exc}\n")
+        return EXIT_OUTPUT
+    return EXIT_OK
+
+
+def _say(text: str) -> None:
+    """Write to stderr; a stderr that cannot take the text costs the text, not the exit code."""
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):  # AttributeError: stderr was closed at start and is None
+        pass
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -125,7 +150,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         options = XentOptions(epsilon=args.epsilon, reduce=args.reduce)
     except ValueError as exc:
-        print(f"clfmetrics: error: {exc}", file=sys.stderr)
+        _say(f"clfmetrics: error: {exc}\n")
         return EXIT_USAGE
 
     if args.command == "evaluate":
@@ -137,23 +162,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             reports.append(_evaluate_one(path, kind, args, options))
         except (IngestError, OSError, ValueError) as exc:
-            print(f"clfmetrics: error: {tag}{exc}", file=sys.stderr)
+            _say(f"clfmetrics: error: {tag}{exc}\n")
             return EXIT_INPUT
 
     if args.command == "evaluate":
         payload = format_report(reports[0], args.format)
     else:
         payload = format_comparison(compare_reports(*reports), args.format, color=color_enabled())
-    try:
-        _write(payload)
-    except OSError as exc:
-        if sys.stdout is not None:  # os.devnull in its place, so that the flush at exit cannot fail again
-            with open(os.devnull, "wb") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):  # a reader that has gone wants no more, not an error
-            print(f"clfmetrics: error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
-    return EXIT_OK
+    return _write(payload)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ diff cleanly and exact values survive a round-trip. Undefined metrics are
 rendered as an explicit token, never as 0 or an empty cell.
 
 JSON is byte for byte the standard library's json.dumps(obj, indent=2,
-ensure_ascii=True) layout, written by _json_text: json.dumps serves indent
-only from its pure-Python encoder, several times slower on a large report.
+ensure_ascii=True) layout, all written by _json_text: json.dumps serves indent
+only from its pure-Python encoder, several times slower on a large report. A
+per-class table, most of a large-K report, is one pass over the classes that
+writes each distinct value's leaf once and reuses it (_per_class_json).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, IO, Sequence
 
@@ -102,16 +105,18 @@ def _text_exact(v: MetricValue) -> str:
     )
 
 
-def _json_number(value: Numeric) -> dict[str, str]:
-    if isinstance(value, Fraction):
-        return {"value": fraction_decimal(value), "rational": "/".join(_rational_parts(value))}
-    return {"value": repr(value)}
+def _cell(v: MetricValue) -> Numeric | str:
+    """A metric value as its number, or as the name of the reason it is undefined."""
+    return v.reason.value if v.value is None else v.value
 
 
-def _json_value(v: MetricValue) -> dict[str, str]:
-    if not v.is_defined:
-        return {"undefined": v.reason.value}
-    return _json_number(v.unwrap())
+def _json_leaf(cell: Numeric | str | None) -> dict[str, str]:
+    """A number's decimal and exact rational, or why it is undefined: a reason's name, or None for a delta's operand."""
+    if cell is None or type(cell) is str:
+        return {"undefined": cell or "operand_undefined"}
+    if isinstance(cell, Fraction):
+        return {"value": fraction_decimal(cell), "rational": "/".join(_rational_parts(cell))}
+    return {"value": repr(cell)}
 
 
 def _parse_json_value(obj: dict[str, str]) -> MetricValue:
@@ -176,14 +181,13 @@ def _report_to_obj(report: EvaluationReport) -> dict[str, Any]:
             "epsilon": repr(report.epsilon),
             "reduce": report.reduce,
         },
-        "metrics": {name: _json_value(v) for name, v in metrics.items()},
-        "per_class": {
-            label: {name: _json_value(getattr(report.per_class, name)[i]) for name in PER_CLASS_METRICS}
-            for i, label in enumerate(report.labels)
-        },
+        "metrics": {name: _json_leaf(_cell(v)) for name, v in metrics.items()},
+        "per_class": partial(_per_class_json, dict(zip(report.labels, zip(*(
+            map(_cell, getattr(report.per_class, name)) for name in PER_CLASS_METRICS
+        ))))),
     }
     if xent is not None:
-        obj["cross_entropy"] = _json_value(xent)
+        obj["cross_entropy"] = _json_leaf(_cell(xent))
     if report.skipped_classes is not None:
         obj["skipped_classes"] = dict(report.skipped_classes)
     return obj
@@ -192,8 +196,9 @@ def _report_to_obj(report: EvaluationReport) -> dict[str, Any]:
 def _json_text(obj: Any, pad: str = "") -> str:
     """obj as json.dumps(obj, indent=2, ensure_ascii=True) writes it, indented by pad.
 
-    Takes dicts with str keys, lists, str, int, bool and None; any other type
-    raises TypeError. Strings are escaped by the json module's C escaper.
+    Takes dicts with str keys, lists, str, int, bool and None, and a function
+    of the pad that returns its own text there (a per-class table); any other
+    type raises TypeError. Strings are escaped by the json module's C escaper.
     """
     if isinstance(obj, str):
         return _escape(obj)
@@ -208,18 +213,41 @@ def _json_text(obj: Any, pad: str = "") -> str:
     inner = pad + "  "
     # A str value, the common leaf, is escaped in place rather than through a call.
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            _escape(k) + ": " + (_escape(v) if type(v) is str else _json_text(v, inner)) for k, v in obj.items()
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        items = [_escape(k) + ": " + (_escape(v) if type(v) is str else _json_text(v, inner)) for k, v in obj.items()]
+        return _block(items, pad, "{}")
     if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [_escape(v) if type(v) is str else _json_text(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return _block([_escape(v) if type(v) is str else _json_text(v, inner) for v in obj], pad, "[]")
+    if callable(obj):
+        return obj(pad)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _block(items: list[str], pad: str, brackets: str = "{}") -> str:
+    """Written items one per line, indented one level past pad, inside the brackets closed at pad."""
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1] if items else brackets
+
+
+def _per_class_json(rows: dict[str, tuple[Numeric | str | None, ...]], pad: str) -> str:
+    """{label: {metric: leaf}} as _json_text writes it at pad, from each label's cells in PER_CLASS_METRICS order.
+
+    Each distinct cell's leaf is written once and reused, keyed on a Fraction's numerator and
+    denominator, or else on type and repr, so that 1 and Fraction(1), or 0.0 and -0.0, stay apart.
+    """
+    inner, deep = pad + "  ", pad + "    "
+    heads = [_escape(name) + ": " for name in PER_CLASS_METRICS]
+    memo: dict[tuple, str] = {}
+    parts = []
+    for label, cells in rows.items():
+        items = []
+        for head, cell in zip(heads, cells):
+            key = (cell.numerator, cell.denominator) if isinstance(cell, Fraction) else (type(cell), repr(cell))
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = _json_text(_json_leaf(cell), deep)
+            items.append(head + text)
+        parts.append(_escape(label) + ": " + _block(items, inner))
+    return _block(parts, pad)
 
 
 def render_json(report: EvaluationReport) -> str:
@@ -372,12 +400,6 @@ def render_comparison_text(comparison: ComparisonReport, color: bool = False) ->
     return "\n".join(lines) + "\n"
 
 
-def _json_delta(value: Numeric | None) -> dict[str, str]:
-    if value is None:
-        return {"undefined": "operand_undefined"}
-    return _json_number(value)
-
-
 def render_comparison_json(comparison: ComparisonReport) -> str:
     obj: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -387,15 +409,15 @@ def render_comparison_json(comparison: ComparisonReport) -> str:
         "a": _report_to_obj(comparison.a),
         "b": _report_to_obj(comparison.b),
         "registries_match": comparison.registries_match,
-        "deltas": {name: _json_delta(d) for name, d in comparison.deltas.items()},
+        "deltas": {name: _json_leaf(d) for name, d in comparison.deltas.items()},
         "flagged": list(comparison.flagged),
         "notes": list(comparison.notes),
     }
     if comparison.per_class_deltas is not None:
-        obj["per_class_deltas"] = {
-            label: {m: _json_delta(d[m]) for m in PER_CLASS_METRICS}
+        obj["per_class_deltas"] = partial(_per_class_json, {
+            label: tuple(d[m] for m in PER_CLASS_METRICS)
             for label, d in comparison.per_class_deltas.items()
-        }
+        })
     return _json_text(obj) + "\n"
 
 

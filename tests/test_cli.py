@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clfmetrics
-from clfmetrics import evaluate, halves, parse_json, read_matrix
+from clfmetrics import evaluate, halves, parse_json, read_matrix, render_json
 from clfmetrics.cli import main
 
 FOUR_CLASS_CSV = ",a,b,c,d\na,6,1,1,1\nb,2,9,2,1\nc,1,1,10,1\nd,2,1,1,12\n"
@@ -319,20 +319,47 @@ class TestLargeK:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return str(path)
 
-    def test_json_round_trips_losslessly(self, matrix_file, capsys):
+    @pytest.fixture(scope="class")
+    def expected(self, matrix_file):
+        """The report the CLI must print, built once for the class."""
+        return evaluate(read_matrix(matrix_file), dataset=matrix_file)
+
+    def test_json_round_trips_losslessly(self, matrix_file, expected, capsys):
         assert main(["evaluate", "--kind", "matrix", "--format", "json", matrix_file]) == 0
         out = capsys.readouterr().out
-        expected = evaluate(read_matrix(matrix_file), dataset=matrix_file)
         assert expected.metric("macro_f1").unwrap().denominator.bit_length() > 20_000
         assert parse_json(out) == expected
 
-    def test_text_abbreviates_only_the_longest_rationals(self, matrix_file, capsys):
+    def test_text_abbreviates_only_the_longest_rationals(self, matrix_file, expected, capsys):
         assert main(["evaluate", "--kind", "matrix", matrix_file]) == 0
         rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line}
         assert rows["macro_f1"].endswith(" digits)")
         assert "..." in rows["macro_f1"]
         exact = rows["macro_precision"].split()[-1]
-        assert Fraction(exact) == evaluate(read_matrix(matrix_file)).metric("macro_precision").unwrap()
+        assert Fraction(exact) == expected.metric("macro_precision").unwrap()
+
+
+def test_json_reports_at_k2000_are_the_standard_layout_and_round_trip(tmp_path):
+    """Both commands' JSON at K=2000, non-ASCII names included, is json.dumps' indent-2 text and reads back."""
+    rng = random.Random(2000)
+    names = [f"c{i}" if i % 100 else f"caf\u00e9-\u65e5{i}" for i in range(2000)]
+    for side, hit in (("a", 0.7), ("b", 0.8)):
+        with open(tmp_path / f"{side}.csv", "w", encoding="utf-8") as out:
+            for _ in range(20_000):
+                actual = rng.choice(names)
+                predicted = actual if rng.random() < hit else rng.choice(names)
+                out.write(f"{actual},{predicted}\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+    cli = [sys.executable, "-m", "clfmetrics"]
+    outs = {}
+    for command, paths in (("compare", ["a.csv", "b.csv"]), ("evaluate", ["a.csv"])):
+        argv = [*cli, command, "--kind", "labels", "--format", "json", *paths]
+        result = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, b""), command
+        outs[command] = out = result.stdout.decode("utf-8")
+        # The standard library's encoder is the reference, independent of the package's writer.
+        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=True) + "\n", command
+    assert render_json(parse_json(outs["evaluate"])) == outs["evaluate"]
 
 
 class TestLargeKMemory:
@@ -382,7 +409,7 @@ class TestOutputFaults:
     @staticmethod
     def run(argv, **kwargs):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
-        return subprocess.run(argv, env=env, stderr=subprocess.PIPE, timeout=120, **kwargs)
+        return subprocess.run(argv, env=env, timeout=120, **{"stderr": subprocess.PIPE, **kwargs})
 
     @staticmethod
     def cli(path):
@@ -407,6 +434,34 @@ class TestOutputFaults:
     def test_a_closed_stdout(self, four_class_file):
         result = self.run(["sh", "-c", 'exec "$@" >&-', "sh", *self.cli(four_class_file)])
         assert (result.returncode, result.stderr) == (4, b"clfmetrics: error: cannot write output: stdout is closed\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_version_and_help_on_a_full_device(self, flag):
+        with open("/dev/full", "wb") as full:
+            result = self.run([sys.executable, "-m", "clfmetrics", flag], stdout=full)
+        message = f"clfmetrics: error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert (result.returncode, result.stderr) == (4, message.encode())
+
+    def test_help_on_a_closed_stdout(self):
+        result = self.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "clfmetrics", "--help"])
+        assert (result.returncode, result.stderr) == (4, b"clfmetrics: error: cannot write output: stdout is closed\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["evaluate", "--kind", "labels", "missing.csv"], 2), (["evaluate", "--kind", "bogus", "missing.csv"], 3)],
+        ids=["input-error", "usage-error"],
+    )
+    def test_an_error_message_on_a_full_stderr_keeps_its_code(self, tmp_path, argv, code):
+        with open("/dev/full", "wb") as full:
+            result = self.run([sys.executable, "-m", "clfmetrics", *argv], cwd=tmp_path, stdout=subprocess.PIPE, stderr=full)
+        assert (result.returncode, result.stdout) == (code, b"")
+
+    def test_an_error_message_on_a_closed_stderr_keeps_its_code(self, tmp_path):
+        argv = ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "labels", "missing.csv"]
+        result = self.run(argv, cwd=tmp_path, stdout=subprocess.PIPE)
+        assert (result.returncode, result.stdout, result.stderr) == (2, b"", b"")
 
 
 CSV_BYTES = st.one_of(

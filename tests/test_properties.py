@@ -532,6 +532,24 @@ def test_per_class_equals_the_one_vs_rest_formulation(case):
             assert type(g.value) is type(e.value)
 
 
+def tile_micro_f1(m):
+    """micro_f1 through the one-vs-rest tiles: every class's TP, summed over the grand total."""
+    return _ratio(sum(m.one_vs_rest(k).tp for k in range(m.k)), m.grand_total)
+
+
+@settings(max_examples=300)
+@given(sparse_tallies(max_k=10))
+@example((ClassRegistry(("c0", "c1", "c2")), {}))
+@example((ClassRegistry(("c0", "c1", "c2")), {("c0", "c1"): 3, ("c1", "c0"): 2}))  # no TP, c2 empty
+@example((ClassRegistry(("c0", "c1", "c2")), {("c2", "c2"): 5}))  # c0 and c1 empty rows and columns
+def test_micro_f1_equals_the_one_vs_rest_formulation_and_accuracy(case):
+    registry, tally = case
+    m = from_tally(tally, registry)
+    got, expected = micro_f1(m), tile_micro_f1(m)
+    assert (got.value, got.reason) == (expected.value, expected.reason) == (accuracy(m).value, accuracy(m).reason)
+    assert type(got.value) is type(expected.value)
+
+
 def loop_mean(values, lenient, weights=None):
     """_mean_of as a left-to-right running Fraction sum."""
     weights_k = (1,) * len(values) if weights is None else weights.w

@@ -1,5 +1,6 @@
 """Tests for report rendering, JSON round-trips and model comparison."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from clfmetrics import (
     ClassRegistry,
     ConfusionMatrix,
     MetricValue,
+    PerClassBreakdown,
     ProbRecord,
     XentOptions,
     compare_reports,
@@ -191,6 +193,148 @@ class TestJsonWriter:
         for tree in (value, [value], {"k": value}):
             with pytest.raises(TypeError):
                 _json_text(tree)
+
+
+def plain_leaf(value, reason=None):
+    if reason is not None:
+        return {"undefined": reason}
+    if isinstance(value, Fraction):
+        rational = str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+        return {"value": fraction_decimal(value), "rational": rational}
+    return {"value": repr(value)}
+
+
+def plain_value(v):
+    return plain_leaf(v.value, v.reason and v.reason.value)
+
+
+def plain_delta(d):
+    return plain_leaf(d, "operand_undefined" if d is None else None)
+
+
+def plain_report(r):
+    """The schema-v1 evaluation tree, built leaf by leaf without the package's writer."""
+    metrics = dict(r.metrics)
+    xent = metrics.pop("cross_entropy", None)
+    tree = {
+        "schema_version": 1,
+        "tool": "clfmetrics",
+        "tool_version": r.tool_version,
+        "report": "evaluation",
+        "dataset": r.dataset,
+        "classes": list(r.labels),
+        "num_classes": len(r.labels),
+        "units": r.total_units,
+        "options": {"mode": r.mode, "weights": r.weights_source, "epsilon": repr(r.epsilon), "reduce": r.reduce},
+        "metrics": {name: plain_value(v) for name, v in metrics.items()},
+        "per_class": {
+            label: {name: plain_value(getattr(r.per_class, name)[i]) for name in ("precision", "recall", "f1")}
+            for i, label in enumerate(r.labels)
+        },
+    }
+    if xent is not None:
+        tree["cross_entropy"] = plain_value(xent)
+    if r.skipped_classes is not None:
+        tree["skipped_classes"] = dict(r.skipped_classes)
+    return tree
+
+
+def plain_comparison(c):
+    tree = {
+        "schema_version": 1,
+        "tool": "clfmetrics",
+        "tool_version": c.a.tool_version,
+        "report": "comparison",
+        "a": plain_report(c.a),
+        "b": plain_report(c.b),
+        "registries_match": c.registries_match,
+        "deltas": {name: plain_delta(d) for name, d in c.deltas.items()},
+        "flagged": list(c.flagged),
+        "notes": list(c.notes),
+    }
+    if c.per_class_deltas is not None:
+        tree["per_class_deltas"] = {
+            label: {name: plain_delta(d[name]) for name in ("precision", "recall", "f1")}
+            for label, d in c.per_class_deltas.items()
+        }
+    return tree
+
+
+def dumps(tree):
+    return json.dumps(tree, indent=2, ensure_ascii=True) + "\n"
+
+
+LABELS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=4),
+    st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\x7f", "caf\u00e9", "\u65e5", "\u2028\ud800", "\U0001f600"]),
+)
+# Equal values of different types, and the two zeros: each must keep its own leaf.
+ODD_VALUES = st.sampled_from([1, 1.0, Fraction(1), 0, 0.0, -0.0, Fraction(0), Fraction(1, 2), 0.5, 2, Fraction(2)])
+
+
+@st.composite
+def small_reports(draw, labels=None):
+    """evaluate on a small matrix of counts 0..3: empty rows and columns, tp = 0, values 0 and 1, many repeats."""
+    if labels is None:
+        labels = tuple(draw(st.lists(LABELS, min_size=2, max_size=5, unique=True)))
+    k = len(labels)
+    grid = draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k).map(tuple), min_size=k, max_size=k))
+    report = evaluate(
+        ConfusionMatrix.from_grid(labels, tuple(grid)),
+        lenient=draw(st.booleans()),
+        dataset=draw(LABELS),
+        cross_entropy=draw(st.none() | st.floats(0, 50, allow_nan=False)),
+    )
+    if draw(st.booleans()):  # values a parsed or hand-built report may hold
+        per_class = PerClassBreakdown(*(
+            tuple(MetricValue.defined(draw(ODD_VALUES)) if draw(st.booleans()) else v for v in column)
+            for column in (report.per_class.precision, report.per_class.recall, report.per_class.f1)
+        ))
+        report = dataclasses.replace(report, per_class=per_class)
+    return report
+
+
+@st.composite
+def comparisons(draw):
+    a = draw(small_reports())
+    b = draw(small_reports(labels=a.labels if draw(st.booleans()) else None))
+    return compare_reports(a, b)
+
+
+ODD_REPORT = dataclasses.replace(
+    evaluate(ConfusionMatrix.from_grid(("a", "b", "c"), ((1, 0, 0), (0, 1, 0), (0, 0, 0)))),
+    per_class=PerClassBreakdown(
+        tuple(map(MetricValue.defined, (1, 1.0, Fraction(1)))),
+        tuple(map(MetricValue.defined, (0.0, -0.0, Fraction(0)))),
+        tuple(map(MetricValue.defined, (0, -0.0, 0.0))),
+    ),
+)
+
+
+class TestPerClassTables:
+    """The per-class tables, written from memoised leaves, are the standard library's bytes for the plain tree."""
+
+    @settings(max_examples=200)
+    @given(small_reports())
+    @example(ODD_REPORT)
+    def test_evaluation_json_is_json_dumps_of_the_plain_tree(self, report):
+        assert render_json(report) == dumps(plain_report(report))
+
+    @settings(max_examples=100)
+    @given(comparisons())
+    @example(compare_reports(ODD_REPORT, ODD_REPORT))
+    @example(compare_reports(ODD_REPORT, evaluate(ConfusionMatrix.from_grid(("a", "b", "c"), ((2, 1, 0), (0, 0, 0), (0, 3, 0))))))
+    def test_comparison_json_is_json_dumps_of_the_plain_tree(self, comparison):
+        assert render_comparison_json(comparison) == dumps(plain_comparison(comparison))
+
+    def test_undefined_operands_and_equal_values_of_other_types(self):
+        b = evaluate(ConfusionMatrix.from_grid(("a", "b", "c"), ((2, 1, 0), (0, 0, 0), (0, 3, 0))))
+        tree = json.loads(render_comparison_json(compare_reports(ODD_REPORT, b)))
+        assert tree["a"]["per_class"]["a"]["precision"] == {"value": "1"}
+        assert tree["a"]["per_class"]["b"]["precision"] == {"value": "1.0"}
+        assert tree["a"]["per_class"]["c"]["precision"] == {"value": "1", "rational": "1"}
+        assert [tree["a"]["per_class"][c]["recall"] for c in "abc"] == [{"value": "0.0"}, {"value": "-0.0"}, {"value": "0", "rational": "0"}]
+        assert tree["per_class_deltas"]["b"]["recall"] == {"undefined": "operand_undefined"}
 
 
 class TestComparison:
