@@ -6,7 +6,7 @@ Tally labeled pairs into a cross-table, read its marginals, slice out
 one-vs-rest tiles, and combine partial tallies from parallel workers.
 """
 
-from clfmetrics import ClassRegistry, from_pairs, merge
+from clfmetrics import ClassRegistry, from_pairs
 
 # A confusion matrix is a tally of (actual, predicted) label pairs.
 # Rows are the actual classes, columns the predicted ones.
@@ -38,8 +38,8 @@ wide = from_pairs(pairs, registry)
 print("\nwith an extra registered class:", wide.registry.labels)
 print("fish row is all zeros:", wide.counts[3])
 
-# Partial tallies merge elementwise, so ingestion can fan out over
-# chunks of the data and combine at the end.
+# Partial tallies over one registry add elementwise with +, so ingestion
+# can fan out over chunks of the data and combine at the end.
 first_half = from_pairs(pairs[:4], registry)
 second_half = from_pairs(pairs[4:], registry)
-print("\nmerge equals one-pass tally:", merge(first_half, second_half) == wide)
+print("\nsum equals one-pass tally:", first_half + second_half == wide)

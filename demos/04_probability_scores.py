@@ -15,8 +15,7 @@ from clfmetrics import (
     XentOptions,
     accuracy,
     argmax_rule,
-    harden,
-    xent_dataset,
+    score_records,
     xent_unit,
 )
 
@@ -33,19 +32,22 @@ confident_wrong = ProbRecord(2, (0.55, 0.05, 0.4))
 print("\nsame score for both:", xent_unit(confident_right) == xent_unit(confident_wrong))
 print("but argmax picks:", argmax_rule(confident_right.probs), "vs", argmax_rule(confident_wrong.probs))
 
+# score_records reads a dataset of records once: it hardens each vector into
+# the confusion matrix and sums the per-unit cross-entropies.
+registry = ClassRegistry(("a", "b", "c"))
+
 # A certain and correct model scores exactly zero.
 sure = [ProbRecord(i, tuple(1.0 if j == i else 0.0 for j in range(3))) for i in (0, 1, 2)]
-print("\none-hot-correct dataset:", xent_dataset(sure))
+print("\none-hot-correct dataset:", score_records(sure, registry)[1])
 
 # Dataset reduction defaults to the mean; a plain sum is available, and a
 # clipping floor keeps -log finite when a model assigns a hard zero.
 batch = [confident_right, confident_wrong, ProbRecord(0, (0.0, 0.6, 0.4))]
-print("mean reduction:", xent_dataset(batch))
-print("sum reduction: ", xent_dataset(batch, XentOptions(reduce="sum")))
+m, mean = score_records(batch, registry)
+print("mean reduction:", mean)
+print("sum reduction: ", score_records(batch, registry, XentOptions(reduce="sum"))[1])
 
 # Hardening: highest probability wins, ties break to the lowest class index.
-registry = ClassRegistry(("a", "b", "c"))
-m = harden(batch, registry)
 print("\nhardened matrix, rows = actual:")
 for label, row in zip(registry.labels, m.counts):
     print(f"  {label}: {row}")

@@ -2,8 +2,9 @@
 
 Exit codes are a stable scripting contract: 0 success, 2 input error
 (unreadable or malformed data), 3 usage error (bad flags or arguments), 4
-output error (stdout cannot be written). Output is deterministic for identical
-inputs and flags; set CLFMETRICS_NO_COLOR to disable ANSI styling on terminals.
+output error (stdout cannot be written), 130 interrupted (SIGINT, as by
+Ctrl-C), with nothing printed. Output is deterministic for identical inputs
+and flags; set CLFMETRICS_NO_COLOR to disable ANSI styling on terminals.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_USAGE = 3
 EXIT_OUTPUT = 4
+EXIT_INTERRUPT = 130
 
 _DELIMITERS = {"comma": ",", "tab": "\t"}
 
@@ -145,31 +147,34 @@ def _say(text: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-
     try:
-        options = XentOptions(epsilon=args.epsilon, reduce=args.reduce)
-    except ValueError as exc:
-        _say(f"clfmetrics: error: {exc}\n")
-        return EXIT_USAGE
+        args = _build_parser().parse_args(argv)
 
-    if args.command == "evaluate":
-        sides = [("", args.path, args.kind)]
-    else:
-        sides = [("side A: ", args.path_a, args.kind), ("side B: ", args.path_b, args.kind_b or args.kind)]
-    reports = []
-    for tag, path, kind in sides:
         try:
-            reports.append(_evaluate_one(path, kind, args, options))
-        except (IngestError, OSError, ValueError) as exc:
-            _say(f"clfmetrics: error: {tag}{exc}\n")
-            return EXIT_INPUT
+            options = XentOptions(epsilon=args.epsilon, reduce=args.reduce)
+        except ValueError as exc:
+            _say(f"clfmetrics: error: {exc}\n")
+            return EXIT_USAGE
 
-    if args.command == "evaluate":
-        payload = format_report(reports[0], args.format)
-    else:
-        payload = format_comparison(compare_reports(*reports), args.format, color=color_enabled())
-    return _write(payload)
+        if args.command == "evaluate":
+            sides = [("", args.path, args.kind)]
+        else:
+            sides = [("side A: ", args.path_a, args.kind), ("side B: ", args.path_b, args.kind_b or args.kind)]
+        reports = []
+        for tag, path, kind in sides:
+            try:
+                reports.append(_evaluate_one(path, kind, args, options))
+            except (IngestError, OSError, ValueError) as exc:
+                _say(f"clfmetrics: error: {tag}{exc}\n")
+                return EXIT_INPUT
+
+        if args.command == "evaluate":
+            payload = format_report(reports[0], args.format)
+        else:
+            payload = format_comparison(compare_reports(*reports), args.format, color=color_enabled())
+        return _write(payload)
+    except KeyboardInterrupt:  # a forked half, if any, is already killed and reaped
+        return EXIT_INTERRUPT
 
 
 if __name__ == "__main__":

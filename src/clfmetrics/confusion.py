@@ -1,8 +1,11 @@
-"""Confusion-matrix data model: construction, marginals, one-vs-rest tiles, merging.
+"""Confusion-matrix data model: construction, marginals, one-vs-rest tiles, merging with +.
 
 Orientation is fixed throughout the package: rows are the actual (true)
 classes, columns are the predicted classes. Counts are plain Python ints,
 so tallies and every marginal stay exact no matter how large they grow.
+
+a + b sums two tallies over one registry; the marginals are the public
+row_totals and col_totals tuples.
 """
 
 from __future__ import annotations
@@ -148,17 +151,10 @@ class ConfusionMatrix:
     def k(self) -> int:
         return self.registry.k
 
-    def row_total(self, i: int) -> int:
-        self._check_index(i)
-        return self.row_totals[i]
-
-    def col_total(self, j: int) -> int:
-        self._check_index(j)
-        return self.col_totals[j]
-
     def one_vs_rest(self, k: int) -> OneVsRest:
-        """Collapse the matrix to the four tiles seen from reference class k."""
-        self._check_index(k)
+        """Collapse the matrix to the four tiles seen from reference class k, an index in 0..K-1."""
+        if not 0 <= k < self.k:
+            raise ClassOutOfRangeError(f"class index {k} out of range for K={self.k}")
         tp = self.cells.get((k, k), 0)
         fp = self.col_totals[k] - tp
         fn = self.row_totals[k] - tp
@@ -180,11 +176,16 @@ class ConfusionMatrix:
         return ConfusionMatrix(self.registry, {cell: n * factor for cell, n in self.cells.items()})
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return merge(self, other)
+        """Elementwise sum of two matrices sharing an identical registry.
 
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.k:
-            raise ClassOutOfRangeError(f"class index {i} out of range for K={self.k}")
+        Associative and commutative, with the zero matrix as identity; this is
+        the combine step for parallel or chunked ingestion.
+        """
+        if not isinstance(other, ConfusionMatrix):
+            return NotImplemented
+        if self.registry != other.registry:
+            raise RegistryMismatchError(f"registries differ: {self.registry.labels!r} vs {other.registry.labels!r}")
+        return ConfusionMatrix(self.registry, Counter(self.cells) + Counter(other.cells))
 
 
 def from_pairs(
@@ -219,21 +220,3 @@ def from_tally(
         registry = ClassRegistry(tuple(sorted({label for pair in tally for label in pair})))
     index = registry.index  # first-seen order: the first bad pair raises
     return ConfusionMatrix(registry, {(index(actual), index(pred)): n for (actual, pred), n in tally.items()})
-
-
-def one_vs_rest(m: ConfusionMatrix, k: int) -> OneVsRest:
-    """TP/FP/FN/TN tiles of matrix m for reference class index k."""
-    return m.one_vs_rest(k)
-
-
-def merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:
-    """Elementwise sum of two matrices sharing an identical registry.
-
-    Associative and commutative, with the zero matrix as identity; this is
-    the combine step for parallel or chunked ingestion.
-    """
-    if a.registry != b.registry:
-        raise RegistryMismatchError(
-            f"registries differ: {a.registry.labels!r} vs {b.registry.labels!r}"
-        )
-    return ConfusionMatrix(a.registry, Counter(a.cells) + Counter(b.cells))

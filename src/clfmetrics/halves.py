@@ -91,11 +91,14 @@ def _fork_halves(
 ) -> Scores:
     """Score the first byte range here and the second in a forked child; the merged scores."""
     read_end, write_end = os.pipe()
+    # SIGINT is held over the fork: the child never takes it, and the parent only in the try that ends the child.
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
     try:
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         raise
     if pid == 0:  # the child: it leaves only through os._exit, whatever happens
         code = 1
@@ -111,6 +114,7 @@ def _fork_halves(
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
             tally, total, count = _score_steps(_range_steps(fd, *first), registry, delimiter, epsilon)
             reply = pipe.read()
     except BaseException:

@@ -11,6 +11,10 @@ Matrix files:      header ``,<class1>,...,<classK>``, then row i as
 Probability and matrix headers share one reader and its rules: a first cell,
 then at least 2 class names, none empty and none repeated.
 
+One entry per job: tally_labels, score_probs and read_matrix read the three
+shapes, read_weights class weights. stream_labels yields a label file's pairs
+row by row: the reference tally_labels agrees with, and its fallback.
+
 Every reader takes UTF-8 text (LF or CRLF, with or without a byte-order
 mark), and every error carries the 1-based line number it was raised on,
 save a byte that is not UTF-8 in input that cannot be read twice, such as a
@@ -31,7 +35,6 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import starmap
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .confusion import ClassRegistry, ConfusionMatrix, UnknownLabelError, from_pairs, from_tally
@@ -182,13 +185,6 @@ def _label_pair(row: list[str], line: int | None) -> tuple[str, str]:
     return actual, predicted
 
 
-def read_labels(
-    path: str, *, delimiter: str = ",", has_header: bool = False
-) -> list[tuple[str, str]]:
-    """Read a label file into a list of (actual, predicted) pairs, in file order."""
-    return list(stream_labels(path, delimiter=delimiter, has_header=has_header))
-
-
 def _read_header(rows: Iterator[tuple[int, list[str]]]) -> tuple[int, ClassRegistry]:
     """The line and classes of a probability or matrix header: a first cell, then 2 or more distinct names."""
     try:
@@ -243,20 +239,6 @@ def _prob_rows(
         yield true, probs
 
 
-def stream_probs(path: str, *, delimiter: str = ",") -> tuple[ClassRegistry, Iterator[ProbRecord]]:
-    """Open a probability file: the header registry plus a lazy record stream.
-
-    The stream reads the file once and holds one record at a time, so
-    hardening and cross-entropy run in memory bounded by the distinct (actual,
-    predicted) pairs, not by N. Each row is parsed and vetted once, by the row
-    loop score_probs also runs, before it becomes a ProbRecord; its errors
-    carry the line and the first bad field's column.
-    """
-    rows = _open_rows(path, delimiter)
-    registry = _read_header(rows)[1]
-    return registry, starmap(ProbRecord._from_checked, _prob_rows(rows, registry))
-
-
 def score_probs(
     path: str, *, delimiter: str = ",", options: XentOptions = XentOptions()
 ) -> tuple[ConfusionMatrix, float]:
@@ -287,12 +269,6 @@ def score_probs(
     rows = _open_rows(path, delimiter)
     registry = _read_header(rows)[1]
     return score_tally(registry, score_pairs(_prob_rows(rows, registry), options.epsilon), options)
-
-
-def read_probs(path: str, *, delimiter: str = ",") -> tuple[ClassRegistry, list[ProbRecord]]:
-    """Read a probability file eagerly: (registry, records)."""
-    registry, records = stream_probs(path, delimiter=delimiter)
-    return registry, list(records)
 
 
 def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:

@@ -230,7 +230,7 @@ def _mean_of(
 
 
 def balanced_accuracy(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
-    """Unweighted mean of per-class recalls."""
+    """Unweighted mean of per-class recalls: also the macro recall, which the report lists as macro_recall."""
     return _mean_of(per_class(m).recall, lenient)[0]
 
 
@@ -252,13 +252,8 @@ def macro_precision(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
     return _mean_of(per_class(m).precision, lenient)[0]
 
 
-def macro_recall(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
-    """Unweighted mean of per-class recalls via the one-vs-rest breakdown."""
-    return _mean_of(per_class(m).recall, lenient)[0]
-
-
 def macro_f1(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
-    """Harmonic mean of macro precision and macro recall."""
+    """Harmonic mean of macro precision and macro recall (balanced_accuracy)."""
     breakdown = per_class(m)
     return harmonic_f1(_mean_of(breakdown.precision, lenient)[0], _mean_of(breakdown.recall, lenient)[0])
 

@@ -4,6 +4,9 @@ Cross-entropy is computed straight from the per-unit probability vectors and
 never touches the confusion matrix; it looks only at the probability assigned
 to the unit's true class. Hardening applies the highest-probability rule to
 bridge probability outputs into the confusion-matrix world.
+
+score_records scores records in memory and ingest.score_probs a file: both
+run score_pairs, one pass that hardens and sums, then score_tally.
 """
 
 from __future__ import annotations
@@ -63,14 +66,6 @@ class ProbRecord:
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOLERANCE:
             raise InvalidRecordError(f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOLERANCE}")
-
-    @classmethod
-    def _from_checked(cls, true_class: int, probs: tuple[float, ...]) -> ProbRecord:
-        """A record of a float vector that check_probs passed, with a true class in range: not checked again."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "true_class", true_class)
-        object.__setattr__(record, "probs", probs)
-        return record
 
     def __post_init__(self) -> None:
         probs = tuple(map(float, self.probs))
@@ -158,45 +153,30 @@ def round_steps(total: int) -> float:
     return float(Fraction(total, 1 << 1074))
 
 
-def _one_pass(records: Iterable[ProbRecord], registry: ClassRegistry | None, options: XentOptions) -> Scores:
-    """score_pairs over records that must all have the registry's width, or, without one, the first record's."""
-    width = registry.k if registry is not None else None
+def score_records(
+    records: Iterable[ProbRecord], registry: ClassRegistry, options: XentOptions = _DEFAULT_OPTIONS
+) -> tuple[ConfusionMatrix, float]:
+    """The hardened matrix and the dataset cross-entropy (exactly rounded, so order-free) of records read once."""
+    k = registry.k
 
     def pairs() -> Iterator[tuple[int, tuple[float, ...]]]:
-        nonlocal width
         for record in records:
-            if len(record.probs) != width:
-                if width is not None:
-                    raise MixedDimensionsError(f"record has {record.k} classes, expected {width}")
-                width = record.k
+            if len(record.probs) != k:  # every record has the registry's width
+                raise MixedDimensionsError(f"record has {record.k} classes, expected {k}")
             yield record.true_class, record.probs
 
-    return score_pairs(pairs(), options.epsilon)
+    return score_tally(registry, score_pairs(pairs(), options.epsilon), options)
 
 
 def score_tally(
     registry: ClassRegistry, scores: Scores, options: XentOptions = _DEFAULT_OPTIONS
 ) -> tuple[ConfusionMatrix, float]:
-    """The hardened matrix and the dataset cross-entropy of a score_pairs result."""
+    """The hardened matrix and the dataset cross-entropy of a score_pairs result; EmptyDatasetError for zero units."""
     tally, total, count = scores
-    return ConfusionMatrix(registry, tally), _reduce(total, count, options)
-
-
-def _reduce(total: int, count: int, options: XentOptions) -> float:
     if count == 0:
         raise EmptyDatasetError("cross-entropy over zero records")
     cross_entropy = round_steps(total)
-    return cross_entropy / count if options.reduce == "mean" else cross_entropy
-
-
-def xent_dataset(records: Iterable[ProbRecord], options: XentOptions = _DEFAULT_OPTIONS) -> float:
-    """Cross-entropy over a dataset: mean of the per-unit values (or their plain sum).
-
-    Consumes the records as a stream in one pass. Summation is exactly
-    rounded, as by math.fsum, so the result does not depend on record order.
-    """
-    _, total, count = _one_pass(records, None, options)
-    return _reduce(total, count, options)
+    return ConfusionMatrix(registry, tally), cross_entropy / count if options.reduce == "mean" else cross_entropy
 
 
 def argmax_rule(probs: Sequence[float]) -> int:
@@ -206,13 +186,3 @@ def argmax_rule(probs: Sequence[float]) -> int:
     return probs.index(max(probs))
 
 
-def harden(records: Iterable[ProbRecord], registry: ClassRegistry) -> ConfusionMatrix:
-    """Apply the highest-probability rule to every record and tally the matrix."""
-    return ConfusionMatrix(registry, _one_pass(records, registry, _DEFAULT_OPTIONS)[0])
-
-
-def score_records(
-    records: Iterable[ProbRecord], registry: ClassRegistry, options: XentOptions = _DEFAULT_OPTIONS
-) -> tuple[ConfusionMatrix, float]:
-    """The hardened matrix and the dataset cross-entropy of one record stream, read once."""
-    return score_tally(registry, _one_pass(records, registry, options), options)

@@ -1,4 +1,6 @@
+import pprint
 import random
+import sys
 
 import pytest
 
@@ -54,3 +56,39 @@ def all_2x2_grids(max_entry: int = 6):
             for c in values:
                 for d in values:
                     yield ConfusionMatrix.from_grid(("x", "y"), ((a, b), (c, d)))
+
+
+def assert_equal_short_diff(actual, expected, what="values"):
+    """assert actual == expected, naming only the first line at which their texts differ.
+
+    On a failed `==` of two ~1 MB reports pytest's assertion rewriting diffs
+    them whole, which takes tens of seconds. Strings are compared as they are,
+    bytes decoded as UTF-8 and anything else through pprint.pformat, with
+    ints of any length written out.
+    """
+    if actual == expected:
+        return
+    texts = []
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python 3.11 and later cap str(int)
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for value in (actual, expected):
+            if isinstance(value, bytes):
+                value = value.decode("utf-8", errors="backslashreplace")
+            texts.append(value if isinstance(value, str) else pprint.pformat(value))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    if texts[0] == texts[1]:
+        pytest.fail(f"{what} differ, but their texts are equal", pytrace=False)
+    ours, theirs = (text.splitlines(keepends=True) for text in texts)
+    line = next((n for n, (a, b) in enumerate(zip(ours, theirs)) if a != b), min(len(ours), len(theirs)))
+    a, b = (lines[line] if line < len(lines) else "<end of text>" for lines in (ours, theirs))
+    column = next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    start = max(0, column - 60)
+    pytest.fail(
+        f"{what} differ ({len(ours)} against {len(theirs)} lines); first at line {line + 1}, column {column + 1}:\n"
+        f"  actual:   {a[start : column + 60]!r}\n  expected: {b[start : column + 60]!r}",
+        pytrace=False,
+    )

@@ -30,9 +30,9 @@ from clfmetrics import (
     mcc_multiclass,
     micro_f1,
     per_class,
-    read_probs,
     render_text,
-    xent_dataset,
+    score_probs,
+    score_records,
     xent_unit,
 )
 from conftest import FOUR_CLASS_GRID, all_2x2_grids, random_matrix
@@ -197,13 +197,13 @@ def test_09_correlation_and_agreement_structure():
 
 def test_10_cross_entropy_suite(tmp_path):
     with criterion(10, "cross-entropy: zero at certainty, -ln 0.4 value, true-column dependence, order-free"):
-        from clfmetrics import ProbRecord
+        from clfmetrics import ClassRegistry, ProbRecord
 
         one_hot = [
             ProbRecord(i % 3, tuple(1.0 if j == i % 3 else 0.0 for j in range(3)))
             for i in range(12)
         ]
-        assert xent_dataset(one_hot) == 0.0
+        assert score_records(one_hot, ClassRegistry(("a", "b", "c")))[1] == 0.0
 
         r = ProbRecord(2, (0.35, 0.25, 0.4))
         assert abs(xent_unit(r) - 0.916290731874155) < 1e-12  # ln 2 - ln 5, frozen
@@ -211,23 +211,22 @@ def test_10_cross_entropy_suite(tmp_path):
         # two files that agree on every true-class probability, differ elsewhere
         file_a = tmp_path / "a.csv"
         file_b = tmp_path / "b.csv"
-        file_a.write_text(
-            "actual,a,b,c\na,0.5,0.2,0.3\nb,0.3,0.4,0.3\nc,0.1,0.3,0.6\n",
-            encoding="utf-8",
-        )
+        rows_a = ["a,0.5,0.2,0.3\n", "b,0.3,0.4,0.3\n", "c,0.1,0.3,0.6\n"]
+        file_a.write_text("actual,a,b,c\n" + "".join(rows_a), encoding="utf-8")
         file_b.write_text(
             "actual,a,b,c\na,0.5,0.4,0.1\nb,0.6,0.4,0.0\nc,0.2,0.2,0.6\n",
             encoding="utf-8",
         )
-        _, records_a = read_probs(str(file_a))
-        _, records_b = read_probs(str(file_b))
-        assert xent_dataset(records_a) == xent_dataset(records_b)
+        xent_a = score_probs(str(file_a))[1]
+        assert xent_a == score_probs(str(file_b))[1]
 
         rng = random.Random(110)
-        shuffled = records_a[:]
+        shuffled = rows_a[:]
+        file_s = tmp_path / "shuffled.csv"
         for _ in range(10):
             rng.shuffle(shuffled)
-            assert abs(xent_dataset(shuffled) - xent_dataset(records_a)) < 1e-12
+            file_s.write_text("actual,a,b,c\n" + "".join(shuffled), encoding="utf-8")
+            assert abs(score_probs(str(file_s))[1] - xent_a) < 1e-12
 
 
 def test_11_shuffled_predictions_average_to_chance():

@@ -8,8 +8,11 @@ import math
 import os
 import random
 import re
+import signal
+import struct
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from fractions import Fraction
 from unittest import mock
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 import clfmetrics
 from clfmetrics import evaluate, halves, parse_json, read_matrix, render_json
 from clfmetrics.cli import main
+from conftest import assert_equal_short_diff
 
 FOUR_CLASS_CSV = ",a,b,c,d\na,6,1,1,1\nb,2,9,2,1\nc,1,1,10,1\nd,2,1,1,12\n"
 PROBS_CSV = "actual,a,b,c\na,0.7,0.2,0.1\nb,0.1,0.8,0.1\nc,0.3,0.3,0.4\nb,0.5,0.4,0.1\n"
@@ -328,7 +332,7 @@ class TestLargeK:
         assert main(["evaluate", "--kind", "matrix", "--format", "json", matrix_file]) == 0
         out = capsys.readouterr().out
         assert expected.metric("macro_f1").unwrap().denominator.bit_length() > 20_000
-        assert parse_json(out) == expected
+        assert_equal_short_diff(parse_json(out), expected)
 
     def test_text_abbreviates_only_the_longest_rationals(self, matrix_file, expected, capsys):
         assert main(["evaluate", "--kind", "matrix", matrix_file]) == 0
@@ -358,8 +362,45 @@ def test_json_reports_at_k2000_are_the_standard_layout_and_round_trip(tmp_path):
         assert (result.returncode, result.stderr) == (0, b""), command
         outs[command] = out = result.stdout.decode("utf-8")
         # The standard library's encoder is the reference, independent of the package's writer.
-        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=True) + "\n", command
-    assert render_json(parse_json(outs["evaluate"])) == outs["evaluate"]
+        standard = json.dumps(json.loads(out), indent=2, ensure_ascii=True) + "\n"
+        assert_equal_short_diff(out, standard, f"{command} reports")
+    assert_equal_short_diff(render_json(parse_json(outs["evaluate"])), outs["evaluate"])
+
+
+def label_parity_files():
+    """name -> a label file with a header, written with a byte-order mark: about 1 MB, or 1.2 MB all distinct."""
+    rng = random.Random(11)
+    names = [f"c{i}" for i in range(10)]
+    rows = []
+    for i in range(150_000):  # two classes first appear in the last rows
+        pool = names + ["late1", "late2"] if i > 149_000 else names
+        rows.append(rng.choice(pool) + "," + rng.choice(pool) + ("\r\n" if i % 3 else "\n") + "\n" * (i % 97 == 0))
+    bodies = {
+        "labels": rows,
+        "quoted": ['"' + row.rstrip("\r\n").replace(",", '","') + '"' + row[len(row.rstrip("\r\n")) :] for row in rows],
+        "distinct": [f"c{i % 1000},c{(i // 1000 + i) % 1000}\n" for i in range(100_000)],
+        "bad": rows[:-5] + ["c1,c2,c3\n"] + rows[-5:],
+    }
+    return {name: ("\ufeffactual,predicted\r\n" + "".join(body)).encode() for name, body in bodies.items()}
+
+
+def test_a_label_file_tallied_by_distinct_line_reads_as_the_row_by_row_pipe_run(tmp_path):
+    """Redirected from a file, /dev/stdin is a regular file and is tallied by distinct line; through a pipe it is read
+    row by row. Both runs give the same stdout, stderr and exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+    argv = [sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "labels", "--has-header", "--format", "json"]
+    argv.append("/dev/stdin")
+    codes = {}
+    for name, data in label_parity_files().items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        with open(path, "rb") as stdin:
+            from_file = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=120)
+        through_pipe = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=120)
+        assert_equal_short_diff(from_file.stdout, through_pipe.stdout, f"{name} stdouts")
+        assert (from_file.stderr, from_file.returncode) == (through_pipe.stderr, through_pipe.returncode), name
+        codes[name] = from_file.returncode
+    assert codes == {"labels": 0, "quoted": 0, "distinct": 0, "bad": 2}
 
 
 class TestLargeKMemory:
@@ -462,6 +503,33 @@ class TestOutputFaults:
         argv = ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "labels", "missing.csv"]
         result = self.run(argv, cwd=tmp_path, stdout=subprocess.PIPE)
         assert (result.returncode, result.stdout, result.stderr) == (2, b"", b"")
+
+
+class TestInterrupt:
+    """SIGINT, as a terminal's Ctrl-C sends it to the foreground process group, exits 130 and prints nothing.
+
+    Each run starts in a session of its own, so the signal goes to its process group alone.
+    """
+
+    def test_a_run_blocked_on_a_held_open_pipe(self):
+        fcntl, termios = pytest.importorskip("fcntl"), pytest.importorskip("termios")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+        argv = [sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "labels", "/dev/stdin"]
+        pipes = {"stdin": subprocess.PIPE, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with subprocess.Popen(argv, env=env, start_new_session=True, **pipes) as cli:
+            try:
+                cli.stdin.write(b"a,a\nb,b\n")
+                cli.stdin.flush()
+                # Once the rows have left the pipe the tool is reading them in main, and then waits for more.
+                deadline = time.monotonic() + 60
+                while struct.unpack("i", fcntl.ioctl(cli.stdin, termios.FIONREAD, bytes(4)))[0]:
+                    assert time.monotonic() < deadline, "the tool never read its input"
+                    time.sleep(0.01)
+                os.killpg(cli.pid, signal.SIGINT)
+                code = cli.wait(timeout=60)
+            finally:
+                cli.kill()
+            assert (code, cli.stdout.read(), cli.stderr.read()) == (130, b"", b"")
 
 
 CSV_BYTES = st.one_of(

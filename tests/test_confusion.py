@@ -13,8 +13,6 @@ from clfmetrics import (
     RegistryMismatchError,
     UnknownLabelError,
     from_pairs,
-    merge,
-    one_vs_rest,
 )
 from clfmetrics.confusion import from_tally
 from conftest import FOUR_CLASS_GRID, random_matrix
@@ -154,15 +152,15 @@ class TestMatrixValidation:
 
     def test_marginals(self, four_class_matrix):
         m = four_class_matrix
-        assert m.row_total(1) == 14
-        assert m.col_total(0) == 11
+        assert m.row_totals[1] == 14
+        assert m.col_totals[0] == 11
         assert sum(m.row_totals) == sum(m.col_totals) == m.grand_total == 52
         assert m.trace == 37
 
 
 class TestOneVsRest:
     def test_binary_example_reference_class(self, binary_matrix):
-        o = one_vs_rest(binary_matrix, 0)
+        o = binary_matrix.one_vs_rest(0)
         assert (o.tp, o.fp, o.fn, o.tn) == (20, 10, 5, 17)
 
     def test_perfect_diagonal_has_no_errors(self):
@@ -179,8 +177,8 @@ class TestOneVsRest:
                 o = m.one_vs_rest(k)
                 assert o.total == m.grand_total
                 assert o.tp == m.counts[k][k]
-                assert o.fp == m.col_total(k) - o.tp
-                assert o.fn == m.row_total(k) - o.tp
+                assert o.fp == m.col_totals[k] - o.tp
+                assert o.fn == m.row_totals[k] - o.tp
 
     def test_index_out_of_range(self, binary_matrix):
         with pytest.raises(ClassOutOfRangeError):
@@ -192,27 +190,27 @@ class TestOneVsRest:
 class TestMerge:
     def test_zero_matrix_is_identity(self, four_class_matrix):
         zero = ConfusionMatrix.zeros(four_class_matrix.registry)
-        assert merge(four_class_matrix, zero) == four_class_matrix
         assert four_class_matrix + zero == four_class_matrix
+        assert zero + four_class_matrix == four_class_matrix
 
     def test_merge_matches_single_pass_tally(self):
         p1 = [("a", "a"), ("a", "b"), ("b", "b")]
         p2 = [("b", "a"), ("a", "a"), ("b", "b")]
         reg = ClassRegistry(("a", "b"))
-        merged = merge(from_pairs(p1, reg), from_pairs(p2, reg))
+        merged = from_pairs(p1, reg) + from_pairs(p2, reg)
         assert merged == from_pairs(p1 + p2, reg)
 
     def test_commutative(self):
         rng = random.Random(3)
         a = random_matrix(rng, 3)
         b = ConfusionMatrix(a.registry, random_matrix(rng, 3).counts)
-        assert merge(a, b) == merge(b, a)
+        assert a + b == b + a
 
     def test_marginals_are_conserved(self):
         rng = random.Random(4)
         a = random_matrix(rng, 4)
         b = ConfusionMatrix(a.registry, random_matrix(rng, 4).counts)
-        c = merge(a, b)
+        c = a + b
         assert c.row_totals == tuple(x + y for x, y in zip(a.row_totals, b.row_totals))
         assert c.col_totals == tuple(x + y for x, y in zip(a.col_totals, b.col_totals))
         assert c.grand_total == a.grand_total + b.grand_total
@@ -221,7 +219,14 @@ class TestMerge:
         a = from_pairs([("a", "b"), ("b", "a")])
         b = from_pairs([("x", "y"), ("y", "x")])
         with pytest.raises(RegistryMismatchError):
-            merge(a, b)
+            a + b
+
+    @pytest.mark.parametrize("other", [1, 0, None, {(0, 0): 1}])
+    def test_a_non_matrix_operand_is_a_type_error(self, four_class_matrix, other):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            four_class_matrix + other
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other + four_class_matrix
 
 
 class TestPermutation:

@@ -19,14 +19,14 @@ from clfmetrics import (
     ProbRecord,
     ProbSumOutOfToleranceError,
     UnknownActualLabelError,
+    XentOptions,
     from_pairs,
-    read_labels,
     read_matrix,
-    read_probs,
     read_weights,
+    score_probs,
     stream_labels,
-    stream_probs,
     tally_labels,
+    xent_unit,
 )
 
 
@@ -56,14 +56,14 @@ class TestReadLabels:
 
     def test_three_rows_no_header(self, tmp_path):
         path = write(tmp_path, "l.csv", "a,a\na,b\nb,b\n")
-        assert read_labels(path) == [("a", "a"), ("a", "b"), ("b", "b")]
+        assert list(stream_labels(path)) == [("a", "a"), ("a", "b"), ("b", "b")]
         assert_tally_matches_stream(path)
 
     def test_header_skipped_when_requested(self, tmp_path):
         path = write(tmp_path, "l.csv", "actual,predicted\na,a\n")
-        assert read_labels(path, has_header=True) == [("a", "a")]
+        assert list(stream_labels(path, has_header=True)) == [("a", "a")]
         # without the flag the header row is data
-        assert read_labels(path)[0] == ("actual", "predicted")
+        assert list(stream_labels(path))[0] == ("actual", "predicted")
         assert_tally_matches_stream(path)
         assert_tally_matches_stream(path, has_header=True)  # one class left: the same error
         path = write(tmp_path, "l2.csv", "actual,predicted\na,a\nb,a\n")
@@ -72,7 +72,7 @@ class TestReadLabels:
     def test_three_fields_is_a_parse_error_with_line(self, tmp_path):
         path = write(tmp_path, "l.csv", "a,a\na,b,c\n")
         with pytest.raises(ParseError) as err:
-            read_labels(path)
+            list(stream_labels(path))
         assert err.value.line == 2
         assert "2 fields" in str(err.value)
         assert_tally_matches_stream(path)
@@ -80,25 +80,25 @@ class TestReadLabels:
     def test_empty_label_reports_line_and_column(self, tmp_path):
         path = write(tmp_path, "l.csv", "a,a\n,b\n")
         with pytest.raises(EmptyLabelError) as err:
-            read_labels(path)
+            list(stream_labels(path))
         assert err.value.line == 2
         assert err.value.column == 1
         assert_tally_matches_stream(path)
 
     def test_tab_delimiter(self, tmp_path):
         path = write(tmp_path, "l.tsv", "a\tb\nb\tb\n")
-        assert read_labels(path, delimiter="\t") == [("a", "b"), ("b", "b")]
+        assert list(stream_labels(path, delimiter="\t")) == [("a", "b"), ("b", "b")]
         assert_tally_matches_stream(path, delimiter="\t")
 
     def test_crlf_endings(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_bytes(b"a,a\r\nb,b\r\n")
-        assert read_labels(str(path)) == [("a", "a"), ("b", "b")]
+        assert list(stream_labels(str(path))) == [("a", "a"), ("b", "b")]
         assert_tally_matches_stream(str(path))
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write(tmp_path, "l.csv", "a,a\n\nb,b\n")
-        assert len(read_labels(path)) == 2
+        assert len(list(stream_labels(path))) == 2
         assert_tally_matches_stream(path)
 
     def test_stream_is_lazy(self, tmp_path):
@@ -205,7 +205,7 @@ class TestTallyLabels:
         path = tmp_path / "l.csv"
         path.write_bytes(("\nh,h\n" + rows + "\nlate,arrival").encode())
         m = tally_labels(str(path), has_header=has_header)
-        assert m == from_pairs(read_labels(str(path), has_header=has_header))
+        assert m == from_pairs(stream_labels(str(path), has_header=has_header))
         assert m.grand_total == 60_001 + (not has_header)
         assert "arrival" in m.registry
         # A field that spans lines, quoted far past the first 16K characters the tally checks for quotes;
@@ -247,7 +247,7 @@ HEADER_FAULTS = {  # file text: the line, message and column of its ParseError
 }
 
 
-@pytest.mark.parametrize("read", [read_probs, read_matrix])
+@pytest.mark.parametrize("read", [score_probs, read_matrix], ids=["read_probs", "read_matrix"])
 @pytest.mark.parametrize("case", HEADER_FAULTS)
 def test_probability_and_matrix_headers_share_one_set_of_rules(tmp_path, read, case):
     text, (line, message, column) = HEADER_FAULTS[case]
@@ -260,76 +260,75 @@ def test_probability_and_matrix_headers_share_one_set_of_rules(tmp_path, read, c
 class TestReadProbs:
     def test_header_fixes_registry_and_order(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,b,c\nb,0.2,0.5,0.3\n")
-        registry, records = read_probs(path)
-        assert registry.labels == ("a", "b", "c")
-        assert records[0].true_class == 1
-        assert records[0].probs == (0.2, 0.5, 0.3)
-        assert records == [ProbRecord(1, ("0.2", "0.5", "0.3"))]
+        matrix, xent = score_probs(path)
+        assert matrix.registry.labels == ("a", "b", "c")
+        assert matrix.cells == {(1, 1): 1}  # true class b, and the highest probability is b's
+        assert xent == xent_unit(ProbRecord(1, ("0.2", "0.5", "0.3")))
 
     def test_sum_out_of_tolerance(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,b\na,0.4,0.5\n")
         with pytest.raises(ProbSumOutOfToleranceError) as err:
-            read_probs(path)
+            score_probs(path)
         assert err.value.line == 2
         assert abs(err.value.total - 0.9) < 1e-12
 
     def test_unknown_actual_label(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,b\nz,0.5,0.5\n")
         with pytest.raises(UnknownActualLabelError) as err:
-            read_probs(path)
+            score_probs(path)
         assert err.value.line == 2
 
     def test_duplicate_class_columns_rejected(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,a\na,0.5,0.5\n")
         with pytest.raises(ParseError, match="duplicate"):
-            read_probs(path)
+            score_probs(path)
 
     def test_bad_float_reports_column(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,b\na,0.5,oops\n")
         with pytest.raises(ParseError) as err:
-            read_probs(path)
+            score_probs(path)
         assert err.value.line == 2
         assert err.value.column == 3
 
     def test_probability_out_of_range(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,b\na,1.2,-0.2\n")
         with pytest.raises(ParseError, match=r"outside \[0, 1\]"):
-            read_probs(path)
+            score_probs(path)
 
     def test_out_of_range_reports_line_and_column(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,b\na,1.2,-0.2\n")
         with pytest.raises(ParseError) as err:
-            read_probs(path)
+            score_probs(path)
         assert (err.value.line, err.value.column) == (2, 2)
 
     def test_first_bad_field_in_the_row_is_reported(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,b,c\na,0.5,0.5,0.0\nb,nan,1.2,oops\n")
         with pytest.raises(ParseError, match=r"nan outside \[0, 1\]") as err:
-            read_probs(path)
+            score_probs(path)
         assert (err.value.line, err.value.column) == (3, 2)
 
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, "p.csv", "")
         with pytest.raises(ParseError, match="header"):
-            read_probs(path)
+            score_probs(path)
 
     def test_too_few_columns(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a\na,1.0\n")
         with pytest.raises(ParseError):
-            read_probs(path)
+            score_probs(path)
 
     def test_row_width_must_match_header(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,b\na,0.5,0.3,0.2\n")
         with pytest.raises(ParseError) as err:
-            read_probs(path)
+            score_probs(path)
         assert err.value.line == 2
 
     def test_stream_is_lazy(self, tmp_path):
         path = write(tmp_path, "p.csv", "actual,a,b\na,1.0,0.0\nb,0.5,0.5\n")
-        registry, records = stream_probs(path)
-        assert registry.k == 2
-        first = next(records)
-        assert first.true_class == 0
+        matrix, xent = score_probs(path, options=XentOptions(reduce="sum"))
+        assert matrix.k == 2
+        assert matrix.cells == {(0, 0): 1, (1, 0): 1}
+        assert xent == xent_unit(ProbRecord(1, (0.5, 0.5)))
 
 
 class TestReadMatrix:
@@ -475,7 +474,7 @@ class TestOversizedField:
     def test_field_over_the_csv_limit_is_a_parse_error_with_line(self, tmp_path):
         path = write(tmp_path, "l.csv", "a,a\nb," + "x" * 200_000 + "\n")
         with pytest.raises(ParseError, match="field larger than field limit") as err:
-            read_labels(path)
+            list(stream_labels(path))
         assert err.value.line == 2
 
 
@@ -483,7 +482,7 @@ class TestByteOrderMark:
     def test_label_file_bom_is_not_part_of_the_first_label(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_bytes(b"\xef\xbb\xbfa,a\nb,b\na,b\n")
-        assert read_labels(str(path)) == [("a", "a"), ("b", "b"), ("a", "b")]
+        assert list(stream_labels(str(path))) == [("a", "a"), ("b", "b"), ("a", "b")]
         assert tally_labels(str(path)).registry.labels == ("a", "b")
 
     def test_weights_file_bom_is_not_part_of_the_first_class(self, tmp_path):
@@ -500,11 +499,12 @@ UNDECODABLE_FILES = {
         30_002, "0xff (invalid start byte)",
     ),
     "labels_stream": (
-        read_labels, "é,b\n".encode() * 30_000 + b"\xe9,b\n", {}, 30_001, "0xe9 (invalid continuation byte)"
+        lambda path: list(stream_labels(path)), "é,b\n".encode() * 30_000 + b"\xe9,b\n", {},
+        30_001, "0xe9 (invalid continuation byte)",
     ),
     "labels_ending_inside_a_character": (tally_labels, b"a,b\n" * 3 + b"a,\xc3", {}, 4, "0xc3 (unexpected end of data)"),
     "probs": (
-        read_probs, "actual,é,b\n".encode() + "é,0.5,0.5\n".encode() * 10_000 + b"b,0.5,0.\xff\n", {},
+        score_probs, "actual,é,b\n".encode() + "é,0.5,0.5\n".encode() * 10_000 + b"b,0.5,0.\xff\n", {},
         10_002, "0xff (invalid start byte)",
     ),
     "matrix": (read_matrix, b",a,b\na,1,2\nb,3,\xff\n", {}, 3, "0xff (invalid start byte)"),
@@ -526,7 +526,7 @@ class TestUndecodableBytes:
         "read, data",
         [
             (tally_labels, b"a,a\n" * 5_000 + b"\xff,b\n"),
-            (read_probs, b"actual,a,b\n" + b"a,1,0\n" * 5_000 + b"\xff,0,1\n"),
+            (score_probs, b"actual,a,b\n" + b"a,1,0\n" * 5_000 + b"\xff,0,1\n"),
         ],
         ids=["labels", "probs"],
     )
@@ -539,4 +539,4 @@ class TestRoundTrip:
     def test_label_tally_matches_matrix_file(self, tmp_path):
         labels_path = write(tmp_path, "l.csv", "a,a\na,b\nb,b\nb,b\nb,a\n")
         matrix_path = write(tmp_path, "m.csv", ",a,b\na,1,1\nb,1,2\n")
-        assert from_pairs(read_labels(labels_path)) == read_matrix(matrix_path)
+        assert from_pairs(stream_labels(labels_path)) == read_matrix(matrix_path)

@@ -14,13 +14,12 @@ from clfmetrics import (
     XentOptions,
     accuracy,
     argmax_rule,
-    harden,
     score_records,
-    xent_dataset,
     xent_unit,
 )
 
 MINUS_LN_04 = 0.916290731874155  # ln 2 - ln 5, frozen independently
+AB, ABC, ABCD = ClassRegistry(("a", "b")), ClassRegistry(("a", "b", "c")), ClassRegistry(("a", "b", "c", "d"))
 
 
 class TestProbRecord:
@@ -93,16 +92,16 @@ class TestXentUnit:
 class TestXentDataset:
     def test_identical_records_mean_equals_unit(self):
         r = ProbRecord(1, (0.25, 0.5, 0.25))
-        assert xent_dataset([r] * 7) == xent_unit(r)
+        assert score_records([r] * 7, ABC)[1] == xent_unit(r)
 
     def test_sum_reduction(self):
         r = ProbRecord(1, (0.25, 0.5, 0.25))
         opts = XentOptions(reduce="sum")
-        assert xent_dataset([r] * 4, opts) == pytest.approx(4 * xent_unit(r), abs=1e-12)
+        assert score_records([r] * 4, ABC, opts)[1] == pytest.approx(4 * xent_unit(r), abs=1e-12)
 
     def test_one_hot_correct_dataset_is_zero(self):
         records = [ProbRecord(i % 3, tuple(1.0 if j == i % 3 else 0.0 for j in range(3))) for i in range(9)]
-        assert xent_dataset(records) == 0.0
+        assert score_records(records, ABC)[1] == 0.0
 
     def test_order_independent(self):
         rng = random.Random(37)
@@ -113,20 +112,20 @@ class TestXentDataset:
             records.append(ProbRecord(rng.randrange(4), tuple(x / total for x in raw)))
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert xent_dataset(records) == xent_dataset(shuffled)
+        assert score_records(records, ABCD)[1] == score_records(shuffled, ABCD)[1]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            xent_dataset([])
+            score_records([], AB)
 
     def test_mixed_dimensions_rejected(self):
         records = [ProbRecord(0, (0.5, 0.5)), ProbRecord(0, (0.4, 0.3, 0.3))]
         with pytest.raises(MixedDimensionsError):
-            xent_dataset(records)
+            score_records(records, AB)
 
     def test_consumes_a_stream(self):
         r = ProbRecord(0, (0.7, 0.3))
-        assert xent_dataset(iter([r, r])) == xent_unit(r)
+        assert score_records(iter([r, r]), AB)[1] == xent_unit(r)
 
 
 class TestArgmaxRule:
@@ -151,14 +150,14 @@ class TestHarden:
     def test_one_hot_correct_records_give_diagonal(self):
         reg = ClassRegistry(("a", "b", "c"))
         records = [ProbRecord(i, tuple(1.0 if j == i else 0.0 for j in range(3))) for i in (0, 1, 2, 1)]
-        m = harden(records, reg)
+        m = score_records(records, reg)[0]
         assert m.counts == ((1, 0, 0), (0, 2, 0), (0, 0, 1))
 
     def test_misleading_mass_lands_off_diagonal(self):
         # true class 2 but the rule picks class 6
         reg = ClassRegistry(tuple("abcdefg"))
         probs = [0.05, 0.05, 0.4, 0.0, 0.0, 0.0, 0.5]
-        m = harden([ProbRecord(2, tuple(probs))], reg)
+        m = score_records([ProbRecord(2, tuple(probs))], reg)[0]
         assert m.counts[2][6] == 1
         assert m.grand_total == 1
 
@@ -170,7 +169,7 @@ class TestHarden:
             raw = [rng.random() for _ in range(3)]
             total = sum(raw)
             records.append(ProbRecord(rng.randrange(3), tuple(x / total for x in raw)))
-        assert harden(records, reg).grand_total == 50
+        assert score_records(records, reg)[0].grand_total == 50
 
     def test_hardened_accuracy_counts_argmax_hits(self):
         rng = random.Random(43)
@@ -181,7 +180,7 @@ class TestHarden:
             total = sum(raw)
             records.append(ProbRecord(rng.randrange(3), tuple(x / total for x in raw)))
         hits = sum(1 for r in records if argmax_rule(r.probs) == r.true_class)
-        m = harden(records, reg)
+        m = score_records(records, reg)[0]
         from fractions import Fraction
 
         assert accuracy(m).unwrap() == Fraction(hits, 80)
@@ -189,7 +188,7 @@ class TestHarden:
     def test_registry_width_mismatch(self):
         reg = ClassRegistry(("a", "b", "c"))
         with pytest.raises(MixedDimensionsError):
-            harden([ProbRecord(0, (0.5, 0.5))], reg)
+            score_records([ProbRecord(0, (0.5, 0.5))], reg)
 
 
 class TestScoreRecords:
@@ -198,7 +197,7 @@ class TestScoreRecords:
         records = [ProbRecord(0, (0.7, 0.3)), ProbRecord(1, (0.6, 0.4)), ProbRecord(1, (0.2, 0.8))]
         matrix, xent = score_records(iter(records), reg)
         assert matrix.counts == ((1, 0), (1, 1))
-        assert xent == xent_dataset(records)
+        assert xent == math.fsum(map(xent_unit, records)) / 3
 
     def test_empty_stream_has_no_cross_entropy(self):
         with pytest.raises(EmptyDatasetError):
@@ -208,5 +207,9 @@ class TestScoreRecords:
         with pytest.raises(MixedDimensionsError):
             score_records([ProbRecord(0, (0.5, 0.5))], ClassRegistry(("a", "b", "c")))
 
-    def test_single_class_records_still_have_a_cross_entropy(self):
-        assert xent_dataset([ProbRecord(0, (1.0,))]) == 0.0
+    def test_single_class_records_have_no_registry_to_score_against(self):
+        """A registry needs 2 classes, so K=1 records meet a wider one and are refused, as the CLI refuses K=1."""
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            ClassRegistry(("a",))
+        with pytest.raises(MixedDimensionsError):
+            score_records([ProbRecord(0, (1.0,))], AB)

@@ -10,9 +10,11 @@ is shipped, on files over the split threshold, from a file and through a pipe.
 import contextlib
 import errno
 import io
+import json
 import marshal
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -235,6 +237,61 @@ def test_a_named_pipe_is_opened_once(tmp_path):
         cli.stdout.close()
     assert cli.returncode == 0
     assert b"classes (3): a, b, c" in out
+
+
+# Run as a script: a split run in which each half waits before its first step, so that a signal finds both at work.
+# After main returns, it writes its code, whether a child is left unreaped and whether its descriptors are those it
+# started with to the file named by its second argument, and exits with the code.
+HELD_SPLIT = """
+import json, os, sys, time
+from clfmetrics import halves
+from clfmetrics.cli import main
+
+steps = halves._range_steps
+
+def held(*args):
+    time.sleep(60)
+    yield from steps(*args)
+
+halves._range_steps, halves.PARALLEL_MIN_BYTES = held, 0
+before = sorted(os.listdir("/proc/self/fd"))
+code = main(["evaluate", "--kind", "probs", sys.argv[1]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    unreaped = True
+except ChildProcessError:
+    unreaped = False
+same_descriptors = sorted(os.listdir("/proc/self/fd")) == before
+with open(sys.argv[2], "w") as out:
+    json.dump([code, unreaped, same_descriptors], out)
+sys.exit(code)
+"""
+
+
+@splits
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/self/task/{os.getpid()}/children"), reason="needs /proc/<pid>/task/<tid>/children"
+)
+def test_sigint_during_a_split_run_exits_130_and_leaves_no_child_or_descriptor(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + BIG_BODY)
+    after = tmp_path / "after.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(halves.__file__)))
+    argv = [sys.executable, "-c", HELD_SPLIT, str(path), str(after)]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True) as cli:
+        try:
+            deadline = time.monotonic() + 60
+            with open(f"/proc/{cli.pid}/task/{cli.pid}/children") as children:
+                while not children.read().split():  # the fork has not happened yet
+                    assert time.monotonic() < deadline, "the run never forked"
+                    time.sleep(0.01)
+                    children.seek(0)
+            os.killpg(cli.pid, signal.SIGINT)  # its group alone: the tool and its forked half
+            code = cli.wait(timeout=60)
+        finally:
+            cli.kill()
+        assert (code, cli.stdout.read(), cli.stderr.read()) == (130, b"", b"")
+    assert json.loads(after.read_text()) == [130, False, True]
 
 
 def split_threshold_files():

@@ -19,12 +19,11 @@ from clfmetrics import (
     evaluate,
     format_report,
     fraction_decimal,
-    harden,
     parse_json,
     render_comparison_text,
     render_json,
     render_text,
-    xent_dataset,
+    score_records,
 )
 from clfmetrics.report import _json_text, color_enabled, format_comparison, render_comparison_json
 
@@ -123,8 +122,8 @@ class TestJsonRoundTrip:
             ProbRecord(1, (0.3, 0.4, 0.3)),
             ProbRecord(2, (0.5, 0.2, 0.3)),
         ]
-        m = harden(records, registry)
-        report = evaluate(m, dataset="p", cross_entropy=xent_dataset(records, XentOptions()))
+        m, xent = score_records(records, registry, XentOptions())
+        report = evaluate(m, dataset="p", cross_entropy=xent)
         assert parse_json(render_json(report)) == report
 
     def test_cross_entropy_is_the_last_metric_and_a_top_level_json_key(self, four_class_matrix):
