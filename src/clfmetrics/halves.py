@@ -161,15 +161,22 @@ def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float
     exactly the texts whose rows the serial stream accepts: no quote or NUL,
     K + 1 fields on each line, none past csv.field_size_limit(), known labels
     and vectors that ProbRecord.check_probs passes. Any other raises _SerialOnly.
+    The sum test is a plain-sum band (see PROB_SUM_TOLERANCE); only a step with a
+    row near the edge takes each row's exact math.fsum, so it accepts what check_probs does.
     """
     if '"' in text or "\0" in text:
         raise _SerialOnly("a quote or a NUL")
     # csv ends a line at CR, LF or CRLF only; str.splitlines would also split a field at \x85 and others.
-    lines = [*filter(None, text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))]
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.removesuffix("\n").split("\n")
+    if "" in lines:  # a blank line, which csv skips
+        lines = [*filter(None, lines)]
     if not lines:
         return 0
     k = len(index)
-    if any(map(k.__ne__, map(str.count, lines, repeat(delimiter)))):
+    counts = [*map(str.count, lines, repeat(delimiter))]
+    if counts.count(k) != len(counts):
         raise _SerialOnly("a row of the wrong width")
     fields = delimiter.join(lines).split(delimiter)
     del lines
@@ -185,11 +192,15 @@ def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float
     del fields  # a step's largest object: dropped before the row passes, which bounds peak memory
     rows = [*zip(*[iter(floats)] * k)]
     tops = [*map(max, rows)]  # each row's maximum, for the range check and the argmax
-    # check_probs on every row: min and max may pass over a NaN, but then its row's sum is NaN and fails `TOL >=`.
-    sums_ok = map(PROB_SUM_TOLERANCE.__ge__, map(abs, map(float.__sub__, map(math.fsum, rows), repeat(1.0))))
-    if not (0.0 <= min(floats) and max(tops) <= 1.0 and all(sums_ok)):
+    # check_probs on every row: min and max may pass over a NaN, but then its row's sum is NaN and fails both sum tests.
+    sums, band = [*map(sum, rows)], PROB_SUM_TOLERANCE - k * 2.0**-50  # the plain-sum band of PROB_SUM_TOLERANCE
+    in_band = 1.0 - band <= min(sums) and max(sums) <= 1.0 + band and not math.isnan(sum(sums))
+    fsums_ok = map(PROB_SUM_TOLERANCE.__ge__, map(abs, map(float.__sub__, map(math.fsum, rows), repeat(1.0))))
+    if not (0.0 <= min(floats) and max(tops) <= 1.0 and (in_band or all(fsums_ok))):
         raise _SerialOnly("a probability out of range or a sum off")
     tally.update(zip(trues, map(tuple.index, rows, tops)))
     # -log(max(p[true], epsilon)) of each row: the negated exact sum of the logs.
-    clipped = map(max, map(tuple.__getitem__, rows, trues), repeat(epsilon))
-    return -exact_sum_steps(map(math.log, clipped))
+    picked = [*map(tuple.__getitem__, rows, trues)]
+    if min(picked) < epsilon:
+        picked = [*map(max, picked, repeat(epsilon))]
+    return -exact_sum_steps(map(math.log, picked))

@@ -74,6 +74,19 @@ CORPUS = {
     "nan_before_a_value_above_one": (HEADER + BODY + b"a,nan,1.5,0\n" + BODY, False, 2),
     "inf": (HEADER + BODY + b"a,inf,0,0\n" + BODY, False, 2),
     "sum_just_past_the_tolerance": (HEADER + BODY + b"a,0.5,0.5,1.0000001e-6\n" + BODY, False, 2),
+    # On Python 3.10 and 3.11 the first row's plain sum is just past the tolerance and its fsum just inside, and the
+    # second's is 1e-6 off exactly: near the edge the block scorer takes the exact sum, as the serial stream does.
+    "sums_at_the_tolerance_edge": (
+        HEADER + (b"a,0.09026548956892363,0.3429273877975787,0.5668081226334977\nc,0.5,0.5,1e-6\n" + BODY) * 200,
+        True,
+        0,
+    ),
+    # The reverse: its plain sum is just inside the tolerance and its fsum just past it.
+    "sum_just_inside_the_plain_band": (
+        HEADER + (BODY + b"b,0.23362314422711547,0.2890842078803234,0.4772916478925611\n") * 200,
+        False,
+        2,
+    ),
     "nul": (HEADER + BODY + b"a,0.5,0.5,0\x00\n" + BODY, False, 2),
     "sum_off_in_the_second_half": (HEADER + BODY + b"a,0.4,0.4,0.1\n", False, 2),
     "unknown_actual_label": (HEADER + BODY + b"z,0.5,0.5,0\n", False, 2),

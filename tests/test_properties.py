@@ -386,6 +386,14 @@ def test_vector_check_matches_the_longhand_on_vectors_that_sum_to_one(raw, posit
     assert check_accepts(tuple(probs)) == longhand_accepts(probs)
 
 
+def nudged(values, at, ulps):
+    """values as a tuple, with the one at `at` moved by `ulps` units in the last place."""
+    values = list(values)
+    for _ in range(abs(ulps)):
+        values[at] = math.nextafter(values[at], math.copysign(math.inf, ulps))
+    return tuple(values)
+
+
 # The block scorer of a split probability file, against the serial csv rows. csv keeps \x85 and U+2028 in a field.
 BLOCK_REGISTRY = ClassRegistry(("a", "b\x85", "c\u2028c"))
 BLOCK_VECTORS = st.one_of(
@@ -393,6 +401,14 @@ BLOCK_VECTORS = st.one_of(
     # The sum test's edge: 1e-6 off is accepted, 1.0000001e-6 off is not.
     st.sampled_from([(0.5, 0.5, 1e-6), (0.5, 0.5, 1.0000001e-6), (0.5, 0.5 - 1e-6, 0), (0.5, 0.5 - 1.0000001e-6, 0)]),
     st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(any).map(lambda w: tuple(x / math.fsum(w) for x in w)),
+    # Exact sums a few ulps from the edge, where the plain sum and fsum can fall on either side of it.
+    st.builds(
+        lambda w, target, at, ulps: nudged([x * target / math.fsum(w) for x in w], at, ulps),
+        st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(any),
+        st.sampled_from([1 - PROB_SUM_TOLERANCE, 1 + PROB_SUM_TOLERANCE]),
+        st.integers(0, 2),
+        st.integers(-6, 6),
+    ),
 )
 # None drops the field; a token past the row's end widens it. The field limit is 64 in the test.
 BLOCK_FAULTS = [None, "nan", "inf", "-inf", "-0.0", "5e-324", " 0.5", "0.5 ", "\x0c0\x85", "1_0", "", "z", "a ", '"a"']
@@ -439,24 +455,18 @@ def block_steps(draw):
     return delimiter, steps
 
 
-@settings(max_examples=500, deadline=None)
-@given(block_steps(), st.sampled_from([1e-15, 1e-6, 5e-324]))
-@example(block_steps=(",", ["b\x85,0.5,0.25,0.25\n"]), epsilon=1e-15)  # str.splitlines would end the line at \x85
-@example(block_steps=(",", ["a,0.5,0.5,0\nb\x85,0.5,nan,0.5\n"]), epsilon=1e-15)  # min and max skip the NaN
-@example(block_steps=(",", ["a,0." + "0" * 70 + "5,0.5,0.5\n"]), epsilon=1e-15)  # a valid field past the limit
-def test_block_scorer_equals_the_serial_rows_or_refuses(block_steps, epsilon):
+def assert_block_scorer_equals_the_serial_rows(steps, delimiter, epsilon, registry=BLOCK_REGISTRY):
     """_score_steps refuses, or gives score_pairs of the serial rows exactly; it refuses valid rows only for a quote."""
-    delimiter, steps = block_steps
     text = "".join(steps)
     limit = csv.field_size_limit(64)
     try:
         try:
             rows = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-            expected = score_pairs(_prob_rows(((None, row) for row in rows if row), BLOCK_REGISTRY), epsilon)
+            expected = score_pairs(_prob_rows(((None, row) for row in rows if row), registry), epsilon)
         except (IngestError, csv.Error):
             expected = None
         try:
-            tally, total, count = _score_steps(steps, BLOCK_REGISTRY, delimiter, epsilon)
+            tally, total, count = _score_steps(steps, registry, delimiter, epsilon)
         except _SerialOnly:
             assert expected is None or '"' in text
             return
@@ -464,6 +474,38 @@ def test_block_scorer_equals_the_serial_rows_or_refuses(block_steps, epsilon):
         csv.field_size_limit(limit)
     assert expected is not None
     assert (dict(tally), total, count) == (dict(expected[0]), expected[1], expected[2])
+
+
+@settings(max_examples=500, deadline=None)
+@given(block_steps(), st.sampled_from([1e-15, 1e-6, 5e-324]))
+@example(block_steps=(",", ["b\x85,0.5,0.25,0.25\n"]), epsilon=1e-15)  # str.splitlines would end the line at \x85
+@example(block_steps=(",", ["a,0.5,0.5,0\nb\x85,0.5,nan,0.5\n"]), epsilon=1e-15)  # min and max skip the NaN
+@example(block_steps=(",", ["a,0." + "0" * 70 + "5,0.5,0.5\n"]), epsilon=1e-15)  # a valid field past the limit
+# At the sum's edge Python 3.10 and 3.11's plain sum and fsum disagree: fsum passes the first and refuses the second.
+@example(block_steps=(",", ["a,0.09026548956892363,0.3429273877975787,0.5668081226334977\n"]), epsilon=1e-15)
+@example(block_steps=(",", ["a,0.23362314422711547,0.2890842078803234,0.4772916478925611\n"]), epsilon=1e-15)
+def test_block_scorer_equals_the_serial_rows_or_refuses(block_steps, epsilon):
+    assert_block_scorer_equals_the_serial_rows(block_steps[1], block_steps[0], epsilon)
+
+
+@pytest.mark.parametrize("k", [64, 1024])
+@pytest.mark.parametrize(
+    ("target", "tiny"),
+    [
+        (1 + PROB_SUM_TOLERANCE, 2.0**-54),  # under half an ulp of the running sum: a plain sum drops each
+        (1 - PROB_SUM_TOLERANCE, 0.6 * 2.0**-53),  # over half an ulp: a plain sum rounds each up to a whole one
+        (1 + PROB_SUM_TOLERANCE, 0.0),  # zeros: the plain sum is exact
+    ],
+    ids=["tiny_values_dropped", "tiny_values_rounded_up", "zeros"],
+)
+def test_block_scorer_at_the_sum_edge_with_many_classes(k, target, tiny):
+    """Two halves, then K - 2 tiny values that each move the plain sum off the exact one: the band must allow for K."""
+    registry = ClassRegistry(tuple(f"c{i}" for i in range(k)))
+    middle = target - 0.5 - (k - 2) * tiny
+    for ulps in range(-64, 65):
+        vector = (0.5, nudged([middle], 0, ulps)[0], *[tiny] * (k - 2))
+        line = ",".join(["c1", *map(repr, vector)]) + "\n"
+        assert_block_scorer_equals_the_serial_rows([line], ",", 1e-15, registry)
 
 
 # Finite floats of every exponent up to 2**900, so no sum of a few dozen overflows.
