@@ -17,7 +17,7 @@ import signal
 import stat
 import threading
 from collections import Counter
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterable, Iterator
 
 from .confusion import ClassRegistry
@@ -161,8 +161,8 @@ def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float
     exactly the texts whose rows the serial stream accepts: no quote or NUL,
     K + 1 fields on each line, none past csv.field_size_limit(), known labels
     and vectors that ProbRecord.check_probs passes. Any other raises _SerialOnly.
-    The sum test is a plain-sum band (see PROB_SUM_TOLERANCE); only a step with a
-    row near the edge takes each row's exact math.fsum, so it accepts what check_probs does.
+    The sum test is a plain-sum band (see PROB_SUM_TOLERANCE); only the rows outside
+    it, near the edge, take the exact math.fsum, so it accepts what check_probs does.
     """
     if '"' in text or "\0" in text:
         raise _SerialOnly("a quote or a NUL")
@@ -192,11 +192,13 @@ def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float
     del fields  # a step's largest object: dropped before the row passes, which bounds peak memory
     rows = [*zip(*[iter(floats)] * k)]
     tops = [*map(max, rows)]  # each row's maximum, for the range check and the argmax
-    # check_probs on every row: min and max may pass over a NaN, but then its row's sum is NaN and fails both sum tests.
-    sums, band = [*map(sum, rows)], PROB_SUM_TOLERANCE - k * 2.0**-50  # the plain-sum band of PROB_SUM_TOLERANCE
-    in_band = 1.0 - band <= min(sums) and max(sums) <= 1.0 + band and not math.isnan(sum(sums))
-    fsums_ok = map(PROB_SUM_TOLERANCE.__ge__, map(abs, map(float.__sub__, map(math.fsum, rows), repeat(1.0))))
-    if not (0.0 <= min(floats) and max(tops) <= 1.0 and (in_band or all(fsums_ok))):
+    # check_probs on every row: min and max may pass over a NaN, but then its row's sum is NaN, and so is sum(sums).
+    band = PROB_SUM_TOLERANCE - k * 2.0**-50  # the plain-sum band of PROB_SUM_TOLERANCE: only rows outside it take fsum
+    sums, low, high = [*map(sum, rows)], 1.0 - band, 1.0 + band
+    near = [*compress(rows, map(low.__gt__, sums))] if min(sums) < low else []
+    near += compress(rows, map(high.__lt__, sums)) if max(sums) > high else ()
+    fsums_ok = map(PROB_SUM_TOLERANCE.__ge__, map(abs, map(float.__sub__, map(math.fsum, near), repeat(1.0))))
+    if not (0.0 <= min(floats) and max(tops) <= 1.0 and not math.isnan(sum(sums)) and all(fsums_ok)):
         raise _SerialOnly("a probability out of range or a sum off")
     tally.update(zip(trues, map(tuple.index, rows, tops)))
     # -log(max(p[true], epsilon)) of each row: the negated exact sum of the logs.

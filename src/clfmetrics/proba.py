@@ -23,7 +23,7 @@ from .confusion import ClassRegistry, ConfusionMatrix
 # of K values already known to lie in [0, 1]. No partial sum exceeds the last, which the band keeps below 2, so each
 # of the K - 1 roundings errs by at most 2**-53, as do fsum's one rounding and each band edge (plus ~2**-73): under
 # (K + 3) * 2**-53 in all, less than the slack K * 2**-50. So a plain sum within 1 +- (PROB_SUM_TOLERANCE - slack)
-# passes; a compensated sum (Python 3.12's) errs less. Past K ~ 1.1e9 the band is empty, and every sum takes fsum.
+# passes; only rows outside it take fsum. A compensated sum (Python 3.12's) errs less. Past K ~ 1.1e9 it is empty.
 PROB_SUM_TOLERANCE = 1e-6
 DEFAULT_EPSILON = 1e-15
 MAX_EPSILON = 1e-6

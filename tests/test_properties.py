@@ -484,6 +484,9 @@ def assert_block_scorer_equals_the_serial_rows(steps, delimiter, epsilon, regist
 # At the sum's edge Python 3.10 and 3.11's plain sum and fsum disagree: fsum passes the first and refuses the second.
 @example(block_steps=(",", ["a,0.09026548956892363,0.3429273877975787,0.5668081226334977\n"]), epsilon=1e-15)
 @example(block_steps=(",", ["a,0.23362314422711547,0.2890842078803234,0.4772916478925611\n"]), epsilon=1e-15)
+# Rows outside the band on both sides of 1 that pass, then one past the tolerance: each row outside takes fsum.
+@example(block_steps=(",", ["a,0.5,0.499999,0\na,0.5,0.5,1e-6\na,0.5,0.5,0\na,0.5,0.4999989,0\n"]), epsilon=1e-15)
+@example(block_steps=(",", ["a,0.5,0.499999,0\na,0.5,0.5,1e-6\na,0.5,0.5,0\na,0.5,0.5,1.0000001e-6\n"]), epsilon=1e-15)
 def test_block_scorer_equals_the_serial_rows_or_refuses(block_steps, epsilon):
     assert_block_scorer_equals_the_serial_rows(block_steps[1], block_steps[0], epsilon)
 
