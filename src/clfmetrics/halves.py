@@ -1,8 +1,9 @@
 """Score a large probability file in two processes, with the serial stream's result.
 
 score_halves is ingest.score_probs's first try; it is a module of its own so
-that only a run that scores a probability file compiles and loads it. Each
-process reads its half in steps of whole lines and scores each step as one
+that only a run that scores a probability file compiles and loads it. It
+holds the fork, the pipe and the merge: each process reads its half through
+ingest's step reader, in steps of whole lines, and scores each step as one
 block of C-level passes, which accept a step or refuse it; a refusal sends
 the whole file through the serial stream, the only code that names errors.
 """
@@ -18,20 +19,16 @@ import stat
 import threading
 from collections import Counter
 from itertools import compress, repeat
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .confusion import ClassRegistry
-from .ingest import IngestError, _read_header
+from .ingest import IngestError, _line_end, _range_steps, _read_header, _SerialOnly
 from .proba import PROB_SUM_TOLERANCE, Scores, exact_sum_steps
 
 # A probability file this large is scored in two processes: forking costs a few ms.
 PARALLEL_MIN_BYTES = 1 << 20
 # Bytes each process reads per step of its half; larger steps only raise peak memory.
 _HALF_CHUNK = 1 << 16
-
-
-class _SerialOnly(Exception):
-    """The halves cannot give the serial result (a refused step, a failed child): read the file serially from byte 0."""
 
 
 def score_halves(path: str, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores] | None:
@@ -59,19 +56,6 @@ def score_halves(path: str, delimiter: str, epsilon: float) -> tuple[ClassRegist
         return None  # any error: the serial stream from the first byte reports it, or finds none
     finally:
         os.close(fd)
-
-
-def _line_end(fd: int, start: int, end: int) -> int:
-    """The offset just past the first newline at or after start, else end."""
-    while start < end:
-        block = os.pread(fd, _HALF_CHUNK, start)
-        if not block:
-            raise _SerialOnly("the file shrank")
-        found = block.find(b"\n")
-        if found >= 0:
-            return start + found + 1
-        start += len(block)
-    return end
 
 
 def _plain_header(line: bytes, delimiter: str) -> ClassRegistry | None:
@@ -104,7 +88,7 @@ def _fork_halves(
         code = 1
         try:
             os.close(read_end)
-            tally, total, count = _score_steps(_range_steps(fd, *second), registry, delimiter, epsilon)
+            tally, total, count = _score_steps(_range_steps(fd, *second, _HALF_CHUNK), registry, delimiter, epsilon)
             reply = memoryview(marshal.dumps((dict(tally), total, count)))
             while reply:
                 reply = reply[os.write(write_end, reply):]
@@ -115,7 +99,7 @@ def _fork_halves(
     try:
         with open(read_end, "rb") as pipe:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            tally, total, count = _score_steps(_range_steps(fd, *first), registry, delimiter, epsilon)
+            tally, total, count = _score_steps(_range_steps(fd, *first, _HALF_CHUNK), registry, delimiter, epsilon)
             reply = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -127,23 +111,6 @@ def _fork_halves(
     for pair, n in their_tally.items():
         tally[pair] += n
     return tally, total + their_total, count + their_count
-
-
-def _range_steps(fd: int, start: int, end: int) -> Iterator[str]:
-    """The text of the bytes start..end of a file, in steps that end a line: _HALF_CHUNK bytes, more for a long line."""
-    pending: list[bytes] = []  # read since the last line end
-    while start < end:
-        block = os.pread(fd, min(_HALF_CHUNK, end - start), start)
-        if not block:
-            raise _SerialOnly("the file shrank")
-        start += len(block)
-        # A cut between the CR and LF of one line end leaves a blank line, which is skipped.
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1 if start < end else len(block)
-        if not cut:
-            pending.append(block)
-            continue
-        text, pending = b"".join([*pending, block[:cut]]).decode("utf-8"), [block[cut:]]
-        yield text
 
 
 def _score_steps(steps: Iterable[str], registry: ClassRegistry, delimiter: str, epsilon: float) -> Scores:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import codecs
 import csv
 import math
+import os
 import re
 from collections import Counter
 from fractions import Fraction
@@ -46,8 +47,14 @@ _Number = TypeVar("_Number", int, Fraction)
 _COUNT = re.compile(r"-?[0-9]+")
 # Each digit run has one place to go, so a failed match backtracks in linear time.
 _WEIGHT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+|/[0-9]+)?|\.[0-9]+)")  # 2, 0.1, .5 or 1/3
-# Bytes decoded per step while looking for the first invalid UTF-8 byte of a file.
+# Bytes per read while scanning a file for a line end or for its first invalid UTF-8 byte.
 _RESCAN_CHUNK = 1 << 16
+# Bytes per read step of a label file; larger steps only raise peak memory.
+_LABEL_STEP = 1 << 14
+
+
+class _SerialOnly(Exception):
+    """A faster reader cannot give the row stream's result (a refused step, a shrunk file, a failed child): read it from byte 0."""
 
 
 class IngestError(Exception):
@@ -131,25 +138,63 @@ def _undecodable(handle: TextIO, exc: UnicodeDecodeError) -> ParseError:
 
     The decoder's error counts its position from the start of its own block,
     so a seekable file's raw bytes are decoded again from the start, in
-    bounded chunks, to find the first bad byte and count the lines before it.
+    bounded chunks, to find the first bad byte and count the line ends before
+    it as csv does: LF, CR and CRLF, one each, even a CRLF split by a chunk.
     """
     line = None
     if handle.seekable():
         raw = handle.buffer
         raw.seek(0)
         decoder = codecs.getincrementaldecoder("utf-8")()
-        newlines = 0
+        ends, cr = 0, False  # cr: the last chunk ended in a CR, so an LF that starts this one ends no line
         while True:
             chunk = raw.read(_RESCAN_CHUNK)
             try:
                 decoder.decode(chunk, final=not chunk)
             except UnicodeDecodeError as found:  # its object is this chunk, after any bytes of a split character
-                exc, line = found, newlines + 1 + found.object.count(b"\n", 0, found.start)
+                head = found.object[: found.start]
+                exc, line = found, ends + 1 + _line_ends(head) - (cr and head.startswith(b"\n"))
                 break
             if not chunk:
                 break
-            newlines += chunk.count(b"\n")
+            ends += _line_ends(chunk) - (cr and chunk.startswith(b"\n"))
+            cr = chunk.endswith(b"\r")
     return ParseError(f"input is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})", line=line)
+
+
+def _line_ends(data: bytes) -> int:
+    """The line ends in data as csv counts them: LF, CR and CRLF, one each."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def _line_end(fd: int, start: int, end: int) -> int:
+    """The offset just past the first newline at or after start, else end."""
+    while start < end:
+        block = os.pread(fd, _RESCAN_CHUNK, start)
+        if not block:
+            raise _SerialOnly("the file shrank")
+        found = block.find(b"\n")
+        if found >= 0:
+            return start + found + 1
+        start += len(block)
+    return end
+
+
+def _range_steps(fd: int, start: int, end: int, step: int) -> Iterator[str]:
+    """The text of the bytes start..end of a file, in steps that end a line: step bytes, more for a long line."""
+    pending: list[bytes] = []  # read since the last line end
+    while start < end:
+        block = os.pread(fd, min(step, end - start), start)
+        if not block:
+            raise _SerialOnly("the file shrank")
+        start += len(block)
+        # A cut between the CR and LF of one line end leaves a blank line, which is skipped.
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1 if start < end else len(block)
+        if not cut:
+            pending.append(block)
+            continue
+        text, pending = b"".join([*pending, block[:cut]]).decode("utf-8"), [block[cut:]]
+        yield text
 
 
 def _open_rows(path: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
@@ -315,44 +360,49 @@ def tally_labels(
 ) -> ConfusionMatrix:
     """Tally a label file into a confusion matrix, parsing each distinct line once.
 
-    One pass counts the file's lines in C, then each distinct line is parsed
-    once and its count added to its pair, so memory stays bounded by the
-    number of distinct lines, not by the file's length. A file this cannot
-    read line by line (one with a quote, which may open a field spanning
-    lines, a row error, an oversized field or an undecodable byte) is read
-    again from the start as the stream_labels row stream, which names the
-    fault with its line; the first 16K characters are checked for a quote
-    before the rest is counted, so a file that quotes its fields gives up
-    early. So is any input that cannot be read twice, such as a pipe, from
-    its first byte.
+    A file that can be read twice is read in steps of whole lines, each split
+    into lines in C and counted, then each distinct line is parsed once and
+    its count added to its pair, so memory stays bounded by the number of
+    distinct lines, not by the file's length. A file this cannot read line by
+    line (one with a quote, which may open a field spanning lines, a row
+    error, an oversized field or an undecodable byte, or one that shrinks
+    while read) is read again from the start as the stream_labels row stream,
+    which names the fault with its line. So is any input that cannot be read
+    twice, such as a pipe, from its first byte.
     """
     with _open_text(path) as handle:
-        if handle.seekable():
-            tally = _tally_distinct_lines(handle, delimiter, has_header)
-            if tally is not None:
-                return from_tally(tally)
-            handle.seek(0)
+        tally = _tally_distinct_lines(handle.fileno(), delimiter, has_header) if handle.seekable() else None
+        if tally is not None:
+            return from_tally(tally)
         return from_pairs(_label_pairs(handle, delimiter, has_header))
 
 
-def _tally_distinct_lines(handle: TextIO, delimiter: str, has_header: bool) -> dict[tuple[str, str], int] | None:
+def _tally_distinct_lines(fd: int, delimiter: str, has_header: bool) -> dict[tuple[str, str], int] | None:
     """Pair counts of a label file whose every line parses alone to a valid row or a blank, else None."""
+    size, bom = os.fstat(fd).st_size, os.pread(fd, 3, 0) == codecs.BOM_UTF8
+    lines: Counter[str] = Counter()
     try:
-        if has_header:
-            next(filter(None, csv.reader(handle, delimiter=delimiter)), None)
-        lines: Counter[str] = Counter()
-        # The first 16K characters, then the rest: a file that quotes its fields mostly shows it early.
-        for block in (handle.readlines(1 << 14), handle):
-            lines.update(block)
-            if '"' in "".join(lines):
+        for text in _range_steps(fd, 3 * bom, size, _LABEL_STEP):
+            if '"' in text:
                 return None
+            # csv ends a line at CR, LF or CRLF only; str.splitlines would also split a field at \x85 and others.
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines.update(text.removesuffix("\n").split("\n"))
+        if os.pread(fd, 1, size):  # the file grew, or its size is not its length
+            return None
+        # Without quotes every line is a CSV row of its own: the header is the first non-blank line.
+        header = next(filter(None, lines), None) if has_header else None
+        if header is not None:
+            lines[header] -= 1
+            if not lines[header]:
+                del lines[header]
         tally: dict[tuple[str, str], int] = {}
-        # Without quotes every line is a CSV row of its own.
         for row, n in zip(csv.reader(lines, delimiter=delimiter), lines.values()):
             if row:
                 pair = _label_pair(row, None)
                 tally[pair] = tally.get(pair, 0) + n
-    except (IngestError, csv.Error, UnicodeDecodeError):
+    except (IngestError, _SerialOnly, csv.Error, UnicodeDecodeError):
         return None
     return tally
 

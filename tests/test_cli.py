@@ -403,6 +403,36 @@ def test_a_label_file_tallied_by_distinct_line_reads_as_the_row_by_row_pipe_run(
     assert codes == {"labels": 0, "quoted": 0, "distinct": 0, "bad": 2}
 
 
+# Run as a script with the CLI's arguments: runs main, then writes its code and whether clfmetrics.halves is loaded.
+HALVES_LOADED = (
+    "import sys; from clfmetrics.cli import main; code = main(sys.argv[1:]); "
+    "sys.stderr.write(repr((code, 'clfmetrics.halves' in sys.modules)))"
+)
+
+
+def test_only_a_probability_run_loads_the_halves_module(tmp_path):
+    """A label run, even of a file past halves.PARALLEL_MIN_BYTES, neither compiles nor loads clfmetrics.halves."""
+    rng = random.Random(15)
+    for name in ("a", "b"):
+        rows = (f"c{rng.randrange(10)},c{rng.randrange(10)}\n" for _ in range(200_000))
+        (tmp_path / f"{name}.csv").write_text("".join(rows), encoding="utf-8")
+        assert (tmp_path / f"{name}.csv").stat().st_size >= halves.PARALLEL_MIN_BYTES
+    (tmp_path / "p.csv").write_text("actual,a,b\na,0.25,0.75\nb,0.5,0.5\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+    runs = {
+        "evaluate": ["evaluate", "--kind", "labels", "a.csv"],
+        "compare": ["compare", "--kind", "labels", "--format", "json", "a.csv", "b.csv"],
+        "probs": ["evaluate", "--kind", "probs", "p.csv"],
+    }
+    loaded = {}
+    for name, argv in runs.items():
+        result = subprocess.run(
+            [sys.executable, "-c", HALVES_LOADED, *argv], cwd=tmp_path, env=env, capture_output=True, timeout=120
+        )
+        loaded[name] = result.stderr.decode()
+    assert loaded == {"evaluate": "(0, False)", "compare": "(0, False)", "probs": "(0, True)"}
+
+
 class TestLargeKMemory:
     """K=20,000 in a small file: memory follows the nonzero cells, so the CLI fits in 512 MiB of address space."""
 

@@ -26,6 +26,7 @@ from clfmetrics import (
     score_probs,
     stream_labels,
     tally_labels,
+    ingest,
     xent_unit,
 )
 
@@ -156,6 +157,28 @@ LABEL_FILES = st.lists(
     max_size=4,
 ).flatmap(lambda lines: st.lists(st.sampled_from(lines), max_size=20).map(b"".join))
 
+# Labels that may outrun a step of a few bytes, or hold a BOM, \x85 or U+2028, which csv keeps inside a field.
+STEP_LABELS = st.lists(
+    st.sampled_from([b"a", b"b", "\u00e9".encode(), "\x85".encode(), "\u2028".encode(), b"\xef\xbb\xbf", b"x" * 20]),
+    min_size=1,
+    max_size=3,
+).map(b"".join)
+
+
+@st.composite
+def stepped_label_files(draw):
+    """A delimiter and a label file of a few lines drawn again and again: perhaps a BOM and a header, then the body,
+    then perhaps a late quoted field spanning lines or an undecodable byte. Lines end in LF, CR or CRLF, some blank."""
+    delimiter = draw(st.sampled_from([b",", b"\t"]))
+    row = st.builds(lambda actual, predicted: actual + delimiter + predicted, STEP_LABELS, STEP_LABELS)
+    line = st.builds(bytes.__add__, st.one_of(row, row, st.just(b"")), st.sampled_from([b"\n", b"\r", b"\r\n"]))
+    lines = draw(st.lists(line, min_size=1, max_size=4))
+    # Blank lines before a header, a header wider than 2 fields, and one that is a data line too.
+    header = draw(st.sampled_from([b"", b"\n\r\nh" + delimiter + b"h\n", delimiter.join([b"a", b"p", b"w"]) + b"\r", lines[0]]))
+    body = b"".join(draw(st.lists(st.sampled_from(lines), max_size=30)))
+    late = draw(st.sampled_from([b"", b"a" + delimiter + b'"b\r\n' + lines[-1] + b'"\n', b"a" + delimiter + b"\xffb\n"]))
+    return delimiter.decode(), b"\xef\xbb\xbf" * draw(st.booleans()) + header + body + late
+
 
 class TestTallyLabels:
     """tally_labels counts distinct lines but must agree with the row stream on every file."""
@@ -237,6 +260,19 @@ class TestTallyLabels:
         path = work / "l.csv"
         path.write_bytes(b"\xef\xbb\xbf" * bom + header + body)
         assert_tally_matches_stream(str(path), delimiter=delimiter, has_header=has_header)
+
+    @given(case=stepped_label_files(), step=st.integers(1, 8), has_header=st.booleans())
+    @example(case=(",", b"\xef\xbb\xbf\r\nh,h\r\na,b\r\nh,h\r\na,b\r\n"), step=4, has_header=True)
+    @settings(max_examples=300, deadline=None)
+    def test_tally_matches_the_stream_across_step_edges(self, work, case, step, has_header):
+        delimiter, data = case
+        path = work / "s.csv"
+        path.write_bytes(data)
+        held, ingest._LABEL_STEP = ingest._LABEL_STEP, step  # steps of a few bytes: most lines cross a step edge
+        try:
+            assert_tally_matches_stream(str(path), delimiter=delimiter, has_header=has_header)
+        finally:
+            ingest._LABEL_STEP = held
 
 
 HEADER_FAULTS = {  # file text: the line, message and column of its ParseError
@@ -503,9 +539,28 @@ UNDECODABLE_FILES = {
         30_001, "0xe9 (invalid continuation byte)",
     ),
     "labels_ending_inside_a_character": (tally_labels, b"a,b\n" * 3 + b"a,\xc3", {}, 4, "0xc3 (unexpected end of data)"),
+    "labels_cr_line_ends": (tally_labels, b"a,a\rb,b\r\xff,a\r", {}, 3, "0xff (invalid start byte)"),
+    "labels_mixed_line_ends": (tally_labels, b"a,a\r\nb,b\rb,a\n\r\n\xff,a\n", {}, 5, "0xff (invalid start byte)"),
+    # The CR of a CRLF is the last byte of the first 64 KiB chunk the rescan reads, and the bad byte two chunks on.
+    "labels_crlf_across_rescan_chunks": (
+        tally_labels, b"a,b\n" * 16_383 + b"a,b\r\n" + b"b,a\n" * 20_000 + b"\xff,a\n", {},
+        36_385, "0xff (invalid start byte)",
+    ),
     "probs": (
         score_probs, "actual,é,b\n".encode() + "é,0.5,0.5\n".encode() * 10_000 + b"b,0.5,0.\xff\n", {},
         10_002, "0xff (invalid start byte)",
+    ),
+    "probs_header_ending_in_cr": (
+        score_probs, b"actual,a,b\r" + b"a,0.5,0.5\n" * 10_000 + b"b,0.5,0.\xff\n", {}, 10_002, "0xff (invalid start byte)",
+    ),
+    "probs_mixed_line_ends": (
+        score_probs, b"actual,a,b\r\n" + b"a,0.5,0.5\r" * 5_000 + b"b,0.5,0.5\n" * 5_000 + b"b,0.\xff,0.5\r\n", {},
+        10_002, "0xff (invalid start byte)",
+    ),
+    # The CR of a CRLF is the last byte of the first rescan chunk, and the bad byte follows its LF in the next.
+    "probs_crlf_across_rescan_chunks": (
+        score_probs, b"act,a,b\n" + b"a,0.5,0.5\n" * 6_552 + b"b,1.0,0\r\n" + b"\xff,0,1\n", {},
+        6_555, "0xff (invalid start byte)",
     ),
     "matrix": (read_matrix, b",a,b\na,1,2\nb,3,\xff\n", {}, 3, "0xff (invalid start byte)"),
     "weights": (read_weights, b"a,1\n\xffb,2\n", {}, 2, "0xff (invalid start byte)"),
