@@ -22,7 +22,7 @@ from itertools import compress, repeat
 from typing import Iterable
 
 from .confusion import ClassRegistry
-from .ingest import IngestError, _line_end, _range_steps, _read_header, _SerialOnly
+from .ingest import IngestError, _line_end, _range_steps, _read_header, _SerialOnly, _split_lines
 from .proba import PROB_SUM_TOLERANCE, Scores, exact_sum_steps
 
 # A probability file this large is scored in two processes: forking costs a few ms.
@@ -133,10 +133,7 @@ def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float
     """
     if '"' in text or "\0" in text:
         raise _SerialOnly("a quote or a NUL")
-    # csv ends a line at CR, LF or CRLF only; str.splitlines would also split a field at \x85 and others.
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.removesuffix("\n").split("\n")
+    lines = _split_lines(text)
     if "" in lines:  # a blank line, which csv skips
         lines = [*filter(None, lines)]
     if not lines:

@@ -17,14 +17,14 @@ row by row: the reference tally_labels agrees with, and its fallback.
 
 Every reader takes UTF-8 text (LF or CRLF, with or without a byte-order
 mark), and every error carries the 1-based line number it was raised on,
-save a byte that is not UTF-8 in input that cannot be read twice, such as a
-pipe. The row streams open their file once and read it once. Two readers may
-read a file that can be read twice a second time, from the start, as that
-row stream: tally_labels, after its one counting pass over the lines gives
-up (on a quote, looked for in the first 16K characters first, or on a bad
-row), and score_probs, after scoring two halves of a large regular file in
-two processes gives up. A file with a byte that is not UTF-8 is decoded
-again to find its line.
+counting LF, CR and CRLF as one line end each, as csv does, save a byte that
+is not UTF-8 in input that cannot be read twice, such as a pipe. The row
+streams open their file once and read it once. Two readers may read a file
+that can be read twice a second time, from the start, as that row stream:
+tally_labels, after counting its lines in _range_steps gives up (on a quote
+or a bad row), and score_probs, after scoring two halves of a large regular
+file in two processes gives up. A file with a byte that is not UTF-8 is
+decoded again to find its line.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ _LABEL_STEP = 1 << 14
 
 
 class _SerialOnly(Exception):
-    """A faster reader cannot give the row stream's result (a refused step, a shrunk file, a failed child): read it from byte 0."""
+    """A fast path cannot give the row stream's result (a refused step, a shrunk file, a failed child)."""
 
 
 class IngestError(Exception):
@@ -195,6 +195,13 @@ def _range_steps(fd: int, start: int, end: int, step: int) -> Iterator[str]:
             continue
         text, pending = b"".join([*pending, block[:cut]]).decode("utf-8"), [block[cut:]]
         yield text
+
+
+def _split_lines(text: str) -> list[str]:
+    """The lines of a text, cut only at csv's line ends: str.splitlines would also cut at \x85 and others."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removesuffix("\n").split("\n")
 
 
 def _open_rows(path: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
@@ -368,10 +375,12 @@ def tally_labels(
     error, an oversized field or an undecodable byte, or one that shrinks
     while read) is read again from the start as the stream_labels row stream,
     which names the fault with its line. So is any input that cannot be read
-    twice, such as a pipe, from its first byte.
+    twice, such as a pipe, from its first byte, and any file where os.pread
+    is missing.
     """
     with _open_text(path) as handle:
-        tally = _tally_distinct_lines(handle.fileno(), delimiter, has_header) if handle.seekable() else None
+        seekable = handle.seekable() and hasattr(os, "pread")
+        tally = _tally_distinct_lines(handle.fileno(), delimiter, has_header) if seekable else None
         if tally is not None:
             return from_tally(tally)
         return from_pairs(_label_pairs(handle, delimiter, has_header))
@@ -385,10 +394,7 @@ def _tally_distinct_lines(fd: int, delimiter: str, has_header: bool) -> dict[tup
         for text in _range_steps(fd, 3 * bom, size, _LABEL_STEP):
             if '"' in text:
                 return None
-            # csv ends a line at CR, LF or CRLF only; str.splitlines would also split a field at \x85 and others.
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            lines.update(text.removesuffix("\n").split("\n"))
+            lines.update(_split_lines(text))
         if os.pread(fd, 1, size):  # the file grew, or its size is not its length
             return None
         # Without quotes every line is a CSV row of its own: the header is the first non-blank line.

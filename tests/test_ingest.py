@@ -174,9 +174,11 @@ def stepped_label_files(draw):
     line = st.builds(bytes.__add__, st.one_of(row, row, st.just(b"")), st.sampled_from([b"\n", b"\r", b"\r\n"]))
     lines = draw(st.lists(line, min_size=1, max_size=4))
     # Blank lines before a header, a header wider than 2 fields, and one that is a data line too.
-    header = draw(st.sampled_from([b"", b"\n\r\nh" + delimiter + b"h\n", delimiter.join([b"a", b"p", b"w"]) + b"\r", lines[0]]))
+    wide = delimiter.join([b"actual", b"predicted", b"weight"]) + b"\r"
+    header = draw(st.sampled_from([b"", b"\n\r\nh" + delimiter + b"h\n", wide, lines[0]]))
     body = b"".join(draw(st.lists(st.sampled_from(lines), max_size=30)))
-    late = draw(st.sampled_from([b"", b"a" + delimiter + b'"b\r\n' + lines[-1] + b'"\n', b"a" + delimiter + b"\xffb\n"]))
+    quoted = b"a" + delimiter + b'"b\r\n' + lines[-1] + b'"\n'  # a field spanning lines: a row of its own repeated
+    late = draw(st.sampled_from([b"", quoted, b"a" + delimiter + b"\xffb\n"]))
     return delimiter.decode(), b"\xef\xbb\xbf" * draw(st.booleans()) + header + body + late
 
 
@@ -231,8 +233,8 @@ class TestTallyLabels:
         assert m == from_pairs(stream_labels(str(path), has_header=has_header))
         assert m.grand_total == 60_001 + (not has_header)
         assert "arrival" in m.registry
-        # A field that spans lines, quoted far past the first 16K characters the tally checks for quotes;
-        # parsed as a row of its own, its two lines would shift the counts of the repeated line after it.
+        # A field that spans lines, quoted in one of the last read steps; parsed as a row of its own,
+        # its two lines would shift the counts of the repeated line after it.
         path.write_bytes(("\nh,h\n" + rows + 'late,"arr\r\nival"\n' + "late,arr\n" * 3).encode())
         quoted = assert_tally_matches_stream(str(path), has_header=has_header)
         assert "arr\r\nival" in quoted.registry
@@ -540,7 +542,9 @@ UNDECODABLE_FILES = {
     ),
     "labels_ending_inside_a_character": (tally_labels, b"a,b\n" * 3 + b"a,\xc3", {}, 4, "0xc3 (unexpected end of data)"),
     "labels_cr_line_ends": (tally_labels, b"a,a\rb,b\r\xff,a\r", {}, 3, "0xff (invalid start byte)"),
-    "labels_mixed_line_ends": (tally_labels, b"a,a\r\nb,b\rb,a\n\r\n\xff,a\n", {}, 5, "0xff (invalid start byte)"),
+    "labels_mixed_line_ends": (
+        tally_labels, b"a,a\r\nb,b\rb,a\n\r\n\xff,a\n", {}, 5, "0xff (invalid start byte)",
+    ),
     # The CR of a CRLF is the last byte of the first 64 KiB chunk the rescan reads, and the bad byte two chunks on.
     "labels_crlf_across_rescan_chunks": (
         tally_labels, b"a,b\n" * 16_383 + b"a,b\r\n" + b"b,a\n" * 20_000 + b"\xff,a\n", {},
@@ -551,7 +555,8 @@ UNDECODABLE_FILES = {
         10_002, "0xff (invalid start byte)",
     ),
     "probs_header_ending_in_cr": (
-        score_probs, b"actual,a,b\r" + b"a,0.5,0.5\n" * 10_000 + b"b,0.5,0.\xff\n", {}, 10_002, "0xff (invalid start byte)",
+        score_probs, b"actual,a,b\r" + b"a,0.5,0.5\n" * 10_000 + b"b,0.5,0.\xff\n", {},
+        10_002, "0xff (invalid start byte)",
     ),
     "probs_mixed_line_ends": (
         score_probs, b"actual,a,b\r\n" + b"a,0.5,0.5\r" * 5_000 + b"b,0.5,0.5\n" * 5_000 + b"b,0.\xff,0.5\r\n", {},
