@@ -21,10 +21,10 @@ counting LF, CR and CRLF as one line end each, as csv does, save a byte that
 is not UTF-8 in input that cannot be read twice, such as a pipe. The row
 streams open their file once and read it once. Two readers may read a file
 that can be read twice a second time, from the start, as that row stream:
-tally_labels, after counting its lines in _range_steps gives up (on a quote
-or a bad row), and score_probs, after scoring two halves of a large regular
-file in two processes gives up. A file with a byte that is not UTF-8 is
-decoded again to find its line.
+tally_labels, after its count of the lines, read in steps, gives up (on a
+quote or a bad row), and score_probs, after scoring two halves of a large
+regular file in two processes gives up. A file with a byte that is not UTF-8
+is decoded again to find its line.
 """
 
 from __future__ import annotations
@@ -379,8 +379,8 @@ def tally_labels(
     is missing.
     """
     with _open_text(path) as handle:
-        seekable = handle.seekable() and hasattr(os, "pread")
-        tally = _tally_distinct_lines(handle.fileno(), delimiter, has_header) if seekable else None
+        by_steps = handle.seekable() and hasattr(os, "pread")
+        tally = _tally_distinct_lines(handle.fileno(), delimiter, has_header) if by_steps else None
         if tally is not None:
             return from_tally(tally)
         return from_pairs(_label_pairs(handle, delimiter, has_header))
