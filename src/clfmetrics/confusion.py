@@ -11,7 +11,6 @@ row_totals and col_totals tuples.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -33,20 +32,50 @@ class RegistryMismatchError(ValueError):
     """Two matrices do not share an identical class registry."""
 
 
-@dataclass(frozen=True)
-class ClassRegistry:
+class _Frozen:
+    """A read-only value, equal, hashed and pickled by its constructor's fields, __match_args__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()  # the fields _fill sets and repr shows, in order, if not __match_args__
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self._fields or self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields or self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):  # the class and its constructor's arguments
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ClassRegistry(_Frozen):
     """Ordered set of distinct class names. Index order is stable for the registry's lifetime."""
 
-    labels: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("labels", "_index")
+    __match_args__ = ("labels",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"class labels must be unique, got {self.labels!r}")
-        if len(self.labels) < 2:
-            raise ValueError(f"at least 2 classes are required, got {len(self.labels)}")
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
+    def __init__(self, labels: tuple[str, ...]) -> None:
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"class labels must be unique, got {labels!r}")
+        if len(labels) < 2:
+            raise ValueError(f"at least 2 classes are required, got {len(labels)}")
+        self._fill(labels)
+        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
 
     @property
     def k(self) -> int:
@@ -65,8 +94,7 @@ class ClassRegistry:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class OneVsRest:
+class OneVsRest(_Frozen):
     """TP/FP/FN/TN tiling of a matrix for one reference class.
 
     tp is the diagonal cell of the reference class, fp the rest of its
@@ -74,43 +102,37 @@ class OneVsRest:
     always partition the full matrix.
     """
 
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+    __slots__ = __match_args__ = ("tp", "fp", "fn", "tn")
+
+    def __init__(self, tp: int, fp: int, fn: int, tn: int) -> None:
+        self._fill(tp, fp, fn, tn)
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(_Frozen):
     """Cross-table of (actual, predicted) counts over a class registry, stored sparsely.
 
     Takes a mapping (i, j) -> count or a dense K x K grid and keeps only the nonzero
     cells, read-only: a build costs the distinct pairs, not K x K. Equality and hashing
     compare the registry and those cells; the totals and the trace come from one pass
-    over them. Immutable and safe to share across threads.
+    over them. Immutable and safe to share across threads. No __slots__: counts caches the grid in __dict__.
     """
 
-    registry: ClassRegistry
-    cells: Mapping[tuple[int, int], int]
-    row_totals: tuple[int, ...] = field(init=False, compare=False)
-    col_totals: tuple[int, ...] = field(init=False, compare=False)
-    trace: int = field(init=False, compare=False)
-    grand_total: int = field(init=False, compare=False)
+    __match_args__ = ("registry", "cells")
+    _fields = ("registry", "cells", "row_totals", "col_totals", "trace", "grand_total")
 
-    def __post_init__(self) -> None:
-        k = self.registry.k
-        counts = self.cells
-        if not isinstance(counts, Mapping):
-            if len(counts) != k or any(len(row) != k for row in counts):
+    def __init__(self, registry: ClassRegistry, cells: Mapping[tuple[int, int], int]) -> None:
+        k = registry.k
+        if not isinstance(cells, Mapping):
+            if len(cells) != k or any(len(row) != k for row in cells):
                 raise ValueError(f"counts must be a {k}x{k} grid to match the registry")
             # Row-major, so the first bad cell is named; plain zeros need no check.
-            counts = {(i, j): n for i, row in enumerate(counts) for j, n in enumerate(row) if n or type(n) is not int}
-        cells, rows, cols, trace = {}, [0] * k, [0] * k, 0
-        for (i, j), n in counts.items():
+            cells = {(i, j): n for i, row in enumerate(cells) for j, n in enumerate(row) if n or type(n) is not int}
+        nonzero, rows, cols, trace = {}, [0] * k, [0] * k, 0
+        for (i, j), n in cells.items():
             if not isinstance(n, int) or isinstance(n, bool):
                 raise ValueError(f"counts must be integers, got {n!r}")
             if n < 0:
@@ -118,15 +140,11 @@ class ConfusionMatrix:
             if not (0 <= i < k and 0 <= j < k):
                 raise ClassOutOfRangeError(f"cell {(i, j)} out of range for K={k}")
             if n:
-                cells[i, j] = n
+                nonzero[i, j] = n
                 rows[i] += n
                 cols[j] += n
                 trace += n if i == j else 0
-        object.__setattr__(self, "cells", MappingProxyType(cells))
-        object.__setattr__(self, "row_totals", tuple(rows))
-        object.__setattr__(self, "col_totals", tuple(cols))
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "grand_total", sum(rows))
+        self._fill(registry, MappingProxyType(nonzero), tuple(rows), tuple(cols), trace, sum(rows))
 
     def __hash__(self) -> int:
         return hash((self.registry, frozenset(self.cells.items())))

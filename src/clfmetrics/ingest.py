@@ -180,8 +180,8 @@ def _line_end(fd: int, start: int, end: int) -> int:
     return end
 
 
-def _range_steps(fd: int, start: int, end: int, step: int) -> Iterator[str]:
-    """The text of the bytes start..end of a file, in steps that end a line: step bytes, more for a long line."""
+def _range_steps(fd: int, start: int, end: int, step: int, longest: float = math.inf) -> Iterator[str]:
+    """The text of bytes start..end of a file in steps that end a line: step bytes, more for a line up to longest."""
     pending: list[bytes] = []  # read since the last line end
     while start < end:
         block = os.pread(fd, min(step, end - start), start)
@@ -192,6 +192,8 @@ def _range_steps(fd: int, start: int, end: int, step: int) -> Iterator[str]:
         cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1 if start < end else len(block)
         if not cut:
             pending.append(block)
+            if sum(map(len, pending)) > longest:  # refused before it is joined or decoded
+                raise _SerialOnly("a line too long for a valid row")
             continue
         text, pending = b"".join([*pending, block[:cut]]).decode("utf-8"), [block[cut:]]
         yield text
@@ -390,8 +392,9 @@ def _tally_distinct_lines(fd: int, delimiter: str, has_header: bool) -> dict[tup
     """Pair counts of a label file whose every line parses alone to a valid row or a blank, else None."""
     size, bom = os.fstat(fd).st_size, os.pread(fd, 3, 0) == codecs.BOM_UTF8
     lines: Counter[str] = Counter()
+    longest = 8 * csv.field_size_limit() + 6  # a valid row: 2 fields, a delimiter, 4 bytes a character, a line end
     try:
-        for text in _range_steps(fd, 3 * bom, size, _LABEL_STEP):
+        for text in _range_steps(fd, 3 * bom, size, _LABEL_STEP, longest):
             if '"' in text:
                 return None
             lines.update(_split_lines(text))

@@ -10,12 +10,11 @@ silently coerced to 0 or NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .confusion import ConfusionMatrix, OneVsRest
+from .confusion import ConfusionMatrix, OneVsRest, _Frozen
 from .proba import DEFAULT_EPSILON
 
 Numeric = Union[Fraction, float]
@@ -30,8 +29,7 @@ class InvalidWeightsError(ValueError):
     """Class weights hold a negative entry or sum to zero."""
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class MetricValue(_Frozen):
     """A computed scalar that is either Defined(value) or Undefined(reason).
 
     Defined values are exact Fractions wherever the metric is a ratio of
@@ -39,12 +37,13 @@ class MetricValue:
     and cross-entropy, a sum of logarithms, is always a float.
     """
 
-    value: Numeric | None = None
-    reason: UndefinedReason | None = None
+    __slots__ = __match_args__ = ("value", "reason")
 
-    def __post_init__(self) -> None:
-        if (self.value is None) == (self.reason is None):
+    def __init__(self, value: Numeric | None = None, reason: UndefinedReason | None = None) -> None:
+        if (value is None) == (reason is None):
             raise ValueError("exactly one of value and reason must be set")
+        object.__setattr__(self, "value", value)  # not _fill: evaluate makes ~3 per class, and this is faster
+        object.__setattr__(self, "reason", reason)
 
     @classmethod
     def defined(cls, value: Numeric) -> "MetricValue":
@@ -76,26 +75,25 @@ def _ratio(numerator: int, denominator: int) -> MetricValue:
     return MetricValue.defined(Fraction(numerator, denominator)) if denominator else _UNDEF_EMPTY
 
 
-@dataclass(frozen=True)
-class ClassWeights:
+class ClassWeights(_Frozen):
     """Non-negative per-class weights with a positive sum.
 
     Entries must be ints or Fractions: a float such as 0.1 is not the decimal
     it was written as, and would leak its binary rounding into exact metrics.
     """
 
-    w: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("w",)
 
-    def __post_init__(self) -> None:
-        for x in self.w:
+    def __init__(self, w: tuple[Fraction, ...]) -> None:
+        for x in w:
             if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                 raise InvalidWeightsError(f"weights must be ints or Fractions, got {x!r}")
-        converted = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.w)
+        converted = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in w)
         if any(x < 0 for x in converted):
-            raise InvalidWeightsError(f"weights must be non-negative, got {self.w!r}")
+            raise InvalidWeightsError(f"weights must be non-negative, got {w!r}")
         if exact_sum(converted) == 0:
             raise InvalidWeightsError("weights must not all be zero")
-        object.__setattr__(self, "w", converted)
+        self._fill(converted)
 
     @property
     def total(self) -> Fraction:
@@ -114,13 +112,15 @@ class ClassWeights:
         return cls(tuple(Fraction(t, s) for t in m.row_totals))
 
 
-@dataclass(frozen=True)
-class PerClassBreakdown:
+class PerClassBreakdown(_Frozen):
     """Positionally class-aligned precision, recall and F1 vectors."""
 
-    precision: tuple[MetricValue, ...]
-    recall: tuple[MetricValue, ...]
-    f1: tuple[MetricValue, ...]
+    __slots__ = __match_args__ = ("precision", "recall", "f1")
+
+    def __init__(
+        self, precision: tuple[MetricValue, ...], recall: tuple[MetricValue, ...], f1: tuple[MetricValue, ...]
+    ) -> None:
+        self._fill(precision, recall, f1)
 
 
 def accuracy(m: ConfusionMatrix) -> MetricValue:
@@ -367,21 +367,24 @@ def kappa_multiclass(m: ConfusionMatrix) -> MetricValue:
     return MetricValue.defined(Fraction(c * s - sum_pt, denominator))
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(_Frozen):
     """Every metric for one dataset/model pair, plus the options that produced it."""
 
-    dataset: str
-    labels: tuple[str, ...]
-    total_units: int
-    metrics: dict[str, MetricValue]
-    per_class: PerClassBreakdown
-    mode: str = "strict"
-    weights_source: str = "frequency"
-    epsilon: float = DEFAULT_EPSILON
-    reduce: str = "mean"
-    skipped_classes: dict[str, int] | None = None
-    tool_version: str = ""
+    __slots__ = __match_args__ = (
+        "dataset", "labels", "total_units", "metrics", "per_class", "mode", "weights_source", "epsilon", "reduce",
+        "skipped_classes", "tool_version",
+    )
+
+    def __init__(
+        self, dataset: str, labels: tuple[str, ...], total_units: int, metrics: dict[str, MetricValue],
+        per_class: PerClassBreakdown, mode: str = "strict", weights_source: str = "frequency",
+        epsilon: float = DEFAULT_EPSILON, reduce: str = "mean", skipped_classes: dict[str, int] | None = None,
+        tool_version: str = "",
+    ) -> None:
+        self._fill(
+            dataset, labels, total_units, metrics, per_class, mode, weights_source, epsilon, reduce, skipped_classes,
+            tool_version,
+        )
 
     @property
     def k(self) -> int:

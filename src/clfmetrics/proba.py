@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .confusion import ClassRegistry, ConfusionMatrix
+from .confusion import ClassRegistry, ConfusionMatrix, _Frozen
 
 # check_probs passes a sum when |fsum(probs) - 1| <= PROB_SUM_TOLERANCE. halves.py first tries the plain sum(probs)
 # of K values already known to lie in [0, 1]. No partial sum exceeds the last, which the band keeps below 2, so each
@@ -41,8 +40,7 @@ class MixedDimensionsError(ValueError):
     """Records in one dataset disagree on the number of classes."""
 
 
-@dataclass(frozen=True, slots=True)
-class ProbRecord:
+class ProbRecord(_Frozen):
     """One unit: its true class index and the predicted probability for each class.
 
     Each probability is stored as float(p), so numeric text is parsed here.
@@ -51,8 +49,14 @@ class ProbRecord:
     signals an upstream bug and must fail loudly.
     """
 
-    true_class: int
-    probs: tuple[float, ...]
+    __slots__ = __match_args__ = ("true_class", "probs")
+
+    def __init__(self, true_class: int, probs: tuple[float, ...]) -> None:
+        probs = tuple(map(float, probs))
+        self.check_probs(probs)
+        if not 0 <= true_class < len(probs):
+            raise InvalidRecordError(f"true class {true_class} out of range for {len(probs)} classes")
+        self._fill(true_class, probs)
 
     @staticmethod
     def check_probs(probs: tuple[float, ...]) -> None:
@@ -72,32 +76,22 @@ class ProbRecord:
         if abs(total - 1.0) > PROB_SUM_TOLERANCE:
             raise InvalidRecordError(f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOLERANCE}")
 
-    def __post_init__(self) -> None:
-        probs = tuple(map(float, self.probs))
-        object.__setattr__(self, "probs", probs)
-        self.check_probs(probs)
-        if not 0 <= self.true_class < len(probs):
-            raise InvalidRecordError(
-                f"true class {self.true_class} out of range for {len(probs)} classes"
-            )
-
     @property
     def k(self) -> int:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
-class XentOptions:
+class XentOptions(_Frozen):
     """Cross-entropy settings: the log clipping floor and the dataset reduction."""
 
-    epsilon: float = DEFAULT_EPSILON
-    reduce: str = "mean"
+    __slots__ = __match_args__ = ("epsilon", "reduce")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= MAX_EPSILON:
-            raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {self.epsilon!r}")
-        if self.reduce not in ("mean", "sum"):
-            raise ValueError(f"reduce must be 'mean' or 'sum', got {self.reduce!r}")
+    def __init__(self, epsilon: float = DEFAULT_EPSILON, reduce: str = "mean") -> None:
+        if not 0.0 < epsilon <= MAX_EPSILON:
+            raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon!r}")
+        if reduce not in ("mean", "sum"):
+            raise ValueError(f"reduce must be 'mean' or 'sum', got {reduce!r}")
+        self._fill(epsilon, reduce)
 
 
 _DEFAULT_OPTIONS = XentOptions()

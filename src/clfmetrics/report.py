@@ -19,13 +19,13 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, IO, Sequence
 
+from .confusion import _Frozen
 from .metrics import (
     EvaluationReport,
     MetricValue,
@@ -293,8 +293,7 @@ def format_report(report: EvaluationReport, fmt: str = "text") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Frozen):
     """Two evaluation reports side by side with per-metric deltas.
 
     Deltas are side B minus side A and exist only where both sides are
@@ -304,13 +303,14 @@ class ComparisonReport:
     marginals alone is what makes two different datasets commensurable.
     """
 
-    a: EvaluationReport
-    b: EvaluationReport
-    registries_match: bool
-    deltas: dict[str, Numeric | None]
-    per_class_deltas: dict[str, dict[str, Numeric | None]] | None
-    notes: tuple[str, ...]
-    flagged: tuple[str, ...] = ()
+    __slots__ = __match_args__ = ("a", "b", "registries_match", "deltas", "per_class_deltas", "notes", "flagged")
+
+    def __init__(
+        self, a: EvaluationReport, b: EvaluationReport, registries_match: bool, deltas: dict[str, Numeric | None],
+        per_class_deltas: dict[str, dict[str, Numeric | None]] | None, notes: tuple[str, ...],
+        flagged: tuple[str, ...] = (),
+    ) -> None:
+        self._fill(a, b, registries_match, deltas, per_class_deltas, notes, flagged)
 
 
 def _delta(a: MetricValue, b: MetricValue) -> Numeric | None:

@@ -433,6 +433,35 @@ def test_only_a_probability_run_loads_the_halves_module(tmp_path):
     assert loaded == {"evaluate": "(0, False)", "compare": "(0, False)", "probs": "(0, True)"}
 
 
+# Run as a script with the CLI's arguments: runs main, then writes its code and the watched modules it loaded.
+HEAVY_LOADED = (
+    "import sys; from clfmetrics.cli import main\n"
+    "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+    "sys.stderr.write(repr((code, [name for name in ('dataclasses', 'inspect') if name in sys.modules])))"
+)
+
+
+def test_no_run_loads_dataclasses_or_inspect(tmp_path):
+    """Start-up imports neither dataclasses nor the inspect it pulls in, whatever the command."""
+    (tmp_path / "a.csv").write_text("x,x\nx,y\ny,y\n", encoding="utf-8")
+    (tmp_path / "b.csv").write_text("x,y\ny,y\ny,x\n", encoding="utf-8")
+    (tmp_path / "p.csv").write_text("actual,a,b\na,0.25,0.75\nb,0.5,0.5\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+    runs = {
+        "version": ["--version"],
+        "evaluate": ["evaluate", "--kind", "labels", "a.csv"],
+        "compare": ["compare", "--kind", "labels", "--format", "json", "a.csv", "b.csv"],
+        "probs": ["evaluate", "--kind", "probs", "p.csv"],
+    }
+    loaded = {}
+    for name, argv in runs.items():
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", HEAVY_LOADED, *argv], cwd=tmp_path, env=env, capture_output=True, timeout=120
+        )
+        loaded[name] = result.stderr.decode()
+    assert loaded == {name: "(0, [])" for name in runs}
+
+
 class TestLargeKMemory:
     """K=20,000 in a small file: memory follows the nonzero cells, so the CLI fits in 512 MiB of address space."""
 
@@ -472,6 +501,41 @@ class TestLargeKMemory:
         result = self.run_capped(["evaluate", "--kind", "probs", "--format", "json", str(path)])
         assert (result.returncode, result.stderr) == (0, b"")
         assert len(json.loads(result.stdout)["classes"]) == self.K
+
+
+# Run as a script with the CLI's arguments: starts the CLI with posix_spawn and writes its exit code and its
+# wait4 peak RSS. Linux carries a parent's high-water RSS into a child it spawns, so the parent is this small
+# process, not the test run.
+PEAK_RSS = (
+    "import os, sys; argv = [sys.executable, '-m', 'clfmetrics', *sys.argv[1:]]\n"
+    "_, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ), 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+class TestOversizedLabelLine:
+    """A label line longer than any valid row is refused unread by the stepped tally, not held several times over."""
+
+    @staticmethod
+    def peak_mib(argv, cwd):
+        """The exit code, stderr and peak RSS in MiB of one CLI run."""
+        if not (hasattr(os, "wait4") and hasattr(os, "posix_spawn")):
+            pytest.skip("no os.wait4 or os.posix_spawn")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", PEAK_RSS, *argv], cwd=cwd, env=env, capture_output=True, timeout=120
+        )
+        code, peak = map(int, result.stdout.split()[-2:])
+        return code, result.stderr, peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+    def test_a_20_mb_line_costs_at_most_two_and_a_half_times_its_size(self, tmp_path):
+        size = 20_000_000
+        (tmp_path / "big.csv").write_bytes(b"a," + b"x" * size + b"\n")
+        code, _, base = self.peak_mib(["--version"], tmp_path)
+        assert code == 0
+        code, message, peak = self.peak_mib(["evaluate", "--kind", "labels", "big.csv"], tmp_path)
+        assert (code, message) == (2, b"clfmetrics: error: line 1: malformed CSV: field larger than field limit (131072)\n")
+        assert peak - base < 2.5 * size / (1 << 20), (base, peak)
 
 
 class TestOutputFaults:

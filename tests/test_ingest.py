@@ -1,5 +1,6 @@
 """Tests for the three CSV readers and their error reporting."""
 
+import csv
 import os
 import threading
 from fractions import Fraction
@@ -514,6 +515,29 @@ class TestOversizedField:
         with pytest.raises(ParseError, match="field larger than field limit") as err:
             list(stream_labels(path))
         assert err.value.line == 2
+
+
+    def test_a_label_line_longer_than_any_valid_row_gives_the_row_stream_error(self, tmp_path):
+        limit = csv.field_size_limit(64)  # no valid row is then longer than 8 * 64 + 6 bytes
+        try:
+            path = write(tmp_path, "l.csv", "a,b\n" * 5_000 + "c," + "x" * 20_000 + "\n")
+            error = ParseError, "line 5001: malformed CSV: field larger than field limit (64)", 5_001, None
+            assert assert_tally_matches_stream(path) == error
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_the_step_reader_refuses_a_line_past_longest_before_decoding_it(self, tmp_path):
+        data = b"a,b\n" + b"\xff" * 100 + b"\nc,d\n"
+        path = tmp_path / "l.csv"
+        path.write_bytes(data)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(ingest._SerialOnly):
+                list(ingest._range_steps(fd, 0, len(data), 8, longest=50))
+            with pytest.raises(UnicodeDecodeError):  # uncapped, as for probability lines
+                list(ingest._range_steps(fd, 0, len(data), 8))
+        finally:
+            os.close(fd)
 
 
 class TestByteOrderMark:

@@ -1,6 +1,5 @@
 """Tests for report rendering, JSON round-trips and model comparison."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from clfmetrics import (
     ClassRegistry,
     ConfusionMatrix,
+    EvaluationReport,
     MetricValue,
     PerClassBreakdown,
     ProbRecord,
@@ -271,6 +271,14 @@ LABELS = st.one_of(
 ODD_VALUES = st.sampled_from([1, 1.0, Fraction(1), 0, 0.0, -0.0, Fraction(0), Fraction(1, 2), 0.5, 2, Fraction(2)])
 
 
+def with_per_class(report, per_class):
+    """The report with its per-class breakdown replaced, built with the constructor."""
+    return EvaluationReport(
+        report.dataset, report.labels, report.total_units, report.metrics, per_class, report.mode,
+        report.weights_source, report.epsilon, report.reduce, report.skipped_classes, report.tool_version,
+    )
+
+
 @st.composite
 def small_reports(draw, labels=None):
     """evaluate on a small matrix of counts 0..3: empty rows and columns, tp = 0, values 0 and 1, many repeats."""
@@ -289,7 +297,7 @@ def small_reports(draw, labels=None):
             tuple(MetricValue.defined(draw(ODD_VALUES)) if draw(st.booleans()) else v for v in column)
             for column in (report.per_class.precision, report.per_class.recall, report.per_class.f1)
         ))
-        report = dataclasses.replace(report, per_class=per_class)
+        report = with_per_class(report, per_class)
     return report
 
 
@@ -300,9 +308,9 @@ def comparisons(draw):
     return compare_reports(a, b)
 
 
-ODD_REPORT = dataclasses.replace(
+ODD_REPORT = with_per_class(
     evaluate(ConfusionMatrix.from_grid(("a", "b", "c"), ((1, 0, 0), (0, 1, 0), (0, 0, 0)))),
-    per_class=PerClassBreakdown(
+    PerClassBreakdown(
         tuple(map(MetricValue.defined, (1, 1.0, Fraction(1)))),
         tuple(map(MetricValue.defined, (0.0, -0.0, Fraction(0)))),
         tuple(map(MetricValue.defined, (0, -0.0, 0.0))),
