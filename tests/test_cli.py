@@ -514,7 +514,7 @@ PEAK_RSS = (
 
 
 class TestOversizedLabelLine:
-    """A label line longer than any valid row is refused unread by the stepped tally, not held several times over."""
+    """The stepped tally refuses a label line longer than any valid row before joining it, not holding it several times."""
 
     @staticmethod
     def peak_mib(argv, cwd):
