@@ -514,7 +514,7 @@ PEAK_RSS = (
 
 
 class TestOversizedLabelLine:
-    """The stepped tally refuses a label line longer than any valid row before joining it, not holding it several times."""
+    """The stepped tally refuses a label line longer than any valid row before joining it: it is not held many times."""
 
     @staticmethod
     def peak_mib(argv, cwd):
@@ -534,7 +534,8 @@ class TestOversizedLabelLine:
         code, _, base = self.peak_mib(["--version"], tmp_path)
         assert code == 0
         code, message, peak = self.peak_mib(["evaluate", "--kind", "labels", "big.csv"], tmp_path)
-        assert (code, message) == (2, b"clfmetrics: error: line 1: malformed CSV: field larger than field limit (131072)\n")
+        error = b"clfmetrics: error: line 1: malformed CSV: field larger than field limit (131072)\n"
+        assert (code, message) == (2, error)
         assert peak - base < 2.5 * size / (1 << 20), (base, peak)
 
 

@@ -39,7 +39,8 @@ CASES = {
         (("a", "b"),), {"labels": ("a", "b")}, ClassRegistry(("a", "c")), "ClassRegistry(labels=('a', 'b'))", True,
     ),
     OneVsRest: (
-        (1, 2, 3, 4), {"tp": 1, "fp": 2, "fn": 3, "tn": 4}, OneVsRest(1, 2, 3, 5), "OneVsRest(tp=1, fp=2, fn=3, tn=4)", True,
+        (1, 2, 3, 4), {"tp": 1, "fp": 2, "fn": 3, "tn": 4}, OneVsRest(1, 2, 3, 5),
+        "OneVsRest(tp=1, fp=2, fn=3, tn=4)", True,
     ),
     ConfusionMatrix: (
         (REGISTRY, {(0, 0): 2, (0, 1): 1, (1, 1): 0}),
@@ -61,8 +62,8 @@ CASES = {
         BREAKDOWN_ARGS,
         dict(zip(("precision", "recall", "f1"), BREAKDOWN_ARGS)),
         EMPTY_BREAKDOWN,
-        "PerClassBreakdown(precision=(MetricValue(value=1, reason=None),), recall=(MetricValue(value=0.5, reason=None),), "
-        "f1=(MetricValue(value=Fraction(1, 3), reason=None),))",
+        "PerClassBreakdown(precision=(MetricValue(value=1, reason=None),), "
+        "recall=(MetricValue(value=0.5, reason=None),), f1=(MetricValue(value=Fraction(1, 3), reason=None),))",
         True,
     ),
     EvaluationReport: (
@@ -78,7 +79,8 @@ CASES = {
         "ProbRecord(true_class=1, probs=(0.25, 0.75))", True,
     ),
     XentOptions: (
-        (), {"epsilon": 1e-15, "reduce": "mean"}, XentOptions(reduce="sum"), "XentOptions(epsilon=1e-15, reduce='mean')", True,
+        (), {"epsilon": 1e-15, "reduce": "mean"}, XentOptions(reduce="sum"),
+        "XentOptions(epsilon=1e-15, reduce='mean')", True,
     ),
     ComparisonReport: (
         (REPORT, REPORT, True, {"accuracy": 0}, None, ("n",)),
