@@ -1,11 +1,11 @@
-"""Score a large probability file in two processes, with the serial stream's result.
+"""Score a probability file in blocks of whole lines: in this process, or in two forked halves.
 
-score_halves is ingest.score_probs's first try; it is a module of its own so
-that only a run that scores a probability file compiles and loads it. It
-holds the fork, the pipe and the merge: each process reads its half through
-ingest's step reader, in steps of whole lines, and scores each step as one
-block of C-level passes, which accept a step or refuse it; a refusal sends
-the whole file through the serial stream, the only code that names errors.
+score_steps is ingest.score_probs's first try on a file that can be read
+twice, in a module of its own so that only a probability run compiles and
+loads it. Each step of ingest's step reader is scored as one block of C-level
+passes, which accept it or refuse it; a refusal sends the whole file through
+the row stream, the only code that names errors. Here too are the fork, the
+pipe and the merge of a large file's two halves.
 """
 
 from __future__ import annotations
@@ -15,47 +15,40 @@ import marshal
 import math
 import os
 import signal
-import stat
 import threading
 from collections import Counter
 from itertools import compress, repeat
 from typing import Iterable
 
 from .confusion import ClassRegistry
-from .ingest import IngestError, _line_end, _range_steps, _read_header, _SerialOnly, _split_lines
+from .ingest import IngestError, _check_end, _line_end, _range_steps, _read_header, _SerialOnly, _split_lines
 from .proba import PROB_SUM_TOLERANCE, Scores, exact_sum_steps
 
 # A probability file this large is scored in two processes: forking costs a few ms.
 PARALLEL_MIN_BYTES = 1 << 20
-# Bytes each process reads per step of its half; larger steps only raise peak memory.
-_HALF_CHUNK = 1 << 16
+# Bytes per read step of a probability file; larger steps only raise peak memory.
+_PROB_STEP = 1 << 16
 
 
-def score_halves(path: str, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores] | None:
-    """The registry and merged scores of a probability file scored in two processes, or None (see score_probs)."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    # A forked child would hold only this thread, and perhaps a lock another thread held.
-    if not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() != 1:
-        return None
-    try:
-        info = os.stat(path)  # before opening: a named pipe opened here would lose what it holds
-        if not stat.S_ISREG(info.st_mode) or info.st_size < PARALLEL_MIN_BYTES:
-            return None
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return None  # the serial stream reports it
+def score_steps(fd: int, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores] | None:
+    """The registry and scores of an open probability file read in steps, or None (see score_probs)."""
     try:
         size = os.fstat(fd).st_size
         data_start = _line_end(fd, 0, size)
         registry = _plain_header(os.pread(fd, data_start, 0), delimiter)
         if registry is None:
             return None
-        middle = _line_end(fd, (data_start + size) // 2, size)
-        return registry, _fork_halves(fd, (data_start, middle), (middle, size), registry, delimiter, epsilon)
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+        # A forked child would hold only this thread, and perhaps a lock another thread held.
+        if size < PARALLEL_MIN_BYTES or not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() != 1:
+            scores = _score_steps(_range_steps(fd, data_start, size, _PROB_STEP), registry, delimiter, epsilon)
+        else:
+            middle = _line_end(fd, (data_start + size) // 2, size)
+            scores = _fork_halves(fd, (data_start, middle), (middle, size), registry, delimiter, epsilon)
+        _check_end(fd, size)
+        return registry, scores
     except (_SerialOnly, IngestError, csv.Error, EOFError, OSError, TypeError, ValueError):
-        return None  # any error: the serial stream from the first byte reports it, or finds none
-    finally:
-        os.close(fd)
+        return None  # any error: the row stream from the first byte reports it, or finds none
 
 
 def _plain_header(line: bytes, delimiter: str) -> ClassRegistry | None:
@@ -88,7 +81,7 @@ def _fork_halves(
         code = 1
         try:
             os.close(read_end)
-            tally, total, count = _score_steps(_range_steps(fd, *second, _HALF_CHUNK), registry, delimiter, epsilon)
+            tally, total, count = _score_steps(_range_steps(fd, *second, _PROB_STEP), registry, delimiter, epsilon)
             reply = memoryview(marshal.dumps((dict(tally), total, count)))
             while reply:
                 reply = reply[os.write(write_end, reply):]
@@ -99,7 +92,7 @@ def _fork_halves(
     try:
         with open(read_end, "rb") as pipe:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            tally, total, count = _score_steps(_range_steps(fd, *first, _HALF_CHUNK), registry, delimiter, epsilon)
+            tally, total, count = _score_steps(_range_steps(fd, *first, _PROB_STEP), registry, delimiter, epsilon)
             reply = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -114,7 +107,7 @@ def _fork_halves(
 
 
 def _score_steps(steps: Iterable[str], registry: ClassRegistry, delimiter: str, epsilon: float) -> Scores:
-    """score_pairs of the serial stream's rows of texts that each end a line, or _SerialOnly."""
+    """score_pairs of the row stream's rows of texts that each end a line, or _SerialOnly."""
     index = {label: i for i, label in enumerate(registry.labels)}
     tally: Counter[tuple[int, int]] = Counter()
     total = sum(_score_step(text, index, delimiter, epsilon, tally) for text in steps)
@@ -125,7 +118,7 @@ def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float
     """Add the (true, argmax) pairs of a text's non-blank lines to tally; their cross-entropy sum, by exact_sum_steps.
 
     A fixed number of C-level passes, whatever the row count, that accept
-    exactly the texts whose rows the serial stream accepts: no quote or NUL,
+    exactly the texts whose rows the row stream accepts: no quote or NUL,
     K + 1 fields on each line, none past csv.field_size_limit(), known labels
     and vectors that ProbRecord.check_probs passes. Any other raises _SerialOnly.
     The sum test is a plain-sum band (see PROB_SUM_TOLERANCE); only the rows outside

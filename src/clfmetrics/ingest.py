@@ -18,13 +18,12 @@ row by row: the reference tally_labels agrees with, and its fallback.
 Every reader takes UTF-8 text (LF or CRLF, with or without a byte-order
 mark), and every error carries the 1-based line number it was raised on,
 counting LF, CR and CRLF as one line end each, as csv does, save a byte that
-is not UTF-8 in input that cannot be read twice, such as a pipe. The row
-streams open their file once and read it once. Two readers may read a file
-that can be read twice a second time, from the start, as that row stream:
-tally_labels, after its count of the lines, read in steps, gives up (on a
-quote or a bad row), and score_probs, after scoring two halves of a large
-regular file in two processes gives up. A file with a byte that is not UTF-8
-is decoded again to find its line.
+is not UTF-8 in input that cannot be read twice, such as a pipe. Every reader
+opens its file once. tally_labels and score_probs first read a file that can
+be read twice in steps of whole lines with os.pread, which leaves the handle's
+offset alone; where that gives up (on a quote, a bad row or a file that
+changes size), they read the same handle from its first byte as the row
+stream. A file with a byte that is not UTF-8 is decoded again to find its line.
 """
 
 from __future__ import annotations
@@ -199,6 +198,12 @@ def _range_steps(fd: int, start: int, end: int, step: int, longest: float = math
         yield text
 
 
+def _check_end(fd: int, size: int) -> None:
+    """_SerialOnly if a file read in steps up to its size holds more: it grew, or its size is not its length."""
+    if os.pread(fd, 1, size):
+        raise _SerialOnly("the file grew")
+
+
 def _split_lines(text: str) -> list[str]:
     """The lines of a text, cut only at csv's line ends: str.splitlines would also cut at \x85 and others."""
     if "\r" in text:
@@ -298,31 +303,31 @@ def score_probs(
 ) -> tuple[ConfusionMatrix, float]:
     """The hardened matrix and the dataset cross-entropy of a probability file.
 
-    A regular file of at least halves.PARALLEL_MIN_BYTES is scored in two
-    processes when os.fork exists, the process may run on two CPUs and runs no
-    other thread, and the file's first line is its header with no quote and no
-    bare carriage return. The data after the header is split at the first
-    newline after its midpoint, and a forked child scores the second half
-    while this process scores the first; each reads its own byte range with
-    os.pread, so no file offset is shared, in steps of whole lines, and
-    scores each step as one block of C-level passes rather than row by row.
-    A block is accepted only when it gives exactly the serial stream's rows.
-    The child sends back its tally and its exact_sum_steps total, which add
-    to the serial result bit for bit. A refused block (a quote, a NUL, a field
-    past the csv limit, or any row the serial stream would reject) in either
-    half, any other error in either process, or a short reply from the child
-    ends the child and scores the file serially from its first byte, so every
-    error is the serial stream's, with its line. Either way each process holds
-    the distinct (actual, predicted) pairs, not the rows.
+    A file that can be read twice is scored by halves.score_steps when its
+    first line is its header with no quote and no bare carriage return: read
+    with os.pread in steps of whole lines, each scored as one block of C-level
+    passes. From halves.PARALLEL_MIN_BYTES on, when os.fork exists and the
+    process may run on two CPUs and runs no other thread, the data is split
+    at the first newline after its midpoint and a forked child scores the
+    second half; its tally and exact_sum_steps total add to this process's
+    bit for bit. A block is accepted only when it gives exactly the row
+    stream's rows. A refused block (a quote, a NUL, a field past the csv
+    limit, or any row the row stream would reject), a file that grows or
+    shrinks while read, or any failure of the child sends the same handle,
+    from its first byte, through the row stream, which names every error with
+    its line; so is any input that cannot be read twice, such as a pipe.
+    Memory holds the distinct (actual, predicted) pairs, not the rows.
     """
-    from .halves import score_halves  # its own module: runs on other kinds neither compile nor load it
+    from .halves import score_steps  # its own module: runs on other kinds neither compile nor load it
 
-    halves = score_halves(path, delimiter, options.epsilon)
-    if halves is not None:
-        return score_tally(*halves, options)
-    rows = _open_rows(path, delimiter)
-    registry = _read_header(rows)[1]
-    return score_tally(registry, score_pairs(_prob_rows(rows, registry), options.epsilon), options)
+    with _open_text(path) as handle:
+        by_steps = handle.seekable() and hasattr(os, "pread")
+        scored = score_steps(handle.fileno(), delimiter, options.epsilon) if by_steps else None
+        if scored is not None:
+            return score_tally(*scored, options)
+        rows = _rows(handle, delimiter)
+        registry = _read_header(rows)[1]
+        return score_tally(registry, score_pairs(_prob_rows(rows, registry), options.epsilon), options)
 
 
 def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
@@ -374,7 +379,7 @@ def tally_labels(
     its count added to its pair, so memory stays bounded by the number of
     distinct lines, not by the file's length. A file this cannot read line by
     line (one with a quote, which may open a field spanning lines, a row
-    error, an oversized field or an undecodable byte, or one that shrinks
+    error, an oversized field or an undecodable byte, or one that changes size
     while read) is read again from the start as the stream_labels row stream,
     which names the fault with its line. So is any input that cannot be read
     twice, such as a pipe, from its first byte, and any file where os.pread
@@ -398,8 +403,7 @@ def _tally_distinct_lines(fd: int, delimiter: str, has_header: bool) -> dict[tup
             if '"' in text:
                 return None
             lines.update(_split_lines(text))
-        if os.pread(fd, 1, size):  # the file grew, or its size is not its length
-            return None
+        _check_end(fd, size)
         # Without quotes every line is a CSV row of its own: the header is the first non-blank line.
         header = next(filter(None, lines), None) if has_header else None
         if header is not None:

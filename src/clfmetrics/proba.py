@@ -5,8 +5,9 @@ never touches the confusion matrix; it looks only at the probability assigned
 to the unit's true class. Hardening applies the highest-probability rule to
 bridge probability outputs into the confusion-matrix world.
 
-score_records scores records in memory and ingest.score_probs a file: both
-run score_pairs, one pass that hardens and sums, then score_tally.
+score_records scores records in memory with score_pairs, one pass that hardens
+and sums; ingest.score_probs scores a file in blocks that give its result
+exactly, or row by row with score_pairs. Both end in score_tally.
 """
 
 from __future__ import annotations

@@ -240,6 +240,21 @@ class TestTallyLabels:
         quoted = assert_tally_matches_stream(str(path), has_header=has_header)
         assert "arr\r\nival" in quoted.registry
 
+    def test_a_file_that_grows_while_counted_is_read_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"a,b\n" * 20_000)
+        steps = ingest._range_steps
+
+        def growing(*args):
+            for i, text in enumerate(steps(*args)):
+                yield text
+                if i == 0:
+                    with open(path, "ab") as tail:
+                        tail.write(b"c,c\n")
+
+        monkeypatch.setattr(ingest, "_range_steps", growing)
+        assert tally_labels(str(path)) == from_pairs([("a", "b")] * 20_000 + [("c", "c")])
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
     @pytest.mark.parametrize("case", PIPED_LABEL_FILES)
     def test_a_pipe_is_read_once_as_the_stream(self, tmp_path, case):

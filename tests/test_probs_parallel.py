@@ -1,14 +1,17 @@
-"""The CLI's two-process probability path gives the serial path's stdout, stderr and exit code.
+"""The CLI's stepped probability paths give the row stream's stdout, stderr and exit code.
 
-Each case runs `clfmetrics` in process twice: serially, with the size at which
-a file is split raised out of reach, and in two forked halves, with it lowered
-to 0 so that small files are split too. After the split run no child may be
-left unreaped and no descriptor left open. The last test runs the tool as it
-is shipped, on files over the split threshold, from a file and through a pipe.
+Each case runs `clfmetrics` in process three times: through the row stream,
+with the stepped reader refused; in steps in this process, with the size at
+which a file is split raised out of reach; and in two forked halves, with it
+lowered to 0 so that small files are split too. After each stepped run no
+child may be left unreaped and no descriptor left open. The last test runs the
+tool as it is shipped, on files over the split threshold, from a file, through
+a pipe and on one CPU.
 """
 
 import contextlib
 import errno
+import gc
 import io
 import json
 import marshal
@@ -37,7 +40,7 @@ BODY = b"".join(ROWS) * 20  # 120 rows: the midpoint falls inside the data
 BIG_BODY = b"".join(ROWS) * 4_000
 WIDE_HEADER = b"actual," + b",".join(b"class_with_a_long_name_%04d" % i for i in range(3_000)) + b"\n"
 
-# name -> (file bytes, whether the split path must complete without falling back, exit code)
+# name -> (file bytes, whether each stepped run must complete without falling back, exit code)
 CORPUS = {
     "plain": (HEADER + BODY, True, 0),
     "big": (HEADER + BIG_BODY, True, 0),
@@ -127,29 +130,31 @@ def open_descriptors():
     return sorted(os.listdir("/proc/self/fd"))
 
 
-def serial_and_split(monkeypatch, argv):
-    """(serial outcome, split outcome, whether each split completed) of one CLI run.
+def three_runs(monkeypatch, argv):
+    """(row stream, steps in process, split) outcomes of one CLI run, then whether each stepped run completed.
 
-    The split run must leave no child unreaped and no descriptor open.
+    Neither stepped run may leave a child unreaped or a descriptor open.
     """
-    monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", 1 << 62)
-    serial = run(argv)
-    merged = []
-    score_halves = halves.score_halves
+    score_steps = halves.score_steps
+    monkeypatch.setattr(halves, "score_steps", lambda *args: None)
+    outcomes, completed = [run(argv)], []
 
     def counted(*args):
-        result = score_halves(*args)
-        merged.append(result is not None)
+        result = score_steps(*args)
+        completed[-1].append(result is not None)
         return result
 
-    monkeypatch.setattr(halves, "score_halves", counted)
-    monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", 0)
-    before = open_descriptors()
-    split = run(argv)
-    assert open_descriptors() == before
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return serial, split, merged
+    monkeypatch.setattr(halves, "score_steps", counted)
+    for threshold in (1 << 62, 0):
+        monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", threshold)
+        completed.append([])
+        gc.collect()  # or earlier tests' objects that only a collection closes may close mid-run and leave the snapshot
+        before = open_descriptors()
+        outcomes.append(run(argv))
+        assert open_descriptors() == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return (*outcomes, *completed)
 
 
 @splits
@@ -159,10 +164,10 @@ def test_split_run_matches_the_serial_run(tmp_path, monkeypatch, case, argv):
     data, completes, code = CORPUS[case]
     path = tmp_path / "p.csv"
     path.write_bytes(data)
-    serial, split, merged = serial_and_split(monkeypatch, [*argv, str(path)])
-    assert split == serial
-    assert serial[0] == code
-    assert merged == [completes]
+    rows, stepped, split, in_process, forked = three_runs(monkeypatch, [*argv, str(path)])
+    assert (stepped, split) == (rows, rows)
+    assert rows[0] == code
+    assert (in_process, forked) == ([completes], [completes])
 
 
 @splits
@@ -170,9 +175,9 @@ def test_tab_delimited_file_is_split(tmp_path, monkeypatch):
     path = tmp_path / "p.tsv"
     path.write_bytes((HEADER + BIG_BODY).replace(b",", b"\t"))
     argv = ["evaluate", "--kind", "probs", "--delimiter", "tab", str(path)]
-    serial, split, merged = serial_and_split(monkeypatch, argv)
-    assert split == serial
-    assert (serial[0], merged) == (0, [True])
+    rows, stepped, split, in_process, forked = three_runs(monkeypatch, argv)
+    assert (stepped, split) == (rows, rows)
+    assert (rows[0], in_process, forked) == (0, [True], [True])
 
 
 @splits
@@ -181,9 +186,9 @@ def test_compare_splits_each_side(tmp_path, monkeypatch):
     a.write_bytes(HEADER + BIG_BODY)
     b.write_bytes(HEADER + BODY + BIG_BODY)
     argv = ["compare", "--kind", "probs", "--format", "json", str(a), str(b)]
-    serial, split, merged = serial_and_split(monkeypatch, argv)
-    assert split == serial
-    assert (serial[0], merged) == (0, [True, True])
+    rows, stepped, split, in_process, forked = three_runs(monkeypatch, argv)
+    assert (stepped, split) == (rows, rows)
+    assert (rows[0], in_process, forked) == (0, [True, True], [True, True])
 
 
 @splits
@@ -196,9 +201,9 @@ def test_a_short_reply_from_the_child_falls_back(tmp_path, monkeypatch):
         loads = staticmethod(marshal.loads)
 
     monkeypatch.setattr(halves, "marshal", Truncating)
-    serial, split, merged = serial_and_split(monkeypatch, ["evaluate", "--kind", "probs", str(path)])
-    assert split == serial
-    assert (serial[0], merged) == (0, [False])
+    rows, stepped, split, in_process, forked = three_runs(monkeypatch, ["evaluate", "--kind", "probs", str(path)])
+    assert (stepped, split) == (rows, rows)
+    assert (rows[0], in_process, forked) == (0, [True], [False])
 
 
 @splits
@@ -209,6 +214,7 @@ def test_a_pipe_is_read_serially(tmp_path, monkeypatch):
     expected = run(["evaluate", "--kind", "probs", str(path)])
     assert expected[0] == 2
     monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", 0)
+    gc.collect()  # as in three_runs
     before = open_descriptors()
     with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
         piped = run(["evaluate", "--kind", "probs", f"/dev/fd/{cat.stdout.fileno()}"])
@@ -217,6 +223,29 @@ def test_a_pipe_is_read_serially(tmp_path, monkeypatch):
     assert open_descriptors() == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@splits
+@pytest.mark.parametrize("threshold", [1 << 62, 0], ids=["steps", "split"])
+def test_a_file_that_grows_while_read_in_steps_is_read_whole(tmp_path, monkeypatch, threshold):
+    """A row appended after this process's first step is scored: the stepped run gives up for the row stream."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + BIG_BODY)
+    steps, here = halves._range_steps, os.getpid()
+
+    def growing(*args):
+        for i, text in enumerate(steps(*args)):
+            yield text
+            if i == 0 and os.getpid() == here:  # not in a forked child
+                with open(path, "ab") as tail:
+                    tail.write(b"a,0.5,0.5,0\n")
+
+    monkeypatch.setattr(halves, "_range_steps", growing)
+    monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", threshold)
+    grown = run(["evaluate", "--kind", "probs", str(path)])
+    assert "units: 24001\n" in grown[1]
+    monkeypatch.setattr(halves, "score_steps", lambda *args: None)
+    assert grown == run(["evaluate", "--kind", "probs", str(path)])
 
 
 @splits
@@ -332,11 +361,19 @@ def split_threshold_files():
 SPLIT_THRESHOLD_FILES = split_threshold_files()
 
 
+# Run as a script with the CLI's arguments: pins itself to one CPU, then runs the tool as `python -m clfmetrics` does.
+ONE_CPU = (
+    "import os, runpy; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    "runpy.run_module('clfmetrics', run_name='__main__', alter_sys=True)"
+)
+
+
 @pytest.mark.parametrize("name", SPLIT_THRESHOLD_FILES)
 def test_a_file_read_as_stdin_gives_the_pipe_run(tmp_path, name):
-    """Redirected from a file, /dev/stdin is a regular file and may be split; fed through a pipe, it is read serially.
+    """From a file, /dev/stdin is a regular file, read in steps and perhaps split; a pipe takes the row stream.
 
-    Without two CPUs both runs are serial, and the test still holds.
+    A third run reads the file on one CPU, so in steps in one process. Without
+    two CPUs the first run is not split either, and the test still holds.
     """
     data, args, code = SPLIT_THRESHOLD_FILES[name]
     path = tmp_path / f"{name}.csv"
@@ -346,9 +383,11 @@ def test_a_file_read_as_stdin_gives_the_pipe_run(tmp_path, name):
     with open(path, "rb") as stdin:
         from_file = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=120)
     through_pipe = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=120)
-    assert (from_file.stdout, from_file.stderr, from_file.returncode) == (
-        through_pipe.stdout,
-        through_pipe.stderr,
-        through_pipe.returncode,
-    )
+    runs = [from_file, through_pipe]
+    if hasattr(os, "sched_setaffinity"):
+        with open(path, "rb") as stdin:
+            one_cpu = [sys.executable, "-c", ONE_CPU, *argv[3:]]
+            runs.append(subprocess.run(one_cpu, stdin=stdin, capture_output=True, env=env, timeout=120))
+    outcomes = [(each.stdout, each.stderr, each.returncode) for each in runs]
+    assert outcomes[1:] == outcomes[:1] * (len(runs) - 1)
     assert from_file.returncode == code
