@@ -45,8 +45,8 @@ for i, label in enumerate(m.registry.labels):
         f"recall={breakdown.recall[i].unwrap()} f1={breakdown.f1[i].unwrap()}"
     )
 
-# Pooling all units before dividing (micro averaging) collapses to accuracy;
-# the library computes both routes so the identity stays observable.
+# Pooling all units before dividing (micro averaging): every false positive of
+# one class is a false negative of another, so pooled F1 equals accuracy.
 print("micro F1 == accuracy:", micro_f1(m).unwrap() == accuracy(m).unwrap())
 print("macro F1:            ", macro_f1(m).unwrap())
 

@@ -4,7 +4,8 @@ Every metric keeps its numerator and denominator as exact integers (or exact
 rationals built from them) and divides once at the end, so values like 37/52
 are reproducible bit for bit. A metric whose denominator vanishes is returned
 as an explicit Undefined value carrying a machine-readable reason; it is never
-silently coerced to 0 or NaN.
+silently coerced to 0 or NaN. Each metric has one formula: the two-class
+Matthews correlation and kappa are the K-class ones on a tiling's 2 x 2 matrix.
 """
 
 from __future__ import annotations
@@ -128,12 +129,13 @@ def accuracy(m: ConfusionMatrix) -> MetricValue:
     return _ratio(m.trace, m.grand_total)
 
 
+def _complement(v: MetricValue) -> MetricValue:
+    return MetricValue.defined(1 - v.value) if v.is_defined else v
+
+
 def misclassification_rate(m: ConfusionMatrix) -> MetricValue:
     """The quantity missing from accuracy to reach 1."""
-    acc = accuracy(m)
-    if not acc.is_defined:
-        return acc
-    return MetricValue.defined(1 - acc.unwrap())
+    return _complement(accuracy(m))
 
 
 def harmonic_f1(precision: MetricValue | Numeric, recall: MetricValue | Numeric) -> MetricValue:
@@ -239,10 +241,10 @@ def balanced_accuracy_weighted(
 ) -> MetricValue:
     """Weighted mean of per-class recalls, sum(w_k * recall_k) / sum(w_k).
 
-    With weights proportional to the actual class frequencies this collapses
-    to plain accuracy. A zero-weight class never forces the result undefined;
-    in lenient mode undefined-recall classes are dropped and the weight sum
-    is renormalized over the classes kept.
+    A zero-weight class never forces the result undefined; in lenient mode
+    undefined-recall classes are dropped and the weight sum is renormalized
+    over the classes kept. With the actual class frequencies as weights the
+    result is the accuracy, so evaluate's default reports that (see there).
     """
     return _mean_of(per_class(m).recall, lenient, weights)[0]
 
@@ -259,12 +261,12 @@ def macro_f1(m: ConfusionMatrix, lenient: bool = False) -> MetricValue:
 
 
 def micro_f1(m: ConfusionMatrix) -> MetricValue:
-    """Pooled F1 over all units: the diagonal, every class's TP, over the grand total.
+    """Pooled F1 over all units, which is the accuracy.
 
     Pooled, every false positive of one class is a false negative of another,
-    so micro precision, micro recall and micro F1 all equal accuracy.
+    so micro precision, micro recall and micro F1 all equal trace/total.
     """
-    return _ratio(m.trace, m.grand_total)
+    return accuracy(m)
 
 
 def _root_ratio(numerator: int, radicand: int) -> Numeric:
@@ -285,86 +287,62 @@ def _root_ratio(numerator: int, radicand: int) -> Numeric:
         return numerator / root
 
 
-def mcc_binary(o: OneVsRest) -> MetricValue:
-    """Matthews correlation for a two-class tiling.
+def _mcc(c: int, s: int, p: Sequence[int], t: Sequence[int]) -> MetricValue:
+    """Matthews correlation from the trace c, total s, column totals p and row totals t.
 
-    (tp*tn - fp*fn) / sqrt((tp+fn)(tp+fp)(tn+fn)(tn+fp)). Any zero factor
-    under the root means one marginal is a point mass and the score is 0 by
-    convention, matching the no-correlation reading of an all-one-class
-    prediction.
+    (c*s - sum p_k t_k) / sqrt((s^2 - sum p_k^2)(s^2 - sum t_k^2)), in exact integers until the
+    final division. A zero radicand factor means a point-mass marginal: 0 by convention.
     """
-    s = o.total
     if s == 0:
         return _UNDEF_EMPTY
-    factors = (o.tp + o.fn, o.tp + o.fp, o.tn + o.fn, o.tn + o.fp)
-    if any(f == 0 for f in factors):
-        return MetricValue.defined(Fraction(0))
-    numerator = o.tp * o.tn - o.fp * o.fn
-    radicand = factors[0] * factors[1] * factors[2] * factors[3]
-    return MetricValue.defined(_root_ratio(numerator, radicand))
-
-
-def _marginal_products(m: ConfusionMatrix) -> tuple[int, int, int, int, int]:
-    """Exact integer intermediates: trace, total, sum p*t, sum p^2, sum t^2."""
-    p = m.col_totals
-    t = m.row_totals
-    sum_pt = sum(pk * tk for pk, tk in zip(p, t))
-    sum_p2 = sum(pk * pk for pk in p)
-    sum_t2 = sum(tk * tk for tk in t)
-    return m.trace, m.grand_total, sum_pt, sum_p2, sum_t2
-
-
-def mcc_multiclass(m: ConfusionMatrix) -> MetricValue:
-    """Matthews correlation for K classes.
-
-    (c*s - sum p_k t_k) / sqrt((s^2 - sum p_k^2)(s^2 - sum t_k^2)) over the
-    column totals p and row totals t, all in exact integer arithmetic until
-    the final division. A zero radicand factor yields 0 by convention.
-    """
-    c, s, sum_pt, sum_p2, sum_t2 = _marginal_products(m)
-    if s == 0:
-        return _UNDEF_EMPTY
-    r1 = s * s - sum_p2
-    r2 = s * s - sum_t2
+    r1 = s * s - sum(pk * pk for pk in p)
+    r2 = s * s - sum(tk * tk for tk in t)
     if r1 == 0 or r2 == 0:
         return MetricValue.defined(Fraction(0))
-    return MetricValue.defined(_root_ratio(c * s - sum_pt, r1 * r2))
+    return MetricValue.defined(_root_ratio(c * s - sum(pk * tk for pk, tk in zip(p, t)), r1 * r2))
 
 
-def kappa_binary(o: OneVsRest) -> MetricValue:
-    """Chance-corrected agreement for a two-class tiling, (Po - Pe)/(1 - Pe).
+def _kappa(c: int, s: int, p: Sequence[int], t: Sequence[int]) -> MetricValue:
+    """Cohen's kappa from the trace c, total s, column totals p and row totals t.
 
-    Po is the observed accuracy; Pe adds the marginal products of the
-    positive and negative class, the accuracy a marginal-preserving random
-    classifier attains. When Pe equals 1 both marginals are point masses on
-    one class and the score is 1 for perfect agreement, 0 otherwise.
+    (c*s - sum p_k t_k) / (s^2 - sum p_k t_k) is (Po - Pe)/(1 - Pe) with Po = c/s, Pe = sum p_k t_k / s^2.
+    A zero denominator means both marginals are point masses on one class: 1 if c = s, else 0.
     """
-    s = o.total
     if s == 0:
         return _UNDEF_EMPTY
-    po = Fraction(o.tp + o.tn, s)
-    p_positive = Fraction(o.tp + o.fn, s) * Fraction(o.tp + o.fp, s)
-    p_negative = Fraction(o.tn + o.fp, s) * Fraction(o.tn + o.fn, s)
-    pe = p_positive + p_negative
-    if pe == 1:
-        return MetricValue.defined(Fraction(1) if po == 1 else Fraction(0))
-    return MetricValue.defined((po - pe) / (1 - pe))
-
-
-def kappa_multiclass(m: ConfusionMatrix) -> MetricValue:
-    """Chance-corrected agreement for K classes.
-
-    (c*s - sum p_k t_k) / (s^2 - sum p_k t_k): the same numerator as the
-    multiclass Matthews correlation over a plain (non-root) denominator.
-    A zero denominator degenerates exactly like Pe = 1 in the binary form.
-    """
-    c, s, sum_pt, _, _ = _marginal_products(m)
-    if s == 0:
-        return _UNDEF_EMPTY
+    sum_pt = sum(pk * tk for pk, tk in zip(p, t))
     denominator = s * s - sum_pt
     if denominator == 0:
         return MetricValue.defined(Fraction(1) if c == s else Fraction(0))
     return MetricValue.defined(Fraction(c * s - sum_pt, denominator))
+
+
+def _tiles(o: OneVsRest) -> tuple[int, int, tuple[int, int], tuple[int, int]]:
+    """Trace, total, column and row totals of the tiling's 2 x 2 matrix [[tp, fn], [fp, tn]]."""
+    return o.tp + o.tn, o.total, (o.tp + o.fp, o.fn + o.tn), (o.tp + o.fn, o.fp + o.tn)
+
+
+def mcc_binary(o: OneVsRest) -> MetricValue:
+    """Matthews correlation of a two-class tiling: (tp*tn - fp*fn) / sqrt((tp+fn)(tp+fp)(tn+fn)(tn+fp)).
+
+    This is mcc_multiclass of the tiling's 2 x 2 matrix, 0 when a factor under the root is 0.
+    """
+    return _mcc(*_tiles(o))
+
+
+def mcc_multiclass(m: ConfusionMatrix) -> MetricValue:
+    """Matthews correlation for K classes, from the trace, total and marginals."""
+    return _mcc(m.trace, m.grand_total, m.col_totals, m.row_totals)
+
+
+def kappa_binary(o: OneVsRest) -> MetricValue:
+    """Chance-corrected agreement of a two-class tiling: kappa_multiclass of its 2 x 2 matrix."""
+    return _kappa(*_tiles(o))
+
+
+def kappa_multiclass(m: ConfusionMatrix) -> MetricValue:
+    """Chance-corrected agreement for K classes, from the trace, total and marginals."""
+    return _kappa(m.trace, m.grand_total, m.col_totals, m.row_totals)
 
 
 class EvaluationReport(_Frozen):
@@ -416,29 +394,25 @@ def evaluate(
     """
     from . import __version__
 
-    if weights is None:
-        if weights_source is None:
-            weights_source = "frequency"
-        if m.grand_total > 0:
-            weights = ClassWeights.from_actual_frequencies(m)
-    elif weights_source is None:
-        weights_source = "custom"
-
+    if weights_source is None:
+        weights_source = "frequency" if weights is None else "custom"
+    acc = accuracy(m)
     breakdown = per_class(m)
     precision, precision_skipped = _mean_of(breakdown.precision, lenient)
     recall, recall_skipped = _mean_of(breakdown.recall, lenient)  # also the balanced accuracy
-    weighted, weighted_skipped = (
-        _mean_of(breakdown.recall, lenient, weights) if weights is not None else (_UNDEF_EMPTY, 0)
-    )
+    # A frequency weight t_k/s is zero exactly where recall tp_k/t_k is undefined, so no
+    # class is refused or skipped, and sum (t_k/s)(tp_k/t_k) / sum t_k/s = trace/s: the
+    # accuracy, Undefined(empty_denominator) on an empty matrix.
+    weighted, weighted_skipped = (acc, 0) if weights is None else _mean_of(breakdown.recall, lenient, weights)
     values: dict[str, MetricValue] = {
-        "accuracy": accuracy(m),
-        "misclassification_rate": misclassification_rate(m),
+        "accuracy": acc,
+        "misclassification_rate": _complement(acc),
         "balanced_accuracy": recall,
         "balanced_accuracy_weighted": weighted,
         "macro_precision": precision,
         "macro_recall": recall,
         "macro_f1": harmonic_f1(precision, recall),
-        "micro_f1": micro_f1(m),
+        "micro_f1": acc,
         "mcc": mcc_multiclass(m),
         "kappa": kappa_multiclass(m),
     }

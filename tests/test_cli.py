@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clfmetrics
-from clfmetrics import evaluate, halves, parse_json, read_matrix, render_json
+from clfmetrics import ConfusionMatrix, evaluate, halves, parse_json, render_json
 from clfmetrics.cli import main
 from conftest import assert_equal_short_diff
 
@@ -314,19 +314,24 @@ class TestLargeK:
     """K=1000 with counts in 0..1000: exact macro averages run to thousands of digits."""
 
     @pytest.fixture(scope="class")
-    def matrix_file(self, tmp_path_factory):
+    def grid(self):
         rng = random.Random(1000)
         names = [f"c{i}" for i in range(1000)]
+        return names, [[rng.randint(0, 1000) for _ in names] for _ in names]
+
+    @pytest.fixture(scope="class")
+    def matrix_file(self, grid, tmp_path_factory):
+        names, rows = grid
         lines = ["," + ",".join(names)]
-        lines += [name + "," + ",".join(str(rng.randint(0, 1000)) for _ in names) for name in names]
+        lines += [name + "," + ",".join(map(str, row)) for name, row in zip(names, rows)]
         path = tmp_path_factory.mktemp("large_k") / "k1000.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return str(path)
 
     @pytest.fixture(scope="class")
-    def expected(self, matrix_file):
-        """The report the CLI must print, built once for the class."""
-        return evaluate(read_matrix(matrix_file), dataset=matrix_file)
+    def expected(self, grid, matrix_file):
+        """The report the CLI must print, built once for the class from the grid, not by the reader under test."""
+        return evaluate(ConfusionMatrix.from_grid(*grid), dataset=matrix_file)
 
     def test_json_round_trips_losslessly(self, matrix_file, expected, capsys):
         assert main(["evaluate", "--kind", "matrix", "--format", "json", matrix_file]) == 0

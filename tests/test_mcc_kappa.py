@@ -162,11 +162,20 @@ class TestSharedStructure:
             assert math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=1e-15)
 
 
-def root_ratio_decimal(numerator: int, radicand: int) -> float:
-    """Reference numerator / sqrt(radicand) in 80-digit decimal arithmetic."""
+def root_ratio_decimal(numerator: int, radicand: int, digits: int = 80) -> float:
+    """Reference numerator / sqrt(radicand) in decimal arithmetic, 80 digits by default."""
     with localcontext() as ctx:
-        ctx.prec = 80
+        ctx.prec = digits
         return float(Decimal(numerator) / Decimal(radicand).sqrt())
+
+
+def test_binary_mcc_is_correctly_rounded_near_float_overflow():
+    """A radicand of ~9.9e307: the last bit is that of the exact value, not of a float root and division."""
+    o = OneVsRest(tp=6 * 10**76 + 1, fp=4 * 10**76, fn=5 * 10**76, tn=5 * 10**76 + 3)
+    radicand = (o.tp + o.fn) * (o.tp + o.fp) * (o.tn + o.fn) * (o.tn + o.fp)
+    expected = root_ratio_decimal(o.tp * o.tn - o.fp * o.fn, radicand, digits=400)
+    assert expected == 0.10050378152592121
+    assert mcc_binary(o).unwrap() == expected
 
 
 class TestCountsBeyondFloatRange:

@@ -285,26 +285,47 @@ class TestEvaluate:
         assert calls == [four_class_matrix]
 
     @pytest.mark.parametrize("lenient", [False, True])
-    def test_shared_breakdown_matches_the_standalone_metrics(self, lenient):
+    def test_shared_breakdown_matches_the_standalone_metrics(self, lenient, zero_matrix):
         rng = random.Random(3)
+        cases = []
         for _ in range(40):
             k = rng.randint(2, 5)
             grid = [[rng.choice((0, 0, 1, 4)) for _ in range(k)] for _ in range(k)]
             m = ConfusionMatrix.from_grid(tuple(f"c{i}" for i in range(k)), grid)
-            weights = ClassWeights(tuple(rng.randint(0, 3) for _ in range(k - 1)) + (1,))
-            report = evaluate(m, weights, lenient=lenient)
-            assert report.metric("balanced_accuracy") == balanced_accuracy(m, lenient)
-            assert report.metric("macro_recall") == balanced_accuracy(m, lenient)
-            assert report.metric("macro_precision") == macro_precision(m, lenient)
-            assert report.metric("macro_f1") == macro_f1(m, lenient)
-            assert report.metric("balanced_accuracy_weighted") == balanced_accuracy_weighted(m, weights, lenient)
-            if lenient:
-                undefined_recalls = [not v.is_defined for v in per_class(m).recall]
-                assert report.skipped_classes == {
-                    "balanced_accuracy": sum(undefined_recalls),
-                    "balanced_accuracy_weighted": sum(
-                        u and w > 0 for u, w in zip(undefined_recalls, weights.w)
-                    ),
-                    "macro_precision": sum(not v.is_defined for v in per_class(m).precision),
-                    "macro_recall": sum(undefined_recalls),
-                }
+            cases.append((m, ClassWeights(tuple(rng.randint(0, 3) for _ in range(k - 1)) + (1,))))
+        cases.append((zero_matrix, ClassWeights((0, 1))))
+        for m, custom in cases:
+            for weights in (custom, None):
+                report = evaluate(m, weights, lenient=lenient)
+                assert report.metric("balanced_accuracy") == balanced_accuracy(m, lenient)
+                assert report.metric("macro_recall") == balanced_accuracy(m, lenient)
+                assert report.metric("macro_precision") == macro_precision(m, lenient)
+                assert report.metric("macro_f1") == macro_f1(m, lenient)
+                weighted = report.metric("balanced_accuracy_weighted")
+                if weights is not None:
+                    assert weighted == balanced_accuracy_weighted(m, weights, lenient)
+                elif m.grand_total > 0:
+                    assert weighted == balanced_accuracy_weighted(m, ClassWeights.from_actual_frequencies(m), lenient)
+                else:
+                    assert weighted.reason is UndefinedReason.EMPTY_DENOMINATOR
+                if lenient:
+                    undefined_recalls = [not v.is_defined for v in per_class(m).recall]
+                    assert report.skipped_classes == {
+                        "balanced_accuracy": sum(undefined_recalls),
+                        "balanced_accuracy_weighted": sum(
+                            u and w > 0 for u, w in zip(undefined_recalls, weights.w)
+                        ) if weights is not None else 0,
+                        "macro_precision": sum(not v.is_defined for v in per_class(m).precision),
+                        "macro_recall": sum(undefined_recalls),
+                    }
+
+    def test_default_weights_never_build_frequency_weights(self, four_class_matrix, zero_matrix, monkeypatch):
+        def refuse(cls, m):
+            raise AssertionError("evaluate built frequency weights")
+
+        monkeypatch.setattr(ClassWeights, "from_actual_frequencies", classmethod(refuse))
+        for m in (four_class_matrix, zero_matrix):
+            for lenient in (False, True):
+                report = evaluate(m, lenient=lenient)
+                assert report.metric("balanced_accuracy_weighted") == report.metric("accuracy")
+                assert report.weights_source == "frequency"

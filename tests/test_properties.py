@@ -186,6 +186,7 @@ def test_merge_is_commutative_and_conserves_marginals(a, b):
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+@example(6 * 10**76 + 1, 5 * 10**76, 4 * 10**76, 5 * 10**76 + 3)  # radicand near float overflow
 def test_two_class_forms_match_multiclass_forms(a, b, c, d):
     m = ConfusionMatrix.from_grid(("x", "y"), ((a, b), (c, d)))
     o = m.one_vs_rest(0)
