@@ -1,11 +1,10 @@
 """Score a probability file in blocks of whole lines: in this process, or in two forked halves.
 
-score_steps is ingest.score_probs's first try on a file that can be read
-twice, in a module of its own so that only a probability run compiles and
-loads it. Each step of ingest's step reader is scored as one block of C-level
-passes, which accept it or refuse it; a refusal sends the whole file through
-the row stream, the only code that names errors. Here too are the fork, the
-pipe and the merge of a large file's two halves.
+score_steps is the step reader ingest._steps_or_rows runs for score_probs, in
+a module of its own so that only a probability run compiles and loads it.
+Each step is scored as one block of C-level passes, which accept it or refuse
+it with _SerialOnly; the row stream alone names errors. Here too are the
+fork, the pipe and the merge of a large file's two halves.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from itertools import compress, repeat
 from typing import Iterable
 
 from .confusion import ClassRegistry
-from .ingest import IngestError, _check_end, _line_end, _range_steps, _read_header, _SerialOnly, _split_lines
+from .ingest import _line_end, _range_steps, _read_header, _SerialOnly, _split_lines
 from .proba import PROB_SUM_TOLERANCE, Scores, exact_sum_steps
 
 # A probability file this large is scored in two processes: forking costs a few ms.
@@ -30,37 +29,31 @@ PARALLEL_MIN_BYTES = 1 << 20
 _PROB_STEP = 1 << 16
 
 
-def score_steps(fd: int, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores] | None:
-    """The registry and scores of an open probability file read in steps, or None (see score_probs)."""
-    try:
-        size = os.fstat(fd).st_size
-        data_start = _line_end(fd, 0, size)
-        registry = _plain_header(os.pread(fd, data_start, 0), delimiter)
-        if registry is None:
-            return None
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-        # A forked child would hold only this thread, and perhaps a lock another thread held.
-        if size < PARALLEL_MIN_BYTES or not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() != 1:
-            scores = _score_steps(_range_steps(fd, data_start, size, _PROB_STEP), registry, delimiter, epsilon)
-        else:
-            middle = _line_end(fd, (data_start + size) // 2, size)
-            scores = _fork_halves(fd, (data_start, middle), (middle, size), registry, delimiter, epsilon)
-        _check_end(fd, size)
-        return registry, scores
-    except (_SerialOnly, IngestError, csv.Error, EOFError, OSError, TypeError, ValueError):
-        return None  # any error: the row stream from the first byte reports it, or finds none
+def score_steps(fd: int, start: int, size: int, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores]:
+    """The registry and scores of a probability file's bytes start..size, or _SerialOnly.
+
+    From PARALLEL_MIN_BYTES on, with os.fork, two CPUs and one thread, a forked
+    child scores the data after the first newline past its midpoint.
+    """
+    data_start = _line_end(fd, start, size)
+    registry = _plain_header(os.pread(fd, data_start - start, start), delimiter)
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    # A forked child would hold only this thread, and perhaps a lock another thread held.
+    if size < PARALLEL_MIN_BYTES or not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() != 1:
+        return registry, _score_steps(_range_steps(fd, data_start, size, _PROB_STEP), registry, delimiter, epsilon)
+    middle = _line_end(fd, (data_start + size) // 2, size)
+    return registry, _fork_halves(fd, (data_start, middle), (middle, size), registry, delimiter, epsilon)
 
 
-def _plain_header(line: bytes, delimiter: str) -> ClassRegistry | None:
-    """The registry of a first line that is a whole header row in itself, else None."""
-    text = line.decode("utf-8").removeprefix("\ufeff")
+def _plain_header(line: bytes, delimiter: str) -> ClassRegistry:
+    """The registry of a first line that is a whole header row in itself, else _SerialOnly."""
+    text = line.decode("utf-8")
     if not text.endswith("\n"):
-        return None
+        raise _SerialOnly("a header without a line end")
     text = text[:-1].removesuffix("\r")
-    if '"' in text or "\r" in text:
-        return None
-    row = next(csv.reader([text], delimiter=delimiter))
-    return _read_header(iter([(1, row)]))[1] if row else None
+    if '"' in text or "\r" in text or not text:
+        raise _SerialOnly("a quote or a bare carriage return in the header, or a blank first line")
+    return _read_header(iter([(1, next(csv.reader([text], delimiter=delimiter)))]))[1]
 
 
 def _fork_halves(
@@ -81,8 +74,8 @@ def _fork_halves(
         code = 1
         try:
             os.close(read_end)
-            tally, total, count = _score_steps(_range_steps(fd, *second, _PROB_STEP), registry, delimiter, epsilon)
-            reply = memoryview(marshal.dumps((dict(tally), total, count)))
+            tally, total = _score_steps(_range_steps(fd, *second, _PROB_STEP), registry, delimiter, epsilon)
+            reply = memoryview(marshal.dumps((dict(tally), total)))
             while reply:
                 reply = reply[os.write(write_end, reply):]
             code = 0
@@ -92,7 +85,7 @@ def _fork_halves(
     try:
         with open(read_end, "rb") as pipe:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            tally, total, count = _score_steps(_range_steps(fd, *first, _PROB_STEP), registry, delimiter, epsilon)
+            tally, total = _score_steps(_range_steps(fd, *first, _PROB_STEP), registry, delimiter, epsilon)
             reply = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -100,18 +93,20 @@ def _fork_halves(
         raise
     if os.waitpid(pid, 0)[1] != 0:
         raise _SerialOnly("the child failed")
-    their_tally, their_total, their_count = marshal.loads(reply)  # a short reply raises EOFError or ValueError
+    try:
+        their_tally, their_total = marshal.loads(reply)
+    except (EOFError, TypeError, ValueError):  # a short or malformed reply
+        raise _SerialOnly("the child's reply") from None
     for pair, n in their_tally.items():
         tally[pair] += n
-    return tally, total + their_total, count + their_count
+    return tally, total + their_total
 
 
 def _score_steps(steps: Iterable[str], registry: ClassRegistry, delimiter: str, epsilon: float) -> Scores:
     """score_pairs of the row stream's rows of texts that each end a line, or _SerialOnly."""
     index = {label: i for i, label in enumerate(registry.labels)}
     tally: Counter[tuple[int, int]] = Counter()
-    total = sum(_score_step(text, index, delimiter, epsilon, tally) for text in steps)
-    return tally, total, sum(tally.values())
+    return tally, sum(_score_step(text, index, delimiter, epsilon, tally) for text in steps)
 
 
 def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float, tally: Counter) -> int:

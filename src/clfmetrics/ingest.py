@@ -16,14 +16,12 @@ shapes, read_weights class weights. stream_labels yields a label file's pairs
 row by row: the reference tally_labels agrees with, and its fallback.
 
 Every reader takes UTF-8 text (LF or CRLF, with or without a byte-order
-mark), and every error carries the 1-based line number it was raised on,
-counting LF, CR and CRLF as one line end each, as csv does, save a byte that
-is not UTF-8 in input that cannot be read twice, such as a pipe. Every reader
-opens its file once. tally_labels and score_probs first read a file that can
-be read twice in steps of whole lines with os.pread, which leaves the handle's
-offset alone; where that gives up (on a quote, a bad row or a file that
-changes size), they read the same handle from its first byte as the row
-stream. A file with a byte that is not UTF-8 is decoded again to find its line.
+mark) and opens its file once. Every error carries the 1-based line number it
+was raised on, counting LF, CR and CRLF as one line end each, as csv does,
+save a byte that is not UTF-8 in input that cannot be read twice, such as a
+pipe: a file is decoded again to find that byte's line. tally_labels and
+score_probs read a file in steps or as the row stream; _steps_or_rows alone
+decides which.
 """
 
 from __future__ import annotations
@@ -37,10 +35,11 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
-from .confusion import ClassRegistry, ConfusionMatrix, UnknownLabelError, from_pairs, from_tally
-from .proba import ProbRecord, XentOptions, score_pairs, score_tally
+from .confusion import ClassRegistry, ConfusionMatrix, UnknownLabelError, from_tally
+from .proba import ProbRecord, Scores, XentOptions, score_pairs, score_tally
 
 _Number = TypeVar("_Number", int, Fraction)
+_Read = TypeVar("_Read")  # what a file read in steps or as rows gives: a pair tally, or a registry and scores
 # The only number forms read, in ASCII digits. A minus sign passes the grammar so
 # that a negative value meets its own, clearer error further on.
 _COUNT = re.compile(r"-?[0-9]+")
@@ -198,10 +197,33 @@ def _range_steps(fd: int, start: int, end: int, step: int, longest: float = math
         yield text
 
 
-def _check_end(fd: int, size: int) -> None:
-    """_SerialOnly if a file read in steps up to its size holds more: it grew, or its size is not its length."""
-    if os.pread(fd, 1, size):
-        raise _SerialOnly("the file grew")
+def _steps_or_rows(path: str, by_steps: Callable[..., _Read], by_rows: Callable[..., _Read], *args: object) -> _Read:
+    """by_steps(fd, start, size, *args) of a file read in steps, else by_rows(handle, *args) of its row stream.
+
+    The one place that decides how tally_labels and score_probs read a file,
+    which is opened once. A file that can be read twice, where os.pread
+    exists, is first read in steps of whole lines with os.pread, which leaves
+    the handle's offset alone: from start, just past one leading byte-order
+    mark, up to the size it had when opened. A step reader refuses by raising
+    _SerialOnly(reason); an IngestError, csv.Error, OSError or ValueError (a
+    byte that is not UTF-8, say) is a refusal too. On a refusal, or if the
+    file then holds more than size bytes (it grew, or its size is not its
+    length), the same handle is read from its first byte as the row stream,
+    which names every error with its line, or finds none. So is any input
+    that cannot be read twice, such as a pipe.
+    """
+    with _open_text(path) as handle:
+        if handle.seekable() and hasattr(os, "pread"):
+            fd = handle.fileno()
+            try:
+                size, start = os.fstat(fd).st_size, 3 * (os.pread(fd, 3, 0) == codecs.BOM_UTF8)
+                result = by_steps(fd, start, size, *args)
+                if os.pread(fd, 1, size):
+                    raise _SerialOnly("the file grew")
+                return result
+            except (_SerialOnly, IngestError, csv.Error, OSError, ValueError):
+                pass
+        return by_rows(handle, *args)
 
 
 def _split_lines(text: str) -> list[str]:
@@ -303,31 +325,21 @@ def score_probs(
 ) -> tuple[ConfusionMatrix, float]:
     """The hardened matrix and the dataset cross-entropy of a probability file.
 
-    A file that can be read twice is scored by halves.score_steps when its
-    first line is its header with no quote and no bare carriage return: read
-    with os.pread in steps of whole lines, each scored as one block of C-level
-    passes. From halves.PARALLEL_MIN_BYTES on, when os.fork exists and the
-    process may run on two CPUs and runs no other thread, the data is split
-    at the first newline after its midpoint and a forked child scores the
-    second half; its tally and exact_sum_steps total add to this process's
-    bit for bit. A block is accepted only when it gives exactly the row
-    stream's rows. A refused block (a quote, a NUL, a field past the csv
-    limit, or any row the row stream would reject), a file that grows or
-    shrinks while read, or any failure of the child sends the same handle,
-    from its first byte, through the row stream, which names every error with
-    its line; so is any input that cannot be read twice, such as a pipe.
-    Memory holds the distinct (actual, predicted) pairs, not the rows.
+    Read as _steps_or_rows says: in steps by halves.score_steps, each scored
+    as one block of C-level passes, in two processes from
+    halves.PARALLEL_MIN_BYTES on; else as the row stream. Memory holds the
+    distinct (actual, predicted) pairs, not the rows.
     """
     from .halves import score_steps  # its own module: runs on other kinds neither compile nor load it
 
-    with _open_text(path) as handle:
-        by_steps = handle.seekable() and hasattr(os, "pread")
-        scored = score_steps(handle.fileno(), delimiter, options.epsilon) if by_steps else None
-        if scored is not None:
-            return score_tally(*scored, options)
-        rows = _rows(handle, delimiter)
-        registry = _read_header(rows)[1]
-        return score_tally(registry, score_pairs(_prob_rows(rows, registry), options.epsilon), options)
+    return score_tally(*_steps_or_rows(path, score_steps, _score_rows, delimiter, options.epsilon), options)
+
+
+def _score_rows(handle: TextIO, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores]:
+    """The registry and scores of a probability file's row stream; each error names its line."""
+    rows = _rows(handle, delimiter)
+    registry = _read_header(rows)[1]
+    return registry, score_pairs(_prob_rows(rows, registry), epsilon)
 
 
 def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
@@ -374,49 +386,40 @@ def tally_labels(
 ) -> ConfusionMatrix:
     """Tally a label file into a confusion matrix, parsing each distinct line once.
 
-    A file that can be read twice is read in steps of whole lines, each split
-    into lines in C and counted, then each distinct line is parsed once and
-    its count added to its pair, so memory stays bounded by the number of
-    distinct lines, not by the file's length. A file this cannot read line by
-    line (one with a quote, which may open a field spanning lines, a row
-    error, an oversized field or an undecodable byte, or one that changes size
-    while read) is read again from the start as the stream_labels row stream,
-    which names the fault with its line. So is any input that cannot be read
-    twice, such as a pipe, from its first byte, and any file where os.pread
-    is missing.
+    Read as _steps_or_rows says: in steps by _tally_distinct_lines, which
+    refuses a step with a quote (it may open a field spanning lines) or a line
+    longer than any valid row; else as the stream_labels row stream. Memory
+    stays bounded by the number of distinct lines, not by the file's length.
     """
-    with _open_text(path) as handle:
-        by_steps = handle.seekable() and hasattr(os, "pread")
-        tally = _tally_distinct_lines(handle.fileno(), delimiter, has_header) if by_steps else None
-        if tally is not None:
-            return from_tally(tally)
-        return from_pairs(_label_pairs(handle, delimiter, has_header))
+    return from_tally(_steps_or_rows(path, _tally_distinct_lines, _tally_rows, delimiter, has_header))
 
 
-def _tally_distinct_lines(fd: int, delimiter: str, has_header: bool) -> dict[tuple[str, str], int] | None:
-    """Pair counts of a label file whose every line parses alone to a valid row or a blank, else None."""
-    size, bom = os.fstat(fd).st_size, os.pread(fd, 3, 0) == codecs.BOM_UTF8
+def _tally_rows(handle: TextIO, delimiter: str, has_header: bool) -> Counter[tuple[str, str]]:
+    """The pair counts of a label file's row stream; each error names its line."""
+    return Counter(_label_pairs(handle, delimiter, has_header))
+
+
+def _tally_distinct_lines(
+    fd: int, start: int, size: int, delimiter: str, has_header: bool
+) -> dict[tuple[str, str], int]:
+    """Pair counts of a label file's lines from start: each step's lines counted in C, each distinct one parsed once."""
     lines: Counter[str] = Counter()
     longest = 8 * csv.field_size_limit() + 6  # a valid row: 2 fields, a delimiter, 4 bytes a character, a line end
-    try:
-        for text in _range_steps(fd, 3 * bom, size, _LABEL_STEP, longest):
-            if '"' in text:
-                return None
-            lines.update(_split_lines(text))
-        _check_end(fd, size)
-        # Without quotes every line is a CSV row of its own: the header is the first non-blank line.
-        header = next(filter(None, lines), None) if has_header else None
-        if header is not None:
-            lines[header] -= 1
-            if not lines[header]:
-                del lines[header]
-        tally: dict[tuple[str, str], int] = {}
-        for row, n in zip(csv.reader(lines, delimiter=delimiter), lines.values()):
-            if row:
-                pair = _label_pair(row, None)
-                tally[pair] = tally.get(pair, 0) + n
-    except (IngestError, _SerialOnly, csv.Error, UnicodeDecodeError):
-        return None
+    for text in _range_steps(fd, start, size, _LABEL_STEP, longest):
+        if '"' in text:
+            raise _SerialOnly("a quote")
+        lines.update(_split_lines(text))
+    # Without quotes every line is a CSV row of its own: the header is the first non-blank line.
+    header = next(filter(None, lines), None) if has_header else None
+    if header is not None:
+        lines[header] -= 1
+        if not lines[header]:
+            del lines[header]
+    tally: dict[tuple[str, str], int] = {}
+    for row, n in zip(csv.reader(lines, delimiter=delimiter), lines.values()):
+        if row:
+            pair = _label_pair(row, None)
+            tally[pair] = tally.get(pair, 0) + n
     return tally
 
 

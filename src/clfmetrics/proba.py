@@ -108,11 +108,11 @@ def xent_unit(record: ProbRecord, options: XentOptions = _DEFAULT_OPTIONS) -> fl
     return -math.log(max(record.probs[record.true_class], options.epsilon))
 
 
-Scores = tuple[dict[tuple[int, int], int], int, int]
+Scores = tuple[dict[tuple[int, int], int], int]
 
 
 def score_pairs(pairs: Iterable[tuple[int, tuple[float, ...]]], epsilon: float) -> Scores:
-    """(true, argmax) index-pair tally, exact per-unit cross-entropy sum and count of (true class, vector) pairs.
+    """(true, argmax) index-pair tally and exact per-unit cross-entropy sum of (true class, vector) pairs.
 
     Every finite float is an integer multiple of 2**-1074, so the sum is kept
     as an integer count of that step: the sums of two parts of a stream add
@@ -121,13 +121,12 @@ def score_pairs(pairs: Iterable[tuple[int, tuple[float, ...]]], epsilon: float) 
     """
     # A defaultdict, not a Counter: a Counter's `+= 1` costs several times more per pair.
     tally: defaultdict[tuple[int, int], int] = defaultdict(int)
-    total = count = 0
+    total = 0
     log = math.log
     for true, probs in pairs:
         tally[true, probs.index(max(probs))] += 1  # argmax_rule, without its width check
         total += exact_steps(-log(max(probs[true], epsilon)))
-        count += 1
-    return tally, total, count
+    return tally, total
 
 
 def exact_steps(x: float) -> int:
@@ -172,7 +171,8 @@ def score_tally(
     registry: ClassRegistry, scores: Scores, options: XentOptions = _DEFAULT_OPTIONS
 ) -> tuple[ConfusionMatrix, float]:
     """The hardened matrix and the dataset cross-entropy of a score_pairs result; EmptyDatasetError for zero units."""
-    tally, total, count = scores
+    tally, total = scores
+    count = sum(tally.values())
     if count == 0:
         raise EmptyDatasetError("cross-entropy over zero records")
     cross_entropy = round_steps(total)

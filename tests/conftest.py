@@ -1,5 +1,6 @@
 import pprint
 import random
+import signal
 import sys
 
 import pytest
@@ -92,3 +93,12 @@ def assert_equal_short_diff(actual, expected, what="values"):
         f"  actual:   {a[start : column + 60]!r}\n  expected: {b[start : column + 60]!r}",
         pytrace=False,
     )
+
+
+def default_sigint():
+    """Give a child SIGINT's default action before it execs, so Python installs its handler as a shell's start does.
+
+    Pass it as subprocess's preexec_fn: a shell that runs the suite as a background job starts it with SIGINT
+    ignored, and children inherit that.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_DFL)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import clfmetrics
 from clfmetrics import ConfusionMatrix, evaluate, halves, parse_json, render_json
 from clfmetrics.cli import main
-from conftest import assert_equal_short_diff
+from conftest import assert_equal_short_diff, default_sigint
 
 FOUR_CLASS_CSV = ",a,b,c,d\na,6,1,1,1\nb,2,9,2,1\nc,1,1,10,1\nd,2,1,1,12\n"
 PROBS_CSV = "actual,a,b,c\na,0.7,0.2,0.1\nb,0.1,0.8,0.1\nc,0.3,0.3,0.4\nb,0.5,0.4,0.1\n"
@@ -608,7 +608,8 @@ class TestOutputFaults:
 class TestInterrupt:
     """SIGINT, as a terminal's Ctrl-C sends it to the foreground process group, exits 130 and prints nothing.
 
-    Each run starts in a session of its own, so the signal goes to its process group alone.
+    Each run starts in a session of its own, so the signal goes to its process group alone, with SIGINT's
+    default action whatever the suite inherited.
     """
 
     def test_a_run_blocked_on_a_held_open_pipe(self):
@@ -616,7 +617,7 @@ class TestInterrupt:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
         argv = [sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "labels", "/dev/stdin"]
         pipes = {"stdin": subprocess.PIPE, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
-        with subprocess.Popen(argv, env=env, start_new_session=True, **pipes) as cli:
+        with subprocess.Popen(argv, env=env, start_new_session=True, preexec_fn=default_sigint, **pipes) as cli:
             try:
                 cli.stdin.write(b"a,a\nb,b\n")
                 cli.stdin.flush()

@@ -1,6 +1,7 @@
 """Tests for the three CSV readers and their error reporting."""
 
 import csv
+import errno
 import os
 import threading
 from fractions import Fraction
@@ -168,7 +169,7 @@ STEP_LABELS = st.lists(
 
 @st.composite
 def stepped_label_files(draw):
-    """A delimiter and a label file of a few lines drawn again and again: perhaps a BOM and a header, then the body,
+    """A delimiter and a label file of a few lines drawn again and again: 0-2 BOMs, perhaps a header, then the body,
     then perhaps a late quoted field spanning lines or an undecodable byte. Lines end in LF, CR or CRLF, some blank."""
     delimiter = draw(st.sampled_from([b",", b"\t"]))
     row = st.builds(lambda actual, predicted: actual + delimiter + predicted, STEP_LABELS, STEP_LABELS)
@@ -180,7 +181,7 @@ def stepped_label_files(draw):
     body = b"".join(draw(st.lists(st.sampled_from(lines), max_size=30)))
     quoted = b"a" + delimiter + b'"b\r\n' + lines[-1] + b'"\n'  # a field spanning lines: a row of its own repeated
     late = draw(st.sampled_from([b"", quoted, b"a" + delimiter + b"\xffb\n"]))
-    return delimiter.decode(), b"\xef\xbb\xbf" * draw(st.booleans()) + header + body + late
+    return delimiter.decode(), b"\xef\xbb\xbf" * draw(st.integers(0, 2)) + header + body + late
 
 
 class TestTallyLabels:
@@ -254,6 +255,19 @@ class TestTallyLabels:
 
         monkeypatch.setattr(ingest, "_range_steps", growing)
         assert tally_labels(str(path)) == from_pairs([("a", "b")] * 20_000 + [("c", "c")])
+
+    def test_a_read_error_in_steps_falls_back_to_the_row_stream(self, tmp_path, monkeypatch):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"a,b\nb,b\n" * 5_000)
+        pread = os.pread
+
+        def failing(fd, length, offset):
+            if offset >= ingest._LABEL_STEP:  # the second step fails
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return pread(fd, length, offset)
+
+        monkeypatch.setattr(os, "pread", failing)
+        assert tally_labels(str(path)) == from_pairs(stream_labels(str(path)))
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
     @pytest.mark.parametrize("case", PIPED_LABEL_FILES)

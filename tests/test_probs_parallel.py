@@ -26,6 +26,8 @@ import pytest
 
 from clfmetrics import halves
 from clfmetrics.cli import main
+from clfmetrics.ingest import _SerialOnly
+from conftest import default_sigint
 
 CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
 splits = pytest.mark.skipif(
@@ -46,6 +48,8 @@ CORPUS = {
     "big": (HEADER + BIG_BODY, True, 0),
     "crlf": (HEADER.replace(b"\n", b"\r\n") + BODY.replace(b"\n", b"\r\n"), True, 0),
     "bom": (b"\xef\xbb\xbf" + HEADER + BODY, True, 0),
+    # The row stream drops one BOM; the second is part of the header's first cell, which names no class.
+    "two_boms": (b"\xef\xbb\xbf" * 2 + HEADER + BODY, True, 0),
     "blank_lines": (HEADER + b"\n" + BODY.replace(b"c,0,0,1\n", b"c,0,0,1\n\n\r\n") + b"\n\n", True, 0),
     "crlf_bom_blank_lines": (b"\xef\xbb\xbf" + (HEADER + b"\n" + BODY + b"\n").replace(b"\n", b"\r\n"), True, 0),
     "no_final_newline": (HEADER + BODY + b"a,0.5,0.25,0.25", True, 0),
@@ -130,18 +134,23 @@ def open_descriptors():
     return sorted(os.listdir("/proc/self/fd"))
 
 
+def refused(*args):
+    raise _SerialOnly("refused")
+
+
 def three_runs(monkeypatch, argv):
     """(row stream, steps in process, split) outcomes of one CLI run, then whether each stepped run completed.
 
     Neither stepped run may leave a child unreaped or a descriptor open.
     """
     score_steps = halves.score_steps
-    monkeypatch.setattr(halves, "score_steps", lambda *args: None)
+    monkeypatch.setattr(halves, "score_steps", refused)
     outcomes, completed = [run(argv)], []
 
     def counted(*args):
+        completed[-1].append(False)
         result = score_steps(*args)
-        completed[-1].append(result is not None)
+        completed[-1][-1] = True
         return result
 
     monkeypatch.setattr(halves, "score_steps", counted)
@@ -244,7 +253,7 @@ def test_a_file_that_grows_while_read_in_steps_is_read_whole(tmp_path, monkeypat
     monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", threshold)
     grown = run(["evaluate", "--kind", "probs", str(path)])
     assert "units: 24001\n" in grown[1]
-    monkeypatch.setattr(halves, "score_steps", lambda *args: None)
+    monkeypatch.setattr(halves, "score_steps", refused)
     assert grown == run(["evaluate", "--kind", "probs", str(path)])
 
 
@@ -320,7 +329,8 @@ def test_sigint_during_a_split_run_exits_130_and_leaves_no_child_or_descriptor(t
     after = tmp_path / "after.json"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(halves.__file__)))
     argv = [sys.executable, "-c", HELD_SPLIT, str(path), str(after)]
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True) as cli:
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with subprocess.Popen(argv, env=env, start_new_session=True, preexec_fn=default_sigint, **pipes) as cli:
         try:
             deadline = time.monotonic() + 60
             with open(f"/proc/{cli.pid}/task/{cli.pid}/children") as children:
