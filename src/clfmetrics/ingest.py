@@ -45,8 +45,10 @@ _Read = TypeVar("_Read")  # what a file read in steps or as rows gives: a pair t
 _COUNT = re.compile(r"-?[0-9]+")
 # Each digit run has one place to go, so a failed match backtracks in linear time.
 _WEIGHT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+|/[0-9]+)?|\.[0-9]+)")  # 2, 0.1, .5 or 1/3
-# Bytes per read while scanning a file for a line end or for its first invalid UTF-8 byte.
+# Bytes per read while scanning a file for a line end.
 _RESCAN_CHUNK = 1 << 16
+# What errors="surrogateescape" decodes each byte that is not UTF-8 to, and nothing else.
+_ESCAPED = re.compile("[\udc80-\udcff]")
 # Bytes per read step of a label file; larger steps only raise peak memory.
 _LABEL_STEP = 1 << 14
 
@@ -119,50 +121,41 @@ def _open_text(path: str) -> TextIO:
 
 
 def _rows(handle: TextIO, delimiter: str) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank CSV rows of an open file, each with its 1-based line number."""
+    """The non-blank CSV rows of an open file, each with its 1-based line number.
+
+    Lines are decoded in blocks, so a byte that is not UTF-8 may stop the rows
+    lines before its own. A file read again, with such bytes escaped, then
+    gives the rows left before that line, so an earlier row's fault is named first.
+    """
     reader = csv.reader(handle, delimiter=delimiter)
     try:
         for row in reader:
             if row:
                 yield reader.line_num, row
+        return
     except csv.Error as exc:  # an oversized field, say
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
     except UnicodeDecodeError as exc:
-        raise _undecodable(handle, exc) from None
-
-
-def _undecodable(handle: TextIO, exc: UnicodeDecodeError) -> ParseError:
-    """Name the first invalid UTF-8 byte of an open file, with its line if the file can be read again.
-
-    The decoder's error counts its position from the start of its own block,
-    so a seekable file's raw bytes are decoded again from the start, in
-    bounded chunks, to find the first bad byte and count the line ends before
-    it as csv does: LF, CR and CRLF, one each, even a CRLF split by a chunk.
-    """
-    line = None
+        done, bad = reader.line_num, []  # every row that ends by line done is yielded
+        error = f"input is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
     if handle.seekable():
-        raw = handle.buffer
-        raw.seek(0)
-        decoder = codecs.getincrementaldecoder("utf-8")()
-        ends, cr = 0, False  # cr: the last chunk ended in a CR, so an LF that starts this one ends no line
-        while True:
-            chunk = raw.read(_RESCAN_CHUNK)
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as found:  # its object is this chunk, after any bytes of a split character
-                head = found.object[: found.start]
-                exc, line = found, ends + 1 + _line_ends(head) - (cr and head.startswith(b"\n"))
+        handle.reconfigure(errors="surrogateescape")
+        handle.seek(0)
+        for line, row in _rows(_lines_before_escapes(handle, bad), delimiter):  # lines that all decode
+            if bad:  # a quoted field open at the end of those lines, which csv ends there without an error
                 break
-            if not chunk:
-                break
-            ends += _line_ends(chunk) - (cr and chunk.startswith(b"\n"))
-            cr = chunk.endswith(b"\r")
-    return ParseError(f"input is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})", line=line)
+            if line > done:
+                yield line, row
+    raise ParseError(error, line=bad[0] if bad else None)
 
 
-def _line_ends(data: bytes) -> int:
-    """The line ends in data as csv counts them: LF, CR and CRLF, one each."""
-    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+def _lines_before_escapes(lines: Iterable[str], bad: list[int]) -> Iterator[str]:
+    """The lines before the first that holds an escaped byte, whose 1-based number is then appended to bad."""
+    for line, text in enumerate(lines, start=1):
+        if _ESCAPED.search(text):
+            bad.append(line)
+            return
+        yield text
 
 
 def _line_end(fd: int, start: int, end: int) -> int:

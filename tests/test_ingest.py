@@ -624,6 +624,29 @@ UNDECODABLE_FILES = {
     "weights": (read_weights, b"a,1\n\xffb,2\n", {}, 2, "0xff (invalid start byte)"),
 }
 
+# Its bad row is on line 5, and its bad byte on line 7, in the same block of the row stream's decoder.
+SHORT_LABELS = b"a,b\n" * 4 + b"a,b,c\na,b\na,\xffb\n"
+UNDECODABLE = "input is not valid UTF-8: byte 0xff (invalid start byte)"
+# name -> (reader, file bytes, line and message of its first fault, which lies before a bad byte's line)
+EARLIER_FAULTS = {
+    "labels": (tally_labels, SHORT_LABELS, 5, "expected 2 fields, got 3"),
+    "labels_5000_rows_on": (
+        tally_labels,
+        SHORT_LABELS.replace(b"\na,\xff", b"\n" + b"a,b\n" * 5_000 + b"a,\xff"),
+        5,
+        "expected 2 fields, got 3",
+    ),
+    "probs": (score_probs, b"actual,a,b\n" + b"a,1,0\n" * 4 + b"a,1\na,1,0\na,\xff,0\n", 6, "expected 3 fields, got 2"),
+    # Read up to the byte's line, csv would end the open quote without an error: the byte is named.
+    "quoted_field_into_the_bytes_line": (tally_labels, b"a,b\n" * 4 + b'a,"b\na,\xffb\n"\n', 6, UNDECODABLE),
+    "oversized_field": (
+        tally_labels,
+        b"a,b\n" * 4 + b'a,"' + b"x" * 140_000 + b'"\na,\xffb\n',
+        5,
+        "malformed CSV: field larger than field limit (131072)",
+    ),
+}
+
 
 class TestUndecodableBytes:
     @pytest.mark.parametrize("case", UNDECODABLE_FILES)
@@ -634,14 +657,24 @@ class TestUndecodableBytes:
         message = f"line {line}: input is not valid UTF-8: byte {byte}"
         assert outcome(lambda: read(str(path), **kwargs)) == (ParseError, message, line, None)
 
+    @pytest.mark.parametrize("case", EARLIER_FAULTS)
+    def test_a_fault_before_the_bad_bytes_line_is_named_first(self, tmp_path, case):
+        """The row stream decodes the byte's block before it parses the rows of that block's earlier lines."""
+        read, data, line, message = EARLIER_FAULTS[case]
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        assert outcome(lambda: read(str(path))) == (ParseError, f"line {line}: {message}", line, None)
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
     @pytest.mark.parametrize(
         "read, data",
         [
             (tally_labels, b"a,a\n" * 5_000 + b"\xff,b\n"),
             (score_probs, b"actual,a,b\n" + b"a,1,0\n" * 5_000 + b"\xff,0,1\n"),
+            # A pipe cannot be read again for the rows before the byte's line: its decode error comes first.
+            (tally_labels, SHORT_LABELS),
         ],
-        ids=["labels", "probs"],
+        ids=["labels", "probs", "labels_with_an_earlier_bad_row"],
     )
     def test_a_pipe_says_the_input_is_not_utf8(self, read, data):
         expected = (ParseError, "input is not valid UTF-8: byte 0xff (invalid start byte)", None, None)

@@ -1,9 +1,10 @@
 """The CLI's stepped probability paths give the row stream's stdout, stderr and exit code.
 
 Each case runs `clfmetrics` in process three times: through the row stream,
-with the stepped reader refused; in steps in this process, with the size at
-which a file is split raised out of reach; and in two forked halves, with it
-lowered to 0 so that small files are split too. After each stepped run no
+with the stepped reader refused; in steps in this process, with the size from
+which a forked child claims pieces too raised out of reach; and in two
+processes, with it lowered to 0 so that small files are split too, and pieces
+of a few bytes, so that piece edges fall everywhere. After each stepped run no
 child may be left unreaped and no descriptor left open. The last test runs the
 tool as it is shipped, on files over the split threshold, from a file, through
 a pipe and on one CPU.
@@ -37,9 +38,12 @@ splits = pytest.mark.skipif(
 
 HEADER = b"actual,a,b,c\n"
 ROWS = [b"a,0.7,0.2,0.1\n", b"b,0.1,0.8,0.1\n", b"c,0.3,0.3,0.4\n", b"b,0.4,0.4,0.2\n", b"c,0,0,1\n", b"a,0.0,1,0\n"]
-BODY = b"".join(ROWS) * 20  # 120 rows: the midpoint falls inside the data
-# Over 256 KiB of data, so each half reads several 64 KiB steps.
+BODY = b"".join(ROWS) * 20  # 120 rows
+# Over 256 KiB of data, so a piece of it reads several 64 KiB steps.
 BIG_BODY = b"".join(ROWS) * 4_000
+# Bytes per piece in the split runs: piece edges then fall inside lines, on line ends and in runs of blank lines.
+FEW_BYTES = 5
+SMALL_PIECE = 1 << 14  # BIG_BODY holds 21 pieces of this size
 WIDE_HEADER = b"actual," + b",".join(b"class_with_a_long_name_%04d" % i for i in range(3_000)) + b"\n"
 
 # name -> (file bytes, whether each stepped run must complete without falling back, exit code)
@@ -100,6 +104,8 @@ CORPUS = {
     "wrong_field_count": (HEADER + BODY + b"a,0.5,0.5\n", False, 2),
     "undecodable_in_the_second_half": (HEADER + BIG_BODY + b"a,0.5,0.\xff,0.5\n", False, 2),
     "undecodable_header": (b"actual,\xff,b\n" + BODY, False, 2),
+    # The row stream decodes the bad byte's block before it parses the bad row, but names the row first.
+    "bad_row_before_an_undecodable_byte": (HEADER + ROWS[0] * 4 + b"a,0.5,0.5\n" + ROWS[0] + b"a,\xff,0,1\n", False, 2),
     "oversized_field": (HEADER + BODY + b"a," + b"1" * 200_000 + b",0,0\n", False, 2),
     # A valid number, but longer than csv.field_size_limit(): the serial stream refuses it.
     "valid_oversized_field": (HEADER + BODY + b"a,0.5" + b"0" * 140_000 + b",0.5,0\n" + BODY, False, 2),
@@ -154,8 +160,9 @@ def three_runs(monkeypatch, argv):
         return result
 
     monkeypatch.setattr(halves, "score_steps", counted)
-    for threshold in (1 << 62, 0):
+    for threshold, piece in ((1 << 62, halves._PIECE), (0, FEW_BYTES)):
         monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", threshold)
+        monkeypatch.setattr(halves, "_PIECE", piece)
         completed.append([])
         gc.collect()  # or earlier tests' objects that only a collection closes may close mid-run and leave the snapshot
         before = open_descriptors()
@@ -164,6 +171,26 @@ def three_runs(monkeypatch, argv):
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     return (*outcomes, *completed)
+
+
+def piece_edges(data):
+    """The kind of place each piece of a file's data but the first begins at, with the pieces of the split runs."""
+    start = data.find(b"\n") + 1
+    piece = halves._pieces(len(data) - start)[0]
+    for edge in range(start + piece, len(data), piece):
+        pair = data[edge - 1 : edge + 1]
+        if pair == b"\r\n":
+            yield "between a CR and its LF"
+        elif not pair.strip(b"\r\n"):
+            yield "in a run of blank lines"
+        else:
+            yield "on an LF" if b"\n" in pair else "on a CR" if b"\r" in pair else "inside a line"
+
+
+def test_few_byte_pieces_put_edges_in_every_kind_of_place(monkeypatch):
+    monkeypatch.setattr(halves, "_PIECE", FEW_BYTES)
+    edges = {kind for data, completes, _ in CORPUS.values() if completes for kind in piece_edges(data)}
+    assert edges >= {"inside a line", "on an LF", "between a CR and its LF", "in a run of blank lines"}
 
 
 @splits
@@ -198,6 +225,111 @@ def test_compare_splits_each_side(tmp_path, monkeypatch):
     rows, stepped, split, in_process, forked = three_runs(monkeypatch, argv)
     assert (stepped, split) == (rows, rows)
     assert (rows[0], in_process, forked) == (0, [True, True], [True, True])
+
+
+def record_claims(tmp_path, monkeypatch, first_claim):
+    """Make split runs claim small pieces, each recorded as (process, first byte) where the claim loop reads it.
+
+    first_claim(who, claimed) runs in each process at its first claim, where
+    claimed() reads every record so far, from both processes. Returns claimed.
+    """
+    claims = tmp_path / "claims"
+    claims.touch()
+    steps, here, first = halves._range_steps, os.getpid(), []
+
+    def claimed():
+        return [(who, int(begin)) for who, begin in map(str.split, claims.read_text().splitlines())]
+
+    def recorded(fd, begin, end, step):
+        who = "parent" if os.getpid() == here else "child"
+        with open(claims, "a") as out:
+            out.write(f"{who} {begin}\n")
+        if not first:
+            first.append(who)
+            first_claim(who, claimed)
+        return steps(fd, begin, end, step)
+
+    monkeypatch.setattr(halves, "_range_steps", recorded)
+    monkeypatch.setattr(halves, "_PIECE", SMALL_PIECE)
+    monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", 0)
+    return claimed
+
+
+def hold(until):
+    """Wait until until() is true, or 30 s: a wrong claim loop then fails the test's assertions, not the run."""
+    deadline = time.monotonic() + 30
+    while not until() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def split_and_rows(monkeypatch, argv):
+    """The outcome of a split run, whether it completed, and the outcome of the row stream."""
+    score_steps, completed = halves.score_steps, []
+
+    def counted(*args):
+        result = score_steps(*args)
+        completed.append(True)
+        return result
+
+    monkeypatch.setattr(halves, "score_steps", counted)
+    split = run(argv)
+    monkeypatch.setattr(halves, "score_steps", refused)
+    return split, completed == [True], run(argv)
+
+
+@splits
+@pytest.mark.parametrize("stalled", ["child", "parent"])
+def test_a_stalled_process_leaves_its_pieces_to_the_other(tmp_path, monkeypatch, stalled):
+    """While one process holds its first piece, the other claims every other piece; the report is the row stream's.
+
+    The stalled process holds its first piece until every piece is claimed;
+    the other holds its own first until the stalled one has claimed, so that
+    neither can take every piece before the other starts.
+    """
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + BIG_BODY)
+    pieces = -(-len(BIG_BODY) // SMALL_PIECE)
+
+    def first_claim(who, claimed):
+        hold((lambda: len(claimed()) == pieces) if who == stalled else (lambda: stalled in dict(claimed())))
+
+    claimed = record_claims(tmp_path, monkeypatch, first_claim)
+    split, completed, rows = split_and_rows(monkeypatch, ["evaluate", "--kind", "probs", "--format", "json", str(path)])
+    assert (split, completed) == (rows, True)
+    begins = {"child": set(), "parent": set()}
+    for who, begin in claimed():
+        begins[who].add(begin)
+    other = "parent" if stalled == "child" else "child"
+    assert (len(begins[stalled]), len(begins[other]), len(begins[stalled] | begins[other])) == (1, pieces - 1, pieces)
+
+
+@splits
+def test_a_refusal_in_the_child_leaves_the_parent_no_piece_to_claim(tmp_path, monkeypatch):
+    """A child whose piece is refused claims the pieces left, so the parent falls back without scoring them.
+
+    The parent holds its first piece until the child has exited, unreaped.
+    """
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + BIG_BODY)
+
+    def first_claim(who, claimed):
+        if who == "child":
+            raise _SerialOnly("refused")
+        hold(lambda: os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None)
+
+    claimed = record_claims(tmp_path, monkeypatch, first_claim)
+    split, completed, rows = split_and_rows(monkeypatch, ["evaluate", "--kind", "probs", str(path)])
+    assert (split, completed) == (rows, False)
+    assert sorted(who for who, _ in claimed()) == ["child", "parent"]
+
+
+def test_the_indices_of_a_terabyte_fit_in_one_pipe_page():
+    """A pipe past its user's quota holds one 4 KiB page: more indices would block their write before the fork."""
+    piece, indices = halves._pieces(1 << 40)
+    count = len(indices) // 4
+    assert count <= 1024 and len(indices) <= 4096
+    assert (count - 1) * piece < 1 << 40 <= count * piece
+    assert indices[-4:] == (count - 1).to_bytes(4, "little")
 
 
 @splits
@@ -240,12 +372,13 @@ def test_a_file_that_grows_while_read_in_steps_is_read_whole(tmp_path, monkeypat
     """A row appended after this process's first step is scored: the stepped run gives up for the row stream."""
     path = tmp_path / "p.csv"
     path.write_bytes(HEADER + BIG_BODY)
-    steps, here = halves._range_steps, os.getpid()
+    steps, here, grown = halves._range_steps, os.getpid(), []
 
-    def growing(*args):
-        for i, text in enumerate(steps(*args)):
+    def growing(*args):  # called once for each piece claimed
+        for text in steps(*args):
             yield text
-            if i == 0 and os.getpid() == here:  # not in a forked child
+            if not grown and os.getpid() == here:  # not in a forked child
+                grown.append(True)
                 with open(path, "ab") as tail:
                     tail.write(b"a,0.5,0.5,0\n")
 
