@@ -2,26 +2,25 @@
 
 score_steps is the step reader ingest._steps_or_rows runs for score_probs, in
 a module of its own so that only a probability run compiles and loads it.
-Each step is scored as one block of C-level passes, which accept it or refuse
-it with _SerialOnly; the row stream alone names errors. Here too are the
-queue of pieces, the fork, the reply pipe and the merge of two tallies.
+Each step's fields are scored as one block by proba.score_block, or refused
+with _SerialOnly; the row stream alone names errors. Here too are the queue
+of pieces, the fork, the reply pipe and the merge of two tallies.
 """
 
 from __future__ import annotations
 
 import csv
 import marshal
-import math
 import os
 import signal
 import threading
 from collections import Counter
-from itertools import compress, repeat
+from itertools import repeat
 from typing import BinaryIO, Iterable, Iterator
 
 from .confusion import ClassRegistry
 from .ingest import _line_end, _range_steps, _read_header, _SerialOnly, _split_lines
-from .proba import PROB_SUM_TOLERANCE, Scores, exact_sum_steps
+from .proba import Scores, score_block
 
 # A probability file this large is scored in two processes: forking costs a few ms.
 PARALLEL_MIN_BYTES = 1 << 20
@@ -130,21 +129,19 @@ def _fork_claims(
 
 
 def _score_steps(steps: Iterable[str], registry: ClassRegistry, delimiter: str, epsilon: float) -> Scores:
-    """score_pairs of the row stream's rows of texts that each end a line, or _SerialOnly."""
-    index = {label: i for i, label in enumerate(registry.labels)}
+    """The scores of texts that each end a line, as the row stream gives them, or _SerialOnly."""
     tally: Counter[tuple[int, int]] = Counter()
-    return tally, sum(_score_step(text, index, delimiter, epsilon, tally) for text in steps)
+    return tally, sum(_score_step(text, registry._index, delimiter, epsilon, tally) for text in steps)
 
 
 def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float, tally: Counter) -> int:
-    """Add the (true, argmax) pairs of a text's non-blank lines to tally; their cross-entropy sum, by exact_sum_steps.
+    """score_block of the fields of a text's non-blank lines, or _SerialOnly.
 
-    A fixed number of C-level passes, whatever the row count, that accept
-    exactly the texts whose rows the row stream accepts: no quote or NUL,
-    K + 1 fields on each line, none past csv.field_size_limit(), known labels
-    and vectors that ProbRecord.check_probs passes. Any other raises _SerialOnly.
-    The sum test is a plain-sum band (see PROB_SUM_TOLERANCE); only the rows outside
-    it, near the edge, take the exact math.fsum, so it accepts what check_probs does.
+    A fixed number of C-level passes, whatever the row count, that split the
+    text into the fields the row stream reads from it, for exactly the texts
+    where the two agree: no quote or NUL, K + 1 fields on each line and none
+    past csv.field_size_limit(). Any other text, or one whose rows
+    score_block refuses, raises _SerialOnly.
     """
     if '"' in text or "\0" in text:
         raise _SerialOnly("a quote or a NUL")
@@ -163,25 +160,6 @@ def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float
     if len(text) > limit and max(map(len, fields)) > limit:
         raise _SerialOnly("a field past csv.field_size_limit()")
     try:
-        trues = [*map(index.__getitem__, fields[:: k + 1])]
-        del fields[:: k + 1]
-        floats = [*map(float, fields)]
+        return score_block(fields, index, k, epsilon, tally)
     except (KeyError, ValueError):
-        raise _SerialOnly("an unknown label or a bad float") from None
-    del fields  # a step's largest object: dropped before the row passes, which bounds peak memory
-    rows = [*zip(*[iter(floats)] * k)]
-    tops = [*map(max, rows)]  # each row's maximum, for the range check and the argmax
-    # check_probs on every row: min and max may pass over a NaN, but then its row's sum is NaN, and so is sum(sums).
-    band = PROB_SUM_TOLERANCE - k * 2.0**-50  # the plain-sum band of PROB_SUM_TOLERANCE: only rows outside it take fsum
-    sums, low, high = [*map(sum, rows)], 1.0 - band, 1.0 + band
-    near = [*compress(rows, map(low.__gt__, sums))] if min(sums) < low else []
-    near += compress(rows, map(high.__lt__, sums)) if max(sums) > high else ()
-    fsums_ok = map(PROB_SUM_TOLERANCE.__ge__, map(abs, map(float.__sub__, map(math.fsum, near), repeat(1.0))))
-    if not (0.0 <= min(floats) and max(tops) <= 1.0 and not math.isnan(sum(sums)) and all(fsums_ok)):
-        raise _SerialOnly("a probability out of range or a sum off")
-    tally.update(zip(trues, map(tuple.index, rows, tops)))
-    # -log(max(p[true], epsilon)) of each row: the negated exact sum of the logs.
-    picked = [*map(tuple.__getitem__, rows, trues)]
-    if min(picked) < epsilon:
-        picked = [*map(max, picked, repeat(epsilon))]
-    return -exact_sum_steps(map(math.log, picked))
+        raise _SerialOnly("an unknown label, a bad float, a probability out of range or a sum off") from None

@@ -5,21 +5,22 @@ never touches the confusion matrix; it looks only at the probability assigned
 to the unit's true class. Hardening applies the highest-probability rule to
 bridge probability outputs into the confusion-matrix world.
 
-score_records scores records in memory with score_pairs, one pass that hardens
-and sums; ingest.score_probs scores a file in blocks that give its result
-exactly, or row by row with score_pairs. Both end in score_tally.
+score_block is the one scorer of probability rows, in blocks: it checks, hardens and
+sums cross-entropy exactly. score_records and ingest.score_probs (a file read in steps
+or as the row stream) feed it blocks of rows, and both end in score_tally.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, compress, islice, repeat
+from typing import Iterable, Sequence
 
 from .confusion import ClassRegistry, ConfusionMatrix, _Frozen
 
-# check_probs passes a sum when |fsum(probs) - 1| <= PROB_SUM_TOLERANCE. halves.py first tries the plain sum(probs)
+# check_probs passes a sum when |fsum(probs) - 1| <= PROB_SUM_TOLERANCE. score_block first tries the plain sum(probs)
 # of K values already known to lie in [0, 1]. No partial sum exceeds the last, which the band keeps below 2, so each
 # of the K - 1 roundings errs by at most 2**-53, as do fsum's one rounding and each band edge (plus ~2**-73): under
 # (K + 3) * 2**-53 in all, less than the slack K * 2**-50. So a plain sum within 1 +- (PROB_SUM_TOLERANCE - slack)
@@ -27,6 +28,8 @@ from .confusion import ClassRegistry, ConfusionMatrix, _Frozen
 PROB_SUM_TOLERANCE = 1e-6
 DEFAULT_EPSILON = 1e-15
 MAX_EPSILON = 1e-6
+# Fields per score_block call of the row stream and of score_records, or one row if wider: each is held at once.
+_BLOCK_FIELDS = 1 << 12
 
 
 class InvalidRecordError(ValueError):
@@ -111,22 +114,34 @@ def xent_unit(record: ProbRecord, options: XentOptions = _DEFAULT_OPTIONS) -> fl
 Scores = tuple[dict[tuple[int, int], int], int]
 
 
-def score_pairs(pairs: Iterable[tuple[int, tuple[float, ...]]], epsilon: float) -> Scores:
-    """(true, argmax) index-pair tally and exact per-unit cross-entropy sum of (true class, vector) pairs.
+def score_block(fields: list, index: dict[str, int], k: int, epsilon: float, tally: Counter) -> int:
+    """Add the (true, argmax) pairs of rows of fields, which it empties, to tally; their cross-entropy in exact_steps.
 
-    Every finite float is an integer multiple of 2**-1074, so the sum is kept
-    as an integer count of that step: the sums of two parts of a stream add
-    exactly, and round_steps rounds the whole once. Memory is the distinct
-    index pairs, however many pairs stream past.
+    Each row is k + 1 fields laid end to end: a label in index, then k probabilities, as text or floats. A fixed
+    number of C-level passes, whatever the row count, raise KeyError or ValueError before tally changes unless
+    every label is known and every vector parses and passes ProbRecord.check_probs, which only rows whose plain
+    sum lies outside a band (see PROB_SUM_TOLERANCE) need to call. Block sums add exactly; round_steps rounds once.
     """
-    # A defaultdict, not a Counter: a Counter's `+= 1` costs several times more per pair.
-    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
-    total = 0
-    log = math.log
-    for true, probs in pairs:
-        tally[true, probs.index(max(probs))] += 1  # argmax_rule, without its width check
-        total += exact_steps(-log(max(probs[true], epsilon)))
-    return tally, total
+    trues = [*map(index.__getitem__, fields[:: k + 1])]
+    del fields[:: k + 1]
+    floats = [*map(float, fields)]
+    fields.clear()  # a block's largest object: emptied before the row passes, which bounds peak memory
+    rows = [*zip(*[iter(floats)] * k)]
+    tops = [*map(max, rows)]  # each row's maximum, for the range check and the argmax
+    band = PROB_SUM_TOLERANCE - k * 2.0**-50
+    sums, low, high = [*map(sum, rows)], 1.0 - band, 1.0 + band
+    # min and max may pass over a NaN, but then its row's sum is NaN, and so is sum(sums).
+    if not (0.0 <= min(floats) and max(tops) <= 1.0 and not math.isnan(sum(sums))):
+        raise InvalidRecordError("a probability outside [0, 1]")
+    near = [*compress(rows, map(low.__gt__, sums))] if min(sums) < low else []
+    near += compress(rows, map(high.__lt__, sums)) if max(sums) > high else ()
+    for probs in near:
+        ProbRecord.check_probs(probs)
+    tally.update(zip(trues, map(tuple.index, rows, tops)))  # argmax_rule of each row
+    picked = [*map(tuple.__getitem__, rows, trues)]
+    if min(picked) < epsilon:
+        picked = [*map(max, picked, repeat(epsilon))]
+    return -exact_sum_steps(map(math.log, picked))
 
 
 def exact_steps(x: float) -> int:
@@ -156,21 +171,20 @@ def score_records(
     records: Iterable[ProbRecord], registry: ClassRegistry, options: XentOptions = _DEFAULT_OPTIONS
 ) -> tuple[ConfusionMatrix, float]:
     """The hardened matrix and the dataset cross-entropy (exactly rounded, so order-free) of records read once."""
-    k = registry.k
-
-    def pairs() -> Iterator[tuple[int, tuple[float, ...]]]:
-        for record in records:
-            if len(record.probs) != k:  # every record has the registry's width
+    labels, k, tally, total, records = registry.labels, registry.k, Counter(), 0, iter(records)
+    while block := [*islice(records, max(1, _BLOCK_FIELDS // (k + 1)))]:
+        for record in block:
+            if record.k != k:  # every record has the registry's width
                 raise MixedDimensionsError(f"record has {record.k} classes, expected {k}")
-            yield record.true_class, record.probs
-
-    return score_tally(registry, score_pairs(pairs(), options.epsilon), options)
+        fields = [*chain.from_iterable((labels[record.true_class], *record.probs) for record in block)]
+        total += score_block(fields, registry._index, k, options.epsilon, tally)
+    return score_tally(registry, (tally, total), options)
 
 
 def score_tally(
     registry: ClassRegistry, scores: Scores, options: XentOptions = _DEFAULT_OPTIONS
 ) -> tuple[ConfusionMatrix, float]:
-    """The hardened matrix and the dataset cross-entropy of a score_pairs result; EmptyDatasetError for zero units."""
+    """The hardened matrix and the dataset cross-entropy of score_block sums; EmptyDatasetError for zero units."""
     tally, total = scores
     count = sum(tally.values())
     if count == 0:

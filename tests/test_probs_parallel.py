@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from clfmetrics import halves
+from clfmetrics import halves, ingest
 from clfmetrics.cli import main
 from clfmetrics.ingest import _SerialOnly
 from conftest import default_sigint
@@ -227,6 +227,23 @@ def test_compare_splits_each_side(tmp_path, monkeypatch):
     assert (rows[0], in_process, forked) == (0, [True, True], [True, True])
 
 
+@pytest.mark.parametrize("fields", [1, 12], ids=["one_row", "three_rows"])
+@pytest.mark.parametrize("case", CORPUS)
+def test_row_stream_blocks_of_any_size_give_the_same_run(tmp_path, monkeypatch, case, fields):
+    """The row stream's blocks patched to 1 row, the old row-by-row stream, and to 3 rows of a 3-class file.
+
+    So a fault at a block edge, or a bad row before an undecodable byte in the
+    same block, is named as with the default blocks.
+    """
+    path = tmp_path / "p.csv"
+    path.write_bytes(CORPUS[case][0])
+    argv = [*ARGVS["json_sum"], str(path)]
+    monkeypatch.setattr(halves, "score_steps", refused)
+    default = run(argv)
+    monkeypatch.setattr(ingest, "_BLOCK_FIELDS", fields)
+    assert run(argv) == default
+
+
 def record_claims(tmp_path, monkeypatch, first_claim):
     """Make split runs claim small pieces, each recorded as (process, first byte) where the claim loop reads it.
 
@@ -307,13 +324,16 @@ def test_a_stalled_process_leaves_its_pieces_to_the_other(tmp_path, monkeypatch,
 def test_a_refusal_in_the_child_leaves_the_parent_no_piece_to_claim(tmp_path, monkeypatch):
     """A child whose piece is refused claims the pieces left, so the parent falls back without scoring them.
 
-    The parent holds its first piece until the child has exited, unreaped.
+    The child refuses only once the parent has claimed its first piece, or it
+    could drain the queue before the parent claims any; the parent holds that
+    piece until the child has exited, unreaped.
     """
     path = tmp_path / "p.csv"
     path.write_bytes(HEADER + BIG_BODY)
 
     def first_claim(who, claimed):
         if who == "child":
+            hold(lambda: "parent" in dict(claimed()))
             raise _SerialOnly("refused")
         hold(lambda: os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None)
 
@@ -428,7 +448,7 @@ def test_a_named_pipe_is_opened_once(tmp_path):
 # started with to the file named by its second argument, and exits with the code.
 HELD_SPLIT = """
 import json, os, sys, time
-from clfmetrics import halves
+from clfmetrics import halves, ingest
 from clfmetrics.cli import main
 
 steps = halves._range_steps

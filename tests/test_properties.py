@@ -6,6 +6,7 @@ import io
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import pairwise
 
@@ -40,7 +41,7 @@ from clfmetrics import (
 )
 from clfmetrics.confusion import from_tally
 from clfmetrics.halves import _score_steps, _SerialOnly
-from clfmetrics.ingest import IngestError, _prob_rows
+from clfmetrics.ingest import IngestError, _score_rows
 from clfmetrics.metrics import (
     ClassWeights,
     MetricValue,
@@ -57,7 +58,6 @@ from clfmetrics.proba import (
     exact_steps,
     exact_sum_steps,
     round_steps,
-    score_pairs,
 )
 
 @pytest.fixture(scope="module")
@@ -456,16 +456,41 @@ def block_steps(draw):
     return delimiter, steps
 
 
+def longhand_scores(rows, registry, epsilon):
+    """The (true, argmax) tally and exact cross-entropy sum of csv rows, one ProbRecord at a time; None for a bad row."""
+    tally, total, options = Counter(), 0, XentOptions(epsilon)
+    for row in rows:
+        if len(row) != registry.k + 1 or row[0] not in registry:
+            return None
+        try:
+            record = ProbRecord(registry.index(row[0]), tuple(map(float, row[1:])))
+        except ValueError:  # a bad float, or InvalidRecordError
+            return None
+        tally[record.true_class, argmax_rule(record.probs)] += 1
+        total += exact_steps(xent_unit(record, options))
+    return tally, total
+
+
 def assert_block_scorer_equals_the_serial_rows(steps, delimiter, epsilon, registry=BLOCK_REGISTRY):
-    """_score_steps refuses, or gives score_pairs of the serial rows exactly; it refuses valid rows only for a quote."""
+    """_score_steps refuses, or gives the longhand scores of the serial rows exactly; it refuses valid rows only for a
+    quote. The row stream, a header then the same text, gives the longhand scores, or an IngestError where they fail."""
     text = "".join(steps)
+    header = delimiter.join(["actual", *registry.labels]) + "\n"
     limit = csv.field_size_limit(64)
     try:
         try:
             rows = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-            expected = score_pairs(_prob_rows(((None, row) for row in rows if row), registry), epsilon)
-        except (IngestError, csv.Error):
+            expected = longhand_scores(filter(None, rows), registry, epsilon)
+        except csv.Error:
             expected = None
+        try:
+            streamed = _score_rows(io.StringIO(header + text, newline=""), delimiter, epsilon)
+        except IngestError as error:
+            assert expected is None
+            assert "none is bad" not in str(error)  # the slow walk names the refused block's bad row
+        else:
+            assert expected is not None
+            assert (streamed[0], dict(streamed[1][0]), streamed[1][1]) == (registry, dict(expected[0]), expected[1])
         try:
             tally, total = _score_steps(steps, registry, delimiter, epsilon)
         except _SerialOnly:
