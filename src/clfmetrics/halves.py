@@ -2,9 +2,9 @@
 
 score_steps is the step reader ingest._steps_or_rows runs for score_probs, in
 a module of its own so that only a probability run compiles and loads it.
-Each step's fields are scored as one block by proba.score_block, or refused
-with _SerialOnly; the row stream alone names errors. Here too are the queue
-of pieces, the fork, the reply pipe and the merge of two tallies.
+Each step's fields, quoted labels read as csv reads them, are scored as one
+block by proba.score_block, or refused with _SerialOnly; the row stream alone
+names errors. Here too are the queue, the fork, the reply pipe and the merge.
 """
 
 from __future__ import annotations
@@ -70,14 +70,14 @@ def _claimed_steps(queue: BinaryIO, fd: int, start: int, size: int, piece: int) 
 
 
 def _plain_header(line: bytes, delimiter: str) -> ClassRegistry:
-    """The registry of a first line that is a whole header row in itself, else _SerialOnly."""
+    """The registry of a first line that is a whole header row to strict csv, which refuses a quote left open."""
     text = line.decode("utf-8")
     if not text.endswith("\n"):
         raise _SerialOnly("a header without a line end")
     text = text[:-1].removesuffix("\r")
-    if '"' in text or "\r" in text or not text:
-        raise _SerialOnly("a quote or a bare carriage return in the header, or a blank first line")
-    return _read_header(iter([(1, next(csv.reader([text], delimiter=delimiter)))]))[1]
+    if not text:
+        raise _SerialOnly("a blank first line")
+    return _read_header(iter([(1, next(csv.reader([text], delimiter=delimiter, strict=True)))]))[1]
 
 
 def _fork_claims(
@@ -130,27 +130,29 @@ def _fork_claims(
 
 def _score_steps(steps: Iterable[str], registry: ClassRegistry, delimiter: str, epsilon: float) -> Scores:
     """The scores of texts that each end a line, as the row stream gives them, or _SerialOnly."""
+    index = {name: i for name, i in registry._index.items() if '"' not in name}  # each name bare, if it holds none
+    index.update(('"' + name.replace('"', '""') + '"', i) for name, i in registry._index.items())  # and quoted, as csv
     tally: Counter[tuple[int, int]] = Counter()
-    return tally, sum(_score_step(text, registry._index, delimiter, epsilon, tally) for text in steps)
+    return tally, sum(_score_step(text, index, registry.k, delimiter, epsilon, tally) for text in steps)
 
 
-def _score_step(text: str, index: dict[str, int], delimiter: str, epsilon: float, tally: Counter) -> int:
+def _score_step(text: str, index: dict[str, int], k: int, delimiter: str, epsilon: float, tally: Counter) -> int:
     """score_block of the fields of a text's non-blank lines, or _SerialOnly.
 
     A fixed number of C-level passes, whatever the row count, that split the
     text into the fields the row stream reads from it, for exactly the texts
-    where the two agree: no quote or NUL, K + 1 fields on each line and none
-    past csv.field_size_limit(). Any other text, or one whose rows
-    score_block refuses, raises _SerialOnly.
+    where the two agree: no NUL, K + 1 fields on each line, none past
+    csv.field_size_limit(), and quotes only in labels spelt as in index, each
+    a whole field; a quote elsewhere fails a float, the lookup or the width.
+    Any other text, or one whose rows score_block refuses, raises _SerialOnly.
     """
-    if '"' in text or "\0" in text:
-        raise _SerialOnly("a quote or a NUL")
+    if "\0" in text:
+        raise _SerialOnly("a NUL")
     lines = _split_lines(text)
     if "" in lines:  # a blank line, which csv skips
         lines = [*filter(None, lines)]
     if not lines:
         return 0
-    k = len(index)
     counts = [*map(str.count, lines, repeat(delimiter))]
     if counts.count(k) != len(counts):
         raise _SerialOnly("a row of the wrong width")

@@ -378,9 +378,9 @@ def tally_labels(
     """Tally a label file into a confusion matrix, parsing each distinct line once.
 
     Read as _steps_or_rows says: in steps by _tally_distinct_lines, which
-    refuses a step with a quote (it may open a field spanning lines) or a line
-    longer than any valid row; else as the stream_labels row stream. Memory
-    stays bounded by the number of distinct lines, not by the file's length.
+    refuses a quoted field that runs across lines or a line longer than any
+    valid row; else as the stream_labels row stream. Memory stays bounded by
+    the number of distinct lines, not by the file's length.
     """
     return from_tally(_steps_or_rows(path, _tally_distinct_lines, _tally_rows, delimiter, has_header))
 
@@ -397,20 +397,16 @@ def _tally_distinct_lines(
     lines: Counter[str] = Counter()
     longest = 8 * csv.field_size_limit() + 6  # a valid row: 2 fields, a delimiter, 4 bytes a character, a line end
     for text in _range_steps(fd, start, size, _LABEL_STEP, longest):
-        if '"' in text:
-            raise _SerialOnly("a quote")
         lines.update(_split_lines(text))
-    # Without quotes every line is a CSV row of its own: the header is the first non-blank line.
-    header = next(filter(None, lines), None) if has_header else None
-    if header is not None:
-        lines[header] -= 1
-        if not lines[header]:
-            del lines[header]
     tally: dict[tuple[str, str], int] = {}
-    for row, n in zip(csv.reader(lines, delimiter=delimiter), lines.values()):
+    # A quoted field that runs across lines is refused: open at the last line, as strict csv's error; else it joins
+    # lines, and zip's ValueError refuses the shortfall. So each row is its line's; the header, the first non-blank.
+    for row, n in zip(csv.reader(lines, delimiter=delimiter, strict=True), lines.values(), strict=True):
         if row:
-            pair = _label_pair(row, None)
-            tally[pair] = tally.get(pair, 0) + n
+            n, has_header = n - has_header, False
+            if n:
+                pair = _label_pair(row, None)
+                tally[pair] = tally.get(pair, 0) + n
     return tally
 
 

@@ -86,6 +86,7 @@ class ClassWeights(_Frozen):
     __slots__ = __match_args__ = ("w",)
 
     def __init__(self, w: tuple[Fraction, ...]) -> None:
+        w = tuple(w)
         for x in w:
             if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                 raise InvalidWeightsError(f"weights must be ints or Fractions, got {x!r}")

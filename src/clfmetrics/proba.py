@@ -58,8 +58,8 @@ class ProbRecord(_Frozen):
     def __init__(self, true_class: int, probs: tuple[float, ...]) -> None:
         probs = tuple(map(float, probs))
         self.check_probs(probs)
-        if not 0 <= true_class < len(probs):
-            raise InvalidRecordError(f"true class {true_class} out of range for {len(probs)} classes")
+        if type(true_class) is not int or not 0 <= true_class < len(probs):  # type, as a bool is an int too
+            raise InvalidRecordError(f"true class must be an int in [0, {len(probs)}), got {true_class!r}")
         self._fill(true_class, probs)
 
     @staticmethod

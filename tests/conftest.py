@@ -1,7 +1,9 @@
+import os
 import pprint
 import random
 import signal
 import sys
+import threading
 
 import pytest
 
@@ -102,3 +104,27 @@ def default_sigint():
     ignored, and children inherit that.
     """
     signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def feed(fd, data):
+    """Write data to a pipe's write end, then close it."""
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    except BrokenPipeError:  # the reader stopped early
+        pass
+    finally:
+        os.close(fd)
+
+
+def through_a_pipe(data, use):
+    """use(name) for the /dev/fd name of a pipe that a thread feeds with data: input that can be read only once."""
+    r, w = os.pipe()
+    writer = threading.Thread(target=feed, args=(w, data))
+    writer.start()
+    try:
+        return use(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join()

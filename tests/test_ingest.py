@@ -3,7 +3,7 @@
 import csv
 import errno
 import os
-import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +31,7 @@ from clfmetrics import (
     ingest,
     xent_unit,
 )
+from conftest import through_a_pipe
 
 
 def write(tmp_path, name, text):
@@ -115,28 +116,9 @@ class TestReadLabels:
         assert m.counts == ((1, 1), (0, 1))
 
 
-def feed(fd, data):
-    """Write data to a pipe's write end, then close it."""
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view) :]
-    except BrokenPipeError:  # the reader stopped early
-        pass
-    finally:
-        os.close(fd)
-
-
 def outcome_through_a_pipe(data, read):
     """outcome(read(path)) for a path naming a pipe fed with data, which can be read only once."""
-    r, w = os.pipe()
-    writer = threading.Thread(target=feed, args=(w, data))
-    writer.start()
-    try:
-        return outcome(lambda: read(f"/dev/fd/{r}"))
-    finally:
-        os.close(r)
-        writer.join()
+    return through_a_pipe(data, lambda name: outcome(lambda: read(name)))
 
 
 PIPED_LABEL_FILES = {
@@ -170,9 +152,15 @@ STEP_LABELS = st.lists(
 @st.composite
 def stepped_label_files(draw):
     """A delimiter and a label file of a few lines drawn again and again: 0-2 BOMs, perhaps a header, then the body,
-    then perhaps a late quoted field spanning lines or an undecodable byte. Lines end in LF, CR or CRLF, some blank."""
+    then perhaps a late quoted field spanning lines or an undecodable byte. Lines end in LF, CR or CRLF, some blank;
+    labels are bare or quoted."""
     delimiter = draw(st.sampled_from([b",", b"\t"]))
-    row = st.builds(lambda actual, predicted: actual + delimiter + predicted, STEP_LABELS, STEP_LABELS)
+    # Labels quoted as csv quotes them, some holding a doubled quote or the delimiter, so that quotes meet step edges.
+    quoted_label = st.lists(st.sampled_from([b"a", b'"', delimiter, "\u00e9".encode()]), min_size=1, max_size=3).map(
+        lambda tokens: b'"' + b"".join(tokens).replace(b'"', b'""') + b'"'
+    )
+    label = st.one_of(STEP_LABELS, quoted_label)
+    row = st.builds(lambda actual, predicted: actual + delimiter + predicted, label, label)
     line = st.builds(bytes.__add__, st.one_of(row, row, st.just(b"")), st.sampled_from([b"\n", b"\r", b"\r\n"]))
     lines = draw(st.lists(line, min_size=1, max_size=4))
     # Blank lines before a header, a header wider than 2 fields, and one that is a data line too.
@@ -196,6 +184,34 @@ class TestTallyLabels:
         m = tally_labels(path)
         assert m.registry.labels == ("a", "b", "x\ny,z")
         assert m == from_pairs([("a", "x\ny,z"), ("b", "b")])
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    def test_an_all_quoted_file_is_tallied_in_steps(self, tmp_path, has_header):
+        """csv.QUOTE_ALL and R's write.csv quote every field: the steps read them as the row stream does."""
+        rows = [("actual", "predicted")] + [(f"c{i % 7}", f'say "{i % 5}", then' + "\t" * (i % 2)) for i in range(3_000)]
+        path = tmp_path / "l.csv"
+        with open(path, "w", newline="") as out:
+            csv.writer(out, quoting=csv.QUOTE_ALL).writerows(rows)
+        with open(path, "rb") as handle:  # the step reader itself: a refusal would raise _SerialOnly or another error
+            tally = ingest._tally_distinct_lines(handle.fileno(), 0, os.path.getsize(path), ",", has_header)
+        assert tally == Counter(stream_labels(str(path), has_header=has_header))
+        assert sum(tally.values()) == 3_000 + (not has_header)
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'z",w\nx,"y\nz",w\n',  # a quote opened on the last distinct line: csv without strict would close it
+            b'a,b\n"c","d\r\ne"\na,b\n',  # a quoted line end inside a field
+            b'"act\nual",x\na,b\na,b\n',  # a quoted header spanning lines
+            b'a,"b"c\na,b\n"a","b"\n',  # text after a closing quote, which only strict csv refuses
+        ],
+        ids=["quote_open_at_the_end", "quoted_crlf", "header_spanning_lines", "text_after_a_closing_quote"],
+    )
+    def test_quotes_that_steps_cannot_read_alone_give_the_row_stream_result(self, tmp_path, data, has_header):
+        path = tmp_path / "l.csv"
+        path.write_bytes(data)
+        assert_tally_matches_stream(str(path), has_header=has_header)
 
     def test_bad_row_after_100k_valid_rows_is_reported_at_its_line(self, tmp_path):
         rows = "".join(f"{'abc'[i % 3]},{'abc'[i * 7 % 3]}\n" for i in range(100_000))

@@ -160,6 +160,11 @@ class TestBalancedAccuracyWeighted:
         with pytest.raises(InvalidWeightsError, match=re.escape(repr(entry))):
             ClassWeights((Fraction(1), entry))
 
+    def test_a_generator_gives_the_weights_of_its_tuple(self):
+        """The entries are read once: a check that emptied the generator left the conversion nothing."""
+        assert ClassWeights(Fraction(x) for x in (1, 2)) == ClassWeights((Fraction(1), Fraction(2)))
+        assert ClassWeights(x for x in (1, 2)).w == (Fraction(1), Fraction(2))
+
     def test_all_zero_weights_rejected(self):
         with pytest.raises(InvalidWeightsError):
             ClassWeights((Fraction(0), Fraction(0)))

@@ -41,6 +41,12 @@ class TestProbRecord:
         with pytest.raises(InvalidRecordError):
             ProbRecord(true_class=-1, probs=(0.5, 0.5))
 
+    @pytest.mark.parametrize("true_class", [1.0, 0.0, True, False, "0", None])
+    def test_true_class_that_is_not_an_int_rejected(self, true_class):
+        """Else score_records and xent_unit would index the vector with it and raise a bare TypeError."""
+        with pytest.raises(InvalidRecordError, match="true class must be an int"):
+            ProbRecord(true_class, (0.5, 0.5))
+
     def test_sum_tolerance_is_tight_but_not_zero(self):
         ProbRecord(true_class=0, probs=(0.5 + 4e-7, 0.5))  # inside tolerance
         with pytest.raises(InvalidRecordError):

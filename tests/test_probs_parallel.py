@@ -5,12 +5,14 @@ with the stepped reader refused; in steps in this process, with the size from
 which a forked child claims pieces too raised out of reach; and in two
 processes, with it lowered to 0 so that small files are split too, and pieces
 of a few bytes, so that piece edges fall everywhere. After each stepped run no
-child may be left unreaped and no descriptor left open. The last test runs the
+child may be left unreaped and no descriptor left open. Each case is also read
+through a pipe, which only the row stream can read. The last test runs the
 tool as it is shipped, on files over the split threshold, from a file, through
 a pipe and on one CPU.
 """
 
 import contextlib
+import csv
 import errno
 import gc
 import io
@@ -28,7 +30,7 @@ import pytest
 from clfmetrics import halves, ingest
 from clfmetrics.cli import main
 from clfmetrics.ingest import _SerialOnly
-from conftest import default_sigint
+from conftest import default_sigint, through_a_pipe
 
 CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
 splits = pytest.mark.skipif(
@@ -45,6 +47,20 @@ BIG_BODY = b"".join(ROWS) * 4_000
 FEW_BYTES = 5
 SMALL_PIECE = 1 << 14  # BIG_BODY holds 21 pieces of this size
 WIDE_HEADER = b"actual," + b",".join(b"class_with_a_long_name_%04d" % i for i in range(3_000)) + b"\n"
+
+
+def quote_nonnumeric(data):
+    """A file's rows as csv.QUOTE_NONNUMERIC writes them: every label and class name quoted, each number a float."""
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    rows = csv.reader(io.StringIO(data.decode(), newline=""))
+    writer.writerow(next(rows))
+    writer.writerows([label, *map(float, probs)] for label, *probs in rows)
+    return out.getvalue().encode()
+
+
+# Class a renamed a"x, quoted as csv quotes it, in the header and every row.
+QUOTE_HEADER, QUOTE_BODY = (text.replace(b"a,", b'"a""x",') for text in (HEADER, BODY))
 
 # name -> (file bytes, whether each stepped run must complete without falling back, exit code)
 CORPUS = {
@@ -109,10 +125,20 @@ CORPUS = {
     "oversized_field": (HEADER + BODY + b"a," + b"1" * 200_000 + b",0,0\n", False, 2),
     # A valid number, but longer than csv.field_size_limit(): the serial stream refuses it.
     "valid_oversized_field": (HEADER + BODY + b"a,0.5" + b"0" * 140_000 + b",0.5,0\n" + BODY, False, 2),
-    "quote_in_the_first_half": (HEADER + b'"a",0.5,0.5,0\n' + BIG_BODY, False, 0),
-    "quote_in_the_second_half": (HEADER + BIG_BODY + b'"b",0.5,0.5,0\n', False, 0),
+    "quote_in_the_first_half": (HEADER + b'"a",0.5,0.5,0\n' + BIG_BODY, True, 0),
+    "quote_in_the_second_half": (HEADER + BIG_BODY + b'"b",0.5,0.5,0\n', True, 0),
     "quoted_field_spanning_the_midpoint": (HEADER + BODY + b'a,0.5,0.5,"0\n\n' + BODY + b'"\n' + BODY, False, 2),
-    "quoted_header": (b'actual,"a",b,c\n' + BODY, False, 0),
+    "quoted_header": (b'actual,"a",b,c\n' + BODY, True, 0),
+    "all_quoted_as_quote_nonnumeric_writes_it": (quote_nonnumeric(HEADER + BIG_BODY), True, 0),
+    "quoted_class_name_with_a_doubled_quote": (QUOTE_HEADER + QUOTE_BODY, True, 0),
+    # csv reads a"x bare as itself, but the steps look up only a name with no quote bare.
+    "class_name_with_a_quote_written_bare": (QUOTE_HEADER + QUOTE_BODY + b'a"x,0.5,0.5,0\n' + QUOTE_BODY, False, 0),
+    # The quoted delimiter gives the line one delimiter too many for the steps' width check.
+    "quoted_label_holding_the_delimiter": ((HEADER + BODY).replace(b"a,", b'"a,x",'), False, 0),
+    "quoted_header_name_spanning_lines": (b'actual,"a\nx",b,c\n' + BODY.replace(b"a,", b'"a\nx",'), False, 0),
+    # The header's open quote runs into the next line, where csv reads on to duplicate class names. A csv reader
+    # that is not strict would close the quote at the line end and leave classes a, b, c and a valid first row.
+    "header_quote_left_open_at_its_line_end": (b'actual,a,b,"c\n"c",0.5,0.5,0\n' + BODY, False, 2),
     "bare_cr_header": (HEADER.replace(b"\n", b"\r") + BODY, False, 0),
     "bare_cr_rows": (HEADER + BIG_BODY.replace(b"\n", b"\r"), True, 0),
     "crlf_split_across_read_steps": (HEADER + BIG_BODY.replace(b"\n", b"\r\r\n"), True, 0),
@@ -242,6 +268,32 @@ def test_row_stream_blocks_of_any_size_give_the_same_run(tmp_path, monkeypatch, 
     default = run(argv)
     monkeypatch.setattr(ingest, "_BLOCK_FIELDS", fields)
     assert run(argv) == default
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS.keys())
+@pytest.mark.parametrize("case", CORPUS)
+def test_a_pipe_gives_the_row_stream_run(tmp_path, monkeypatch, case, argv):
+    """Through a pipe, read once, each case gives the run of its file's row stream, the input's name aside.
+
+    A byte that is not UTF-8 is named without its line, which only a second read could find.
+    """
+    data = CORPUS[case][0]
+
+    def renamed(name):
+        return tuple(part.replace(name, "<input>") if isinstance(part, str) else part for part in run([*argv, name]))
+
+    piped = through_a_pipe(data, renamed)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        error = f"clfmetrics: error: input is not valid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})\n"
+        assert piped == (2, "", error)
+        return
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(halves, "score_steps", refused)
+    assert piped == renamed(str(path))
 
 
 def record_claims(tmp_path, monkeypatch, first_claim):
