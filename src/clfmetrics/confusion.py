@@ -70,6 +70,9 @@ class ClassRegistry(_Frozen):
 
     def __init__(self, labels: tuple[str, ...]) -> None:
         labels = tuple(labels)
+        for label in labels:
+            if not isinstance(label, str):  # a report joins and writes them as text
+                raise ValueError(f"class labels must be strings, got {label!r}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"class labels must be unique, got {labels!r}")
         if len(labels) < 2:
@@ -132,13 +135,17 @@ class ConfusionMatrix(_Frozen):
             # Row-major, so the first bad cell is named; plain zeros need no check.
             cells = {(i, j): n for i, row in enumerate(cells) for j, n in enumerate(row) if n or type(n) is not int}
         nonzero, rows, cols, trace = {}, [0] * k, [0] * k, 0
-        for (i, j), n in cells.items():
+        for cell, n in cells.items():
             if not isinstance(n, int) or isinstance(n, bool):
                 raise ValueError(f"counts must be integers, got {n!r}")
             if n < 0:
                 raise ValueError(f"counts must be non-negative, got {n}")
-            if not (0 <= i < k and 0 <= j < k):
-                raise ClassOutOfRangeError(f"cell {(i, j)} out of range for K={k}")
+            try:
+                i, j = cell
+            except (TypeError, ValueError):  # not a pair
+                i = j = None
+            if not (type(i) is int is type(j) and 0 <= i < k and 0 <= j < k):  # a bool or a float is no index
+                raise ClassOutOfRangeError(f"cell {cell!r} out of range for K={k}")
             if n:
                 nonzero[i, j] = n
                 rows[i] += n

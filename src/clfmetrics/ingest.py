@@ -22,25 +22,29 @@ save a byte that is not UTF-8 in input that cannot be read twice, such as a
 pipe: a file is decoded again to find that byte's line. tally_labels and
 score_probs read a file in steps or as the row stream; _steps_or_rows alone
 decides which. Either way score_probs scores blocks of rows by proba.score_block.
+Steps are read by _read_in_steps for both: in one process, or from
+PARALLEL_MIN_BYTES on in two, which claim pieces of the file from one queue.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import marshal
 import math
 import os
 import re
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, NoReturn, TextIO, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TextIO, TypeVar
 
 from .confusion import ClassRegistry, ConfusionMatrix, from_tally
 from .proba import _BLOCK_FIELDS, PROB_SUM_TOLERANCE, Scores, XentOptions, score_block, score_tally
 
 _Number = TypeVar("_Number", int, Fraction)
 _Read = TypeVar("_Read")  # what a file read in steps or as rows gives: a pair tally, or a registry and scores
+_Part = TypeVar("_Part")  # what one process gives of the steps it reads: line counts, or a tally and a total
 # The only number forms read, in ASCII digits. A minus sign passes the grammar so
 # that a negative value meets its own, clearer error further on.
 _COUNT = re.compile(r"-?[0-9]+")
@@ -52,6 +56,10 @@ _RESCAN_CHUNK = 1 << 12
 _ESCAPED = re.compile("[\udc80-\udcff]")
 # Bytes per read step of a label file; larger steps only raise peak memory.
 _LABEL_STEP = 1 << 14
+# A file this large is read in two processes: forking costs a few ms.
+PARALLEL_MIN_BYTES = 1 << 20
+# Bytes per piece a process claims: smaller pieces even out when two processes finish, but each costs two probes.
+_PIECE = 1 << 18
 
 
 class _SerialOnly(Exception):
@@ -191,6 +199,102 @@ def _range_steps(fd: int, start: int, end: int, step: int, longest: float = math
         yield text
 
 
+def _read_in_steps(fd: int, start: int, size: int, work: Callable[[Iterator[str]], _Part], *step: float) -> list[_Part]:
+    """work(steps) of a file's bytes start..size, read by _range_steps(..., *step), for each process that reads them:
+    this one alone, or from PARALLEL_MIN_BYTES on, with os.fork, two CPUs and one thread, a forked child too, both
+    claiming pieces, each the lines that start in its bytes, from one queue, so that the faster reads more."""
+    cpus = os.sched_getaffinity(0) if size >= PARALLEL_MIN_BYTES and hasattr(os, "sched_getaffinity") else ()
+    if len(cpus) > 1 and hasattr(os, "fork"):
+        import threading  # loaded only for a file this large
+
+        if threading.active_count() == 1:  # a forked child would hold only this thread, and perhaps a lock another held
+            piece, indices = _pieces(size - start)
+            read_end, write_end = os.pipe()
+            with open(read_end, "rb", buffering=0) as queue:
+                with open(write_end, "wb", buffering=0) as filling:  # closed before any claim: an empty queue ends
+                    filling.write(indices)
+                return _fork_claims(queue, _claimed_steps(queue, fd, start, size, piece, *step), work, cpus)
+    return [work(_range_steps(fd, start, size, *step))]
+
+
+def _pieces(span: int) -> tuple[int, bytes]:
+    """Bytes per piece of span bytes, and the pieces' 4-byte indices: at most 1024, the 4 KiB a pipe surely holds."""
+    piece = max(_PIECE, -(-span // 1024))
+    return piece, b"".join(i.to_bytes(4, "little") for i in range(-(-span // piece)))
+
+
+def _claimed_steps(queue: BinaryIO, fd: int, start: int, size: int, piece: int, *step: float) -> Iterator[str]:
+    """The steps of each piece claimed from the queue until it is empty: the lines that start in the piece's bytes."""
+    while claim := queue.read(4):
+        low = start + int.from_bytes(claim, "little") * piece
+        high = min(low + piece, size)
+        begin = _line_end(fd, low - 1, high) if low > start else start  # a line starts at start, and after each LF
+        if begin < high:
+            yield from _range_steps(fd, begin, _line_end(fd, high - 1, size), *step)
+
+
+def _fork_claims(queue: BinaryIO, steps: Iterator[str], work: Callable[..., _Part], cpus: set[int]) -> list[_Part]:
+    """work(steps) here and in a forked child that claims from the same queue: both results, the child's marshalled.
+
+    A child starts on its parent's CPU, where a scheduler may leave it a while: so this process is on its first CPU
+    across the fork, and the child moves off that CPU at once; then both may run on any of cpus again.
+    """
+    import signal  # loaded only for a file this large
+
+    read_end, write_end = os.pipe()
+    # SIGINT is held over the fork: the child never takes it, and the parent only in the try that ends the child.
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    first = min(cpus)
+    _set_cpus({first})
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        _set_cpus(cpus)
+        raise
+    if pid == 0:  # the child: it leaves only through os._exit, whatever happens
+        code = 1
+        try:
+            _set_cpus(cpus - {first}, cpus)
+            os.close(read_end)
+            reply = memoryview(marshal.dumps(work(steps)))
+            while reply:
+                reply = reply[os.write(write_end, reply):]
+            code = 0
+        except Exception:  # a refusal: the pieces left are claimed here, so the parent stops and falls back at once
+            queue.read()
+        finally:
+            os._exit(code)
+    _set_cpus(cpus)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            mine = work(steps)
+            reply = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if os.waitpid(pid, 0)[1] != 0:
+        raise _SerialOnly("the child failed")
+    try:
+        return [mine, marshal.loads(reply)]
+    except (EOFError, TypeError, ValueError):  # a short or malformed reply
+        raise _SerialOnly("the child's reply") from None
+
+
+def _set_cpus(*masks: set[int]) -> None:
+    """Set this process's CPU affinity to each mask in turn, where it can be set; a refusal changes nothing."""
+    for mask in masks:
+        try:
+            os.sched_setaffinity(0, mask)
+        except OSError:
+            pass
+
+
 def _steps_or_rows(path: str, by_steps: Callable[..., _Read], by_rows: Callable[..., _Read], *args: object) -> _Read:
     """by_steps(fd, start, size, *args) of a file read in steps, else by_rows(handle, *args) of its row stream.
 
@@ -303,7 +407,7 @@ def score_probs(
     """The hardened matrix and the dataset cross-entropy of a probability file.
 
     Read as _steps_or_rows says: in steps by halves.score_steps, in two
-    processes from halves.PARALLEL_MIN_BYTES on; else as the row stream. Each
+    processes from PARALLEL_MIN_BYTES on; else as the row stream. Each
     step, or each block of the row stream, is scored by proba.score_block.
     Memory holds the distinct (actual, predicted) pairs and a block, not the rows.
     """
@@ -377,10 +481,11 @@ def tally_labels(
 ) -> ConfusionMatrix:
     """Tally a label file into a confusion matrix, parsing each distinct line once.
 
-    Read as _steps_or_rows says: in steps by _tally_distinct_lines, which
-    refuses a quoted field that runs across lines or a line longer than any
-    valid row; else as the stream_labels row stream. Memory stays bounded by
-    the number of distinct lines, not by the file's length.
+    Read as _steps_or_rows says: in steps by _tally_distinct_lines, in two
+    processes from PARALLEL_MIN_BYTES on, which refuses a quoted field that
+    runs across lines or a line longer than any valid row; else as the
+    stream_labels row stream. Memory stays bounded by the number of distinct
+    lines, not by the file's length.
     """
     return from_tally(_steps_or_rows(path, _tally_distinct_lines, _tally_rows, delimiter, has_header))
 
@@ -393,21 +498,37 @@ def _tally_rows(handle: TextIO, delimiter: str, has_header: bool) -> Counter[tup
 def _tally_distinct_lines(
     fd: int, start: int, size: int, delimiter: str, has_header: bool
 ) -> dict[tuple[str, str], int]:
-    """Pair counts of a label file's lines from start: each step's lines counted in C, each distinct one parsed once."""
-    lines: Counter[str] = Counter()
+    """Pair counts of a label file's lines from start: each step's lines counted in C, each distinct one parsed once.
+
+    The lines after a header are read as _read_in_steps reads them; each process's line counts are added.
+    """
     longest = 8 * csv.field_size_limit() + 6  # a valid row: 2 fields, a delimiter, 4 bytes a character, a line end
-    for text in _range_steps(fd, start, size, _LABEL_STEP, longest):
-        lines.update(_split_lines(text))
+    if has_header:  # the first non-blank line, in the first step, must be a whole row to strict csv; steps follow it
+        # Blank lines, then the first line and one character of its line end: csv ends a line at CR, LF or CRLF.
+        header = re.match("[\r\n]*([^\r\n]*)[\r\n]?", next(_range_steps(fd, start, size, _LABEL_STEP, longest), ""))
+        if not header[1]:
+            raise _SerialOnly("no header in the first step")
+        next(csv.reader([header[1]], delimiter=delimiter, strict=True))  # a quote left open is an error
+        start += len(header[0].encode())
+    lines: Counter[str] = Counter()
+    for counts in _read_in_steps(fd, start, size, _count_lines, _LABEL_STEP, longest):
+        lines.update(counts)
     tally: dict[tuple[str, str], int] = {}
-    # A quoted field that runs across lines is refused: open at the last line, as strict csv's error; else it joins
-    # lines, and zip's ValueError refuses the shortfall. So each row is its line's; the header, the first non-blank.
+    # A quoted field that runs across lines is refused, in any line order: open at the last line, as strict csv's
+    # error; else it joins lines, and zip's ValueError refuses the shortfall. So each row is its line's.
     for row, n in zip(csv.reader(lines, delimiter=delimiter, strict=True), lines.values(), strict=True):
         if row:
-            n, has_header = n - has_header, False
-            if n:
-                pair = _label_pair(row, None)
-                tally[pair] = tally.get(pair, 0) + n
+            pair = _label_pair(row, None)
+            tally[pair] = tally.get(pair, 0) + n
     return tally
+
+
+def _count_lines(steps: Iterable[str]) -> dict[str, int]:
+    """How many times each line of texts that each end a line occurs: a plain dict, which marshal sends."""
+    lines: Counter[str] = Counter()
+    for text in steps:
+        lines.update(_split_lines(text))
+    return dict(lines)
 
 
 def read_weights(

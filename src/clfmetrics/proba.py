@@ -91,7 +91,11 @@ class XentOptions(_Frozen):
     __slots__ = __match_args__ = ("epsilon", "reduce")
 
     def __init__(self, epsilon: float = DEFAULT_EPSILON, reduce: str = "mean") -> None:
-        if not 0.0 < epsilon <= MAX_EPSILON:
+        try:
+            in_range = 0.0 < epsilon <= MAX_EPSILON
+        except TypeError:  # not a number
+            in_range = False
+        if not in_range:
             raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon!r}")
         if reduce not in ("mean", "sum"):
             raise ValueError(f"reduce must be 'mean' or 'sum', got {reduce!r}")

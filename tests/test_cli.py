@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clfmetrics
-from clfmetrics import ConfusionMatrix, evaluate, halves, parse_json, render_json
+from clfmetrics import ConfusionMatrix, evaluate, ingest, parse_json, render_json
 from clfmetrics.cli import main
 from conftest import assert_equal_short_diff, default_sigint
 
@@ -416,12 +416,12 @@ HALVES_LOADED = (
 
 
 def test_only_a_probability_run_loads_the_halves_module(tmp_path):
-    """A label run, even of a file past halves.PARALLEL_MIN_BYTES, neither compiles nor loads clfmetrics.halves."""
+    """A label run, even of a file past ingest.PARALLEL_MIN_BYTES, neither compiles nor loads clfmetrics.halves."""
     rng = random.Random(15)
     for name in ("a", "b"):
         rows = (f"c{rng.randrange(10)},c{rng.randrange(10)}\n" for _ in range(200_000))
         (tmp_path / f"{name}.csv").write_text("".join(rows), encoding="utf-8")
-        assert (tmp_path / f"{name}.csv").stat().st_size >= halves.PARALLEL_MIN_BYTES
+        assert (tmp_path / f"{name}.csv").stat().st_size >= ingest.PARALLEL_MIN_BYTES
     (tmp_path / "p.csv").write_text("actual,a,b\na,0.25,0.75\nb,0.5,0.5\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
     runs = {
@@ -728,7 +728,7 @@ class TestEveryContentErrorNamesItsLine:
         else:
             argv = ["evaluate", "--kind", base, str(path)]
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.object(halves, "PARALLEL_MIN_BYTES", 0 if kind == "probs-split" else 1 << 62):
+        with mock.patch.object(ingest, "PARALLEL_MIN_BYTES", 0 if kind == "probs-split" else 1 << 62):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         message = err.getvalue()

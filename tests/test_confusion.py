@@ -1,6 +1,7 @@
 """Tests for confusion-matrix construction, marginals, tiling and merging."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -31,6 +32,12 @@ class TestClassRegistry:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             ClassRegistry(("a",))
+
+    @pytest.mark.parametrize("labels", [(1, 2), ("a", None), ("a", b"b")], ids=["ints", "none", "bytes"])
+    def test_labels_that_are_not_str_rejected(self, labels):
+        """A report writes its class names as text, so a registry holds only str."""
+        with pytest.raises(ValueError, match="class labels must be strings, got "):
+            ClassRegistry(labels)
 
     def test_unknown_label(self):
         reg = ClassRegistry(("a", "b"))
@@ -143,6 +150,13 @@ class TestMatrixValidation:
         m = ConfusionMatrix.from_grid(("a", "b"), ((Count(3), 1), (0, Count(2))))
         assert m.counts == ((3, 1), (0, 2))
         assert (m.row_totals, m.col_totals, m.grand_total) == ((4, 2), (3, 3), 6)
+
+    @pytest.mark.parametrize(
+        "cell", [(True, 0), (1.0, 1), (1.5, 0), (0,)], ids=["bool", "integral_float", "float", "one_index"]
+    )
+    def test_cell_that_is_not_a_pair_of_ints_rejected(self, cell):
+        with pytest.raises(ClassOutOfRangeError, match=re.escape(f"cell {cell!r} out of range for K=2")):
+            ConfusionMatrix(ClassRegistry(("a", "b")), {cell: 1})
 
     def test_first_bad_cell_in_row_major_order_is_named(self):
         with pytest.raises(ValueError, match="non-negative, got -1"):

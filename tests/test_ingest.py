@@ -5,6 +5,7 @@ import errno
 import os
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -321,6 +322,87 @@ class TestTallyLabels:
             assert_tally_matches_stream(str(path), delimiter=delimiter, has_header=has_header)
         finally:
             ingest._LABEL_STEP = held
+
+
+CLEAN_LINES = b"a,b\nb,a\nc,c\n" * 4
+# The four ways a quote makes lines that steps cannot read alone, as in
+# test_quotes_that_steps_cannot_read_alone_give_the_row_stream_result.
+QUOTE_TRAPS = {
+    "quote_open_at_the_end": b'z",w\nx,"y\nz",w\n',
+    "quoted_crlf": b'a,b\n"c","d\r\ne"\na,b\n',
+    "header_spanning_lines": b'"act\nual",x\na,b\na,b\n',
+    "text_after_a_closing_quote": b'a,"b"c\na,b\n"a","b"\n',
+}
+# name -> (file bytes, whether the stepped tally completes without a header, and with one)
+FORKED_LABEL_FILES = {
+    "bom_crlf_blank_lines": (b"\xef\xbb\xbf" + b"a,b\r\n\r\nb,a\r\n\n" * 20 + b"c,c", (True, True)),
+    "bare_cr": (b"a,b\rb,b\r" * 20, (True, True)),
+    "header_after_blank_lines": (b"\n\r\n\rh,h\r\n" + CLEAN_LINES + b"\n" + CLEAN_LINES, (True, True)),
+    "all_quoted": (CLEAN_LINES.replace(b"a", b'"a"').replace(b"b", b'"b""x"') * 3, (True, True)),
+    "header_only": (b"\r\nh,h\r\n", (True, True)),
+    "empty": (b"", (True, False)),  # no header in the first step: the row stream finds none either
+    **{name: (trap, (False, False)) for name, trap in QUOTE_TRAPS.items()},
+    **{f"{name}_late": (CLEAN_LINES + trap + CLEAN_LINES, (False, False)) for name, trap in QUOTE_TRAPS.items()},
+}
+CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+
+
+def forked_tally(path, piece, **kwargs):
+    """tally_labels(path) with PARALLEL_MIN_BYTES at 0 and pieces of piece bytes; its forks; whether steps completed."""
+    forks, completed = [], []
+    fork_claims, tally_distinct_lines = ingest._fork_claims, ingest._tally_distinct_lines
+
+    def counted_forks(*args):
+        forks.append(True)
+        return fork_claims(*args)
+
+    def counted_tallies(*args):
+        result = tally_distinct_lines(*args)
+        completed.append(True)
+        return result
+
+    patches = {"_fork_claims": counted_forks, "_tally_distinct_lines": counted_tallies}
+    with mock.patch.multiple(ingest, PARALLEL_MIN_BYTES=0, _PIECE=piece, **patches):
+        result = outcome(lambda: tally_labels(str(path), **kwargs))
+    return result, len(forks), completed == [True]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or len(CPUS) < 2, reason="the fork needs os.fork and two CPUs")
+class TestForkedTally:
+    """With PARALLEL_MIN_BYTES at 0, label files of any size are tallied by two processes from few-byte pieces."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("forked")
+
+    @pytest.mark.parametrize("piece", [1, 5])
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("case", FORKED_LABEL_FILES)
+    def test_a_forked_tally_matches_the_stream(self, tmp_path, case, has_header, piece):
+        data, completes = FORKED_LABEL_FILES[case]
+        path = tmp_path / "l.csv"
+        path.write_bytes(data)
+        forked, forks, completed = forked_tally(path, piece, has_header=has_header)
+        assert forked == outcome(lambda: from_pairs(stream_labels(str(path), has_header=has_header)))
+        assert completed == completes[has_header]
+        if completed:
+            assert forks == 1
+
+    @given(
+        case=st.one_of(stepped_label_files(), LABEL_FILES.map(lambda body: (",", body))),
+        piece=st.integers(1, 8),
+        step=st.integers(1, 8),
+        has_header=st.booleans(),
+    )
+    @example(case=(",", b"\xef\xbb\xbf\r\n\nh,h\r\na,b\r\nh,h\r\na,b\r\n"), piece=3, step=4, has_header=True)
+    @settings(max_examples=150, deadline=None)
+    def test_a_forked_tally_of_any_file_matches_the_stream(self, work, case, piece, step, has_header):
+        delimiter, data = case
+        path = work / "f.csv"
+        path.write_bytes(data)
+        with mock.patch.object(ingest, "_LABEL_STEP", step):  # steps of a few bytes too
+            forked = forked_tally(path, piece, delimiter=delimiter, has_header=has_header)[0]
+        assert forked == outcome(lambda: from_pairs(stream_labels(str(path), delimiter=delimiter, has_header=has_header)))
 
 
 HEADER_FAULTS = {  # file text: the line, message and column of its ParseError

@@ -59,7 +59,7 @@ class TestXentOptions:
         assert opts.epsilon == 1e-15
         assert opts.reduce == "mean"
 
-    @pytest.mark.parametrize("epsilon", [0.0, -1e-9, 1e-5, 0.5])
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-9, 1e-5, 0.5, float("nan"), "1e-9", None])
     def test_epsilon_bounds(self, epsilon):
         with pytest.raises(ValueError):
             XentOptions(epsilon=epsilon)

@@ -6,9 +6,11 @@ which a forked child claims pieces too raised out of reach; and in two
 processes, with it lowered to 0 so that small files are split too, and pieces
 of a few bytes, so that piece edges fall everywhere. After each stepped run no
 child may be left unreaped and no descriptor left open. Each case is also read
-through a pipe, which only the row stream can read. The last test runs the
-tool as it is shipped, on files over the split threshold, from a file, through
-a pipe and on one CPU.
+through a pipe, which only the row stream can read. Then the tool runs as it
+is shipped, on files over the split threshold, from a file, through a pipe and
+on one CPU. The last tests split a label file on the same queue, and check
+that the forked child is started on another CPU and leaves this process's
+CPU affinity as it found it.
 """
 
 import contextlib
@@ -186,9 +188,9 @@ def three_runs(monkeypatch, argv):
         return result
 
     monkeypatch.setattr(halves, "score_steps", counted)
-    for threshold, piece in ((1 << 62, halves._PIECE), (0, FEW_BYTES)):
-        monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", threshold)
-        monkeypatch.setattr(halves, "_PIECE", piece)
+    for threshold, piece in ((1 << 62, ingest._PIECE), (0, FEW_BYTES)):
+        monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", threshold)
+        monkeypatch.setattr(ingest, "_PIECE", piece)
         completed.append([])
         gc.collect()  # or earlier tests' objects that only a collection closes may close mid-run and leave the snapshot
         before = open_descriptors()
@@ -202,7 +204,7 @@ def three_runs(monkeypatch, argv):
 def piece_edges(data):
     """The kind of place each piece of a file's data but the first begins at, with the pieces of the split runs."""
     start = data.find(b"\n") + 1
-    piece = halves._pieces(len(data) - start)[0]
+    piece = ingest._pieces(len(data) - start)[0]
     for edge in range(start + piece, len(data), piece):
         pair = data[edge - 1 : edge + 1]
         if pair == b"\r\n":
@@ -214,7 +216,7 @@ def piece_edges(data):
 
 
 def test_few_byte_pieces_put_edges_in_every_kind_of_place(monkeypatch):
-    monkeypatch.setattr(halves, "_PIECE", FEW_BYTES)
+    monkeypatch.setattr(ingest, "_PIECE", FEW_BYTES)
     edges = {kind for data, completes, _ in CORPUS.values() if completes for kind in piece_edges(data)}
     assert edges >= {"inside a line", "on an LF", "between a CR and its LF", "in a run of blank lines"}
 
@@ -304,7 +306,7 @@ def record_claims(tmp_path, monkeypatch, first_claim):
     """
     claims = tmp_path / "claims"
     claims.touch()
-    steps, here, first = halves._range_steps, os.getpid(), []
+    steps, here, first = ingest._range_steps, os.getpid(), []
 
     def claimed():
         return [(who, int(begin)) for who, begin in map(str.split, claims.read_text().splitlines())]
@@ -318,9 +320,9 @@ def record_claims(tmp_path, monkeypatch, first_claim):
             first_claim(who, claimed)
         return steps(fd, begin, end, step)
 
-    monkeypatch.setattr(halves, "_range_steps", recorded)
-    monkeypatch.setattr(halves, "_PIECE", SMALL_PIECE)
-    monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(ingest, "_range_steps", recorded)
+    monkeypatch.setattr(ingest, "_PIECE", SMALL_PIECE)
+    monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
     return claimed
 
 
@@ -397,7 +399,7 @@ def test_a_refusal_in_the_child_leaves_the_parent_no_piece_to_claim(tmp_path, mo
 
 def test_the_indices_of_a_terabyte_fit_in_one_pipe_page():
     """A pipe past its user's quota holds one 4 KiB page: more indices would block their write before the fork."""
-    piece, indices = halves._pieces(1 << 40)
+    piece, indices = ingest._pieces(1 << 40)
     count = len(indices) // 4
     assert count <= 1024 and len(indices) <= 4096
     assert (count - 1) * piece < 1 << 40 <= count * piece
@@ -413,7 +415,7 @@ def test_a_short_reply_from_the_child_falls_back(tmp_path, monkeypatch):
         dumps = staticmethod(lambda value: marshal.dumps(value)[:-3])
         loads = staticmethod(marshal.loads)
 
-    monkeypatch.setattr(halves, "marshal", Truncating)
+    monkeypatch.setattr(ingest, "marshal", Truncating)
     rows, stepped, split, in_process, forked = three_runs(monkeypatch, ["evaluate", "--kind", "probs", str(path)])
     assert (stepped, split) == (rows, rows)
     assert (rows[0], in_process, forked) == (0, [True], [False])
@@ -423,10 +425,10 @@ def test_a_short_reply_from_the_child_falls_back(tmp_path, monkeypatch):
 def test_a_pipe_is_read_serially(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_bytes(HEADER.replace(b"\n", b"\r\n") + BIG_BODY.replace(b"\n", b"\r\n") + b"b,0.5,0.5,oops\r\n")
-    monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", 1 << 62)
+    monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 1 << 62)
     expected = run(["evaluate", "--kind", "probs", str(path)])
     assert expected[0] == 2
-    monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
     gc.collect()  # as in three_runs
     before = open_descriptors()
     with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
@@ -444,7 +446,7 @@ def test_a_file_that_grows_while_read_in_steps_is_read_whole(tmp_path, monkeypat
     """A row appended after this process's first step is scored: the stepped run gives up for the row stream."""
     path = tmp_path / "p.csv"
     path.write_bytes(HEADER + BIG_BODY)
-    steps, here, grown = halves._range_steps, os.getpid(), []
+    steps, here, grown = ingest._range_steps, os.getpid(), []
 
     def growing(*args):  # called once for each piece claimed
         for text in steps(*args):
@@ -454,8 +456,8 @@ def test_a_file_that_grows_while_read_in_steps_is_read_whole(tmp_path, monkeypat
                 with open(path, "ab") as tail:
                     tail.write(b"a,0.5,0.5,0\n")
 
-    monkeypatch.setattr(halves, "_range_steps", growing)
-    monkeypatch.setattr(halves, "PARALLEL_MIN_BYTES", threshold)
+    monkeypatch.setattr(ingest, "_range_steps", growing)
+    monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", threshold)
     grown = run(["evaluate", "--kind", "probs", str(path)])
     assert "units: 24001\n" in grown[1]
     monkeypatch.setattr(halves, "score_steps", refused)
@@ -468,7 +470,7 @@ def test_a_named_pipe_is_opened_once(tmp_path):
     fifo = tmp_path / "p.fifo"
     os.mkfifo(fifo)
     code = (
-        "import sys; from clfmetrics import halves; halves.PARALLEL_MIN_BYTES = 0; from clfmetrics.cli import main; "
+        "import sys; from clfmetrics import ingest; ingest.PARALLEL_MIN_BYTES = 0; from clfmetrics.cli import main; "
         "sys.exit(main(['evaluate', '--kind', 'probs', sys.argv[1]]))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(halves.__file__)))
@@ -503,13 +505,13 @@ import json, os, sys, time
 from clfmetrics import halves, ingest
 from clfmetrics.cli import main
 
-steps = halves._range_steps
+steps = ingest._range_steps
 
 def held(*args):
     time.sleep(60)
     yield from steps(*args)
 
-halves._range_steps, halves.PARALLEL_MIN_BYTES = held, 0
+ingest._range_steps, ingest.PARALLEL_MIN_BYTES = held, 0
 before = sorted(os.listdir("/proc/self/fd"))
 code = main(["evaluate", "--kind", "probs", sys.argv[1]])
 try:
@@ -606,3 +608,135 @@ def test_a_file_read_as_stdin_gives_the_pipe_run(tmp_path, name):
     outcomes = [(each.stdout, each.stderr, each.returncode) for each in runs]
     assert outcomes[1:] == outcomes[:1] * (len(runs) - 1)
     assert from_file.returncode == code
+
+
+LABELS = b"a,b\nb,b\nc,a\n" * 20_000  # 240 KB: 15 pieces of SMALL_PIECE
+
+
+def record_affinity(tmp_path, monkeypatch, refuse=False):
+    """Record each process's os.sched_setaffinity masks, sorted; refuse=True makes each call fail as a kernel may.
+
+    Returns a function that reads the records as {process: [mask, ...]}.
+    """
+    calls, here, set_affinity = tmp_path / "affinity", os.getpid(), os.sched_setaffinity
+    calls.touch()
+
+    def recorded(pid, mask):
+        with open(calls, "a") as out:
+            out.write(json.dumps(["parent" if os.getpid() == here else "child", sorted(mask)]) + "\n")
+        if refuse:
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        set_affinity(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recorded)
+
+    def masks():
+        out = {"child": [], "parent": []}
+        for who, mask in map(json.loads, calls.read_text().splitlines()):
+            out[who].append(mask)
+        return out
+
+    return masks
+
+
+@splits
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("fault", ["none", "child_refusal", "short_reply", "affinity_refused"])
+def test_a_forked_label_tally_moves_the_child_and_restores_the_affinity(tmp_path, monkeypatch, fault):
+    """The parent waits on its first CPU across the fork, and the child moves off it; then both may use every CPU.
+
+    Whatever fails, the report is the row stream's, and the run leaves this
+    process's CPU affinity, children and descriptors as it found them. A
+    refused sched_setaffinity changes nothing else: the run still completes
+    in two processes.
+    """
+    path = tmp_path / "l.csv"
+    path.write_bytes(LABELS)
+    argv = ["evaluate", "--kind", "labels", "--format", "json", str(path)]
+    monkeypatch.setattr(ingest, "_tally_distinct_lines", refused)
+    rows = run(argv)
+    monkeypatch.undo()
+    masks = record_affinity(tmp_path, monkeypatch, refuse=fault == "affinity_refused")
+    monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(ingest, "_PIECE", SMALL_PIECE)
+    if fault == "child_refusal":
+        steps, here = ingest._range_steps, os.getpid()
+        monkeypatch.setattr(ingest, "_range_steps", lambda *args: steps(*args) if os.getpid() == here else refused())
+    if fault == "short_reply":
+
+        class Truncating:
+            dumps = staticmethod(lambda value: marshal.dumps(value)[:-3])
+            loads = staticmethod(marshal.loads)
+
+        monkeypatch.setattr(ingest, "marshal", Truncating)
+    tally_distinct_lines, completed = ingest._tally_distinct_lines, []
+
+    def counted(*args):
+        result = tally_distinct_lines(*args)
+        completed.append(True)
+        return result
+
+    monkeypatch.setattr(ingest, "_tally_distinct_lines", counted)
+    gc.collect()  # as in three_runs
+    before = open_descriptors(), os.sched_getaffinity(0)
+    assert run(argv) == rows
+    assert (open_descriptors(), os.sched_getaffinity(0)) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert completed == ([True] if fault in ("none", "affinity_refused") else [])
+    first, every = [min(CPUS)], sorted(CPUS)
+    assert masks() == {"parent": [first, every], "child": [sorted(CPUS - {min(CPUS)}), every]}
+
+
+# As HELD_SPLIT, on a label file; it also writes whether its CPU affinity is as it was before the run.
+HELD_LABEL_SPLIT = """
+import json, os, sys, time
+from clfmetrics import ingest
+from clfmetrics.cli import main
+
+steps = ingest._range_steps
+
+def held(*args):
+    time.sleep(60)
+    yield from steps(*args)
+
+ingest._range_steps, ingest.PARALLEL_MIN_BYTES = held, 0
+before = sorted(os.listdir("/proc/self/fd")), os.sched_getaffinity(0)
+code = main(["evaluate", "--kind", "labels", sys.argv[1]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    unreaped = True
+except ChildProcessError:
+    unreaped = False
+same = (sorted(os.listdir("/proc/self/fd")), os.sched_getaffinity(0)) == before
+with open(sys.argv[2], "w") as out:
+    json.dump([code, unreaped, same], out)
+sys.exit(code)
+"""
+
+
+@splits
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/self/task/{os.getpid()}/children"), reason="needs /proc/<pid>/task/<tid>/children"
+)
+def test_sigint_during_a_forked_label_tally_exits_130_and_leaves_no_child_or_descriptor(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_bytes(LABELS)
+    after = tmp_path / "after.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ingest.__file__)))
+    argv = [sys.executable, "-c", HELD_LABEL_SPLIT, str(path), str(after)]
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with subprocess.Popen(argv, env=env, start_new_session=True, preexec_fn=default_sigint, **pipes) as cli:
+        try:
+            deadline = time.monotonic() + 60
+            with open(f"/proc/{cli.pid}/task/{cli.pid}/children") as children:
+                while not children.read().split():  # the fork has not happened yet
+                    assert time.monotonic() < deadline, "the run never forked"
+                    time.sleep(0.01)
+                    children.seek(0)
+            os.killpg(cli.pid, signal.SIGINT)  # its group alone: the tool and its forked child
+            code = cli.wait(timeout=60)
+        finally:
+            cli.kill()
+        assert (code, cli.stdout.read(), cli.stderr.read()) == (130, b"", b"")
+    assert json.loads(after.read_text()) == [130, False, True]
