@@ -1,24 +1,25 @@
-"""Score a probability file in blocks of whole lines: its header and its step scorer.
+"""Score a probability file in blocks of whole lines: its header, its step scorer and its row stream.
 
-score_steps is the step reader ingest._steps_or_rows runs for score_probs, in
-a module of its own so that only a probability run compiles and loads it.
-ingest._read_in_steps reads the data, in one process or from its claim queue
-in two. Each step's fields, quoted labels read as csv reads them, are scored
-as one block by proba.score_block, or refused with _SerialOnly; the row stream
-alone names errors.
+score_steps and _score_rows, the step reader and the row stream that ingest._steps_or_rows runs for
+score_probs, are in a module of its own so that only a probability run compiles and loads them.
+ingest._read_in_steps reads the data, in one process or from its claim queue in two. Each step's
+fields, quoted labels read as csv reads them, are scored as one block by proba.score_block, or
+refused with _SerialOnly; the row stream alone names errors, walking a refused block row by row.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from collections import Counter
-from itertools import repeat
-from typing import Iterable
+from itertools import chain, islice, repeat
+from typing import Iterable, NoReturn, TextIO
 
 from .confusion import ClassRegistry
-from .ingest import _line_end, _read_header, _read_in_steps, _SerialOnly, _split_lines
-from .proba import Scores, score_block
+from .ingest import IngestError, ParseError, ProbSumOutOfToleranceError, UnknownActualLabelError, _line_end, _rows
+from .ingest import _read_header, _read_in_steps, _SerialOnly, _split_lines
+from .proba import _BLOCK_FIELDS, PROB_SUM_TOLERANCE, Scores, score_block
 
 # Bytes per read step of a probability file; larger steps only raise peak memory.
 _PROB_STEP = 1 << 16
@@ -87,3 +88,44 @@ def _score_step(text: str, index: dict[str, int], k: int, delimiter: str, epsilo
         return score_block(fields, index, k, epsilon, tally)
     except (KeyError, ValueError):
         raise _SerialOnly("an unknown label, a bad float, a probability out of range or a sum off") from None
+
+
+def _score_rows(handle: TextIO, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores]:
+    """The registry and scores of a probability file's row stream, in blocks of rows; each error names its line."""
+    rows = _rows(handle, delimiter)
+    registry = _read_header(rows)[1]
+    k, tally, total = registry.k, Counter(), 0
+    while True:
+        block: list[tuple[int, list[str]]] = []
+        try:
+            block.extend(islice(rows, max(1, _BLOCK_FIELDS // (k + 1))))  # keeps the rows read before a fault
+        except IngestError as fault:
+            _raise_a_bad_row(block, registry, fault)  # a bad row before the fault is named first
+        if not block:
+            return registry, (tally, total)
+        try:
+            if {len(row) for _, row in block} != {k + 1}:
+                raise ValueError("a row of the wrong width")
+            total += score_block([*chain.from_iterable(row for _, row in block)], registry._index, k, epsilon, tally)
+        except (KeyError, ValueError):
+            _raise_a_bad_row(block, registry, ParseError("rows refused, but none is bad", line=block[0][0]))
+
+
+def _raise_a_bad_row(block: list[tuple[int, list[str]]], registry: ClassRegistry, fault: IngestError) -> NoReturn:
+    """Raise the IngestError of a block's first bad probability row, with its line and first bad field, else fault."""
+    for line, row in block:
+        if len(row) != registry.k + 1:
+            raise ParseError(f"expected {registry.k + 1} fields, got {len(row)}", line=line)
+        if row[0] not in registry:
+            raise UnknownActualLabelError(f"actual label {row[0]!r} is not a header class", line=line)
+        for pos, text in enumerate(row[1:], start=2):
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"bad probability {text!r}", line=line, column=pos) from None
+            if not 0.0 <= value <= 1.0:
+                raise ParseError(f"probability {value!r} outside [0, 1]", line=line, column=pos)
+        total = math.fsum(map(float, row[1:]))
+        if abs(total - 1.0) > PROB_SUM_TOLERANCE:
+            raise ProbSumOutOfToleranceError(f"probabilities sum to {total!r}", line=line, total=total)
+    raise fault

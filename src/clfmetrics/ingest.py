@@ -21,7 +21,7 @@ was raised on, counting LF, CR and CRLF as one line end each, as csv does,
 save a byte that is not UTF-8 in input that cannot be read twice, such as a
 pipe: a file is decoded again to find that byte's line. tally_labels and
 score_probs read a file in steps or as the row stream; _steps_or_rows alone
-decides which. Either way score_probs scores blocks of rows by proba.score_block.
+decides which. Either way score_probs scores blocks of rows in halves.py.
 Steps are read by _read_in_steps for both: in one process, or from
 PARALLEL_MIN_BYTES on in two, which claim pieces of the file from one queue.
 """
@@ -36,11 +36,10 @@ import os
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TextIO, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .confusion import ClassRegistry, ConfusionMatrix, from_tally
-from .proba import _BLOCK_FIELDS, PROB_SUM_TOLERANCE, Scores, XentOptions, score_block, score_tally
+from .proba import XentOptions, score_tally
 
 _Number = TypeVar("_Number", int, Fraction)
 _Read = TypeVar("_Read")  # what a file read in steps or as rows gives: a pair tally, or a registry and scores
@@ -381,60 +380,19 @@ def _read_header(rows: Iterator[tuple[int, list[str]]]) -> tuple[int, ClassRegis
     return line, ClassRegistry(tuple(names))
 
 
-def _raise_a_bad_row(block: list[tuple[int, list[str]]], registry: ClassRegistry, fault: IngestError) -> NoReturn:
-    """Raise the IngestError of a block's first bad probability row, with its line and first bad field, else fault."""
-    for line, row in block:
-        if len(row) != registry.k + 1:
-            raise ParseError(f"expected {registry.k + 1} fields, got {len(row)}", line=line)
-        if row[0] not in registry:
-            raise UnknownActualLabelError(f"actual label {row[0]!r} is not a header class", line=line)
-        for pos, text in enumerate(row[1:], start=2):
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"bad probability {text!r}", line=line, column=pos) from None
-            if not 0.0 <= value <= 1.0:
-                raise ParseError(f"probability {value!r} outside [0, 1]", line=line, column=pos)
-        total = math.fsum(map(float, row[1:]))
-        if abs(total - 1.0) > PROB_SUM_TOLERANCE:
-            raise ProbSumOutOfToleranceError(f"probabilities sum to {total!r}", line=line, total=total)
-    raise fault
-
-
 def score_probs(
     path: str, *, delimiter: str = ",", options: XentOptions = XentOptions()
 ) -> tuple[ConfusionMatrix, float]:
     """The hardened matrix and the dataset cross-entropy of a probability file.
 
-    Read as _steps_or_rows says: in steps by halves.score_steps, in two
-    processes from PARALLEL_MIN_BYTES on; else as the row stream. Each
-    step, or each block of the row stream, is scored by proba.score_block.
-    Memory holds the distinct (actual, predicted) pairs and a block, not the rows.
+    Read as _steps_or_rows says: in steps by halves.score_steps, in two processes
+    from PARALLEL_MIN_BYTES on; else as the row stream, halves._score_rows. Each
+    step or block of rows is scored by proba.score_block. Memory holds the
+    distinct (actual, predicted) pairs and a block, not the rows.
     """
-    from .halves import score_steps  # its own module: runs on other kinds neither compile nor load it
+    from .halves import _score_rows, score_steps  # their own module: runs on other kinds neither compile nor load it
 
     return score_tally(*_steps_or_rows(path, score_steps, _score_rows, delimiter, options.epsilon), options)
-
-
-def _score_rows(handle: TextIO, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores]:
-    """The registry and scores of a probability file's row stream, in blocks of rows; each error names its line."""
-    rows = _rows(handle, delimiter)
-    registry = _read_header(rows)[1]
-    k, tally, total = registry.k, Counter(), 0
-    while True:
-        block: list[tuple[int, list[str]]] = []
-        try:
-            block.extend(islice(rows, max(1, _BLOCK_FIELDS // (k + 1))))  # keeps the rows read before a fault
-        except IngestError as fault:
-            _raise_a_bad_row(block, registry, fault)  # a bad row before the fault is named first
-        if not block:
-            return registry, (tally, total)
-        try:
-            if {len(row) for _, row in block} != {k + 1}:
-                raise ValueError("a row of the wrong width")
-            total += score_block([*chain.from_iterable(row for _, row in block)], registry._index, k, epsilon, tally)
-        except (KeyError, ValueError):
-            _raise_a_bad_row(block, registry, ParseError("rows refused, but none is bad", line=block[0][0]))
 
 
 def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:

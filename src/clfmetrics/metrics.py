@@ -167,17 +167,26 @@ def per_class(m: ConfusionMatrix) -> PerClassBreakdown:
     precedence is that of harmonic_f1: a never-predicted class has undefined
     precision, a class absent from the actual labels undefined recall, F1
     inherits the first of those, and a class with tp = 0 has a degenerate 0/0 F1.
+    Classes with equal tallies share one value, made once: most do at large K with few units a class.
     """
     cells, rows, cols = m.cells, m.row_totals, m.col_totals
+    made: dict[tuple[int, int], MetricValue] = {}  # by (numerator, denominator)
+
+    def ratio(numerator: int, denominator: int) -> MetricValue:
+        value = made.get((numerator, denominator))
+        if value is None:
+            value = made[numerator, denominator] = MetricValue.defined(Fraction(numerator, denominator))
+        return value
+
     precision, recall, f1 = [], [], []
     for k in range(m.k):
         tp, row, col = cells.get((k, k), 0), rows[k], cols[k]
-        precision.append(MetricValue.defined(Fraction(tp, col)) if col else _UNDEF_EMPTY)
-        recall.append(MetricValue.defined(Fraction(tp, row)) if row else _UNDEF_EMPTY)
+        precision.append(ratio(tp, col) if col else _UNDEF_EMPTY)
+        recall.append(ratio(tp, row) if row else _UNDEF_EMPTY)
         if not (row and col):
             f1.append(_UNDEF_EMPTY)
         else:
-            f1.append(MetricValue.defined(Fraction(2 * tp, row + col)) if tp else _UNDEF_ZERO_OVER_ZERO)
+            f1.append(ratio(2 * tp, row + col) if tp else _UNDEF_ZERO_OVER_ZERO)
     return PerClassBreakdown(tuple(precision), tuple(recall), tuple(f1))
 
 

@@ -9,8 +9,9 @@ rendered as an explicit token, never as 0 or an empty cell.
 JSON is byte for byte the standard library's json.dumps(obj, indent=2,
 ensure_ascii=True) layout, all written by _json_text: json.dumps serves indent
 only from its pure-Python encoder, several times slower on a large report. A
-per-class table, most of a large-K report, is one pass over the classes that
-writes each distinct value's leaf once and reuses it (_per_class_json).
+per-class table, most of a large-K report, is one f-string per class around
+each distinct value's leaf, written once (_per_class_json). Ints of any
+length are written whole.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def _rational_parts(value: Fraction) -> list[str]:
 
 def _digits(n: int) -> str:
     try:
-        return str(n)
-    except ValueError:  # str(int) refuses ints longer than sys.get_int_max_str_digits(); Decimal does not
+        return int.__repr__(n)  # as json.dumps writes an int
+    except ValueError:  # it refuses ints longer than sys.get_int_max_str_digits(); Decimal does not
         return str(Decimal(n))
 
 
@@ -142,7 +143,7 @@ def render_text(report: EvaluationReport) -> str:
         f"clfmetrics {report.tool_version}",
         f"dataset: {report.dataset}",
         f"classes ({report.k}): {', '.join(report.labels)}",
-        f"units: {report.total_units}",
+        f"units: {_digits(report.total_units)}",
         f"options: mode={report.mode} weights={report.weights_source} "
         f"epsilon={report.epsilon!r} reduce={report.reduce}",
         "",
@@ -209,7 +210,7 @@ def _json_text(obj: Any, pad: str = "") -> str:
     if obj is False:
         return "false"
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        return _digits(obj)
     inner = pad + "  "
     # A str value, the common leaf, is escaped in place rather than through a call.
     if isinstance(obj, dict):
@@ -231,22 +232,25 @@ def _block(items: list[str], pad: str, brackets: str = "{}") -> str:
 def _per_class_json(rows: dict[str, tuple[Numeric | str | None, ...]], pad: str) -> str:
     """{label: {metric: leaf}} as _json_text writes it at pad, from each label's cells in PER_CLASS_METRICS order.
 
-    Each distinct cell's leaf is written once and reused, keyed on a Fraction's numerator and
-    denominator, or else on type and repr, so that 1 and Fraction(1), or 0.0 and -0.0, stay apart.
+    Each label's entry is one f-string. Each distinct cell's leaf is written once and reused, keyed on a Fraction's
+    numerator and denominator, or else on type and repr, so that 1 and Fraction(1), or 0.0 and -0.0, stay apart.
+    A Fraction's leaf is one f-string of digits, which need no escape; any other takes _json_leaf and _json_text.
     """
-    inner, deep = pad + "  ", pad + "    "
-    heads = [_escape(name) + ": " for name in PER_CLASS_METRICS]
+    inner, deep, close = "\n" + pad + "    ", "\n" + pad + "      ", "\n" + pad + "  }"
+    p, r, f = (inner + _escape(name) + ": " for name in PER_CLASS_METRICS)
     memo: dict[tuple, str] = {}
-    parts = []
-    for label, cells in rows.items():
-        items = []
-        for head, cell in zip(heads, cells):
-            key = (cell.numerator, cell.denominator) if isinstance(cell, Fraction) else (type(cell), repr(cell))
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = _json_text(_json_leaf(cell), deep)
-            items.append(head + text)
-        parts.append(_escape(label) + ": " + _block(items, inner))
+
+    def leaf(cell: Numeric | str | None) -> str:
+        fraction = isinstance(cell, Fraction)
+        key = (cell.numerator, cell.denominator) if fraction else (type(cell), repr(cell))
+        if key not in memo:
+            memo[key] = (
+                f'{{{deep}"value": "{fraction_decimal(cell)}",{deep}"rational": "{"/".join(_rational_parts(cell))}"'
+                f"{inner}}}" if fraction else _json_text(_json_leaf(cell), pad + "    ")
+            )
+        return memo[key]
+
+    parts = [f"{_escape(label)}: {{{p}{leaf(x)},{r}{leaf(y)},{f}{leaf(z)}{close}" for label, (x, y, z) in rows.items()]
     return _block(parts, pad)
 
 
@@ -256,7 +260,7 @@ def render_json(report: EvaluationReport) -> str:
 
 def parse_json(text: str) -> EvaluationReport:
     """Rebuild an evaluation report from its JSON form, losslessly."""
-    obj = json.loads(text)
+    obj = json.loads(text, parse_int=lambda digits: int(Decimal(digits)))  # int() refuses ints past the limit
     if obj.get("report") != "evaluation":
         raise ValueError(f"not an evaluation report: {obj.get('report')!r}")
     labels = tuple(obj["classes"])
@@ -314,24 +318,25 @@ class ComparisonReport(_Frozen):
 
 
 def _delta(a: MetricValue, b: MetricValue) -> Numeric | None:
-    if not (a.is_defined and b.is_defined):
-        return None
-    return b.unwrap() - a.unwrap()
+    return None if a.value is None or b.value is None else b.value - a.value
 
 
 def compare_reports(a: EvaluationReport, b: EvaluationReport) -> ComparisonReport:
-    """Build the side-by-side comparison of two evaluation reports."""
+    """Build the side-by-side comparison of two evaluation reports, each per-class delta once per distinct
+    pair of operands: per_class shares a value among classes with equal tallies, so their ids find repeats."""
     match = a.labels == b.labels
     deltas = {name: _delta(v, b.metrics[name]) for name, v in a.metrics.items() if name in b.metrics}
 
     per_class_deltas: dict[str, dict[str, Numeric | None]] | None = None
     if match:
-        per_class_deltas = {}
-        for i, label in enumerate(a.labels):
-            per_class_deltas[label] = {
-                name: _delta(getattr(a.per_class, name)[i], getattr(b.per_class, name)[i])
-                for name in PER_CLASS_METRICS
-            }
+        made: dict[tuple[int, int], Numeric | None] = {}  # both reports, alive throughout, hold the keyed operands
+        per_class_deltas = {label: {} for label in a.labels}
+        for name in PER_CLASS_METRICS:
+            for label, x, y in zip(a.labels, getattr(a.per_class, name), getattr(b.per_class, name)):
+                pair = id(x), id(y)
+                if pair not in made:
+                    made[pair] = _delta(x, y)
+                per_class_deltas[label][name] = made[pair]
 
     notes: list[str] = []
     flagged: list[str] = []

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import pprint
 import random
@@ -51,6 +52,26 @@ def random_matrix(rng: random.Random, k: int, max_entry: int = 9) -> ConfusionMa
             return ConfusionMatrix.from_grid(labels, grid)
 
 
+# A matrix file whose counts are each 4,300 nines, within CPython's default int-to-str limit of 4,300
+# digits, but whose unit total and per-class denominators (N + 1 = 10**4300) run past it.
+LONG_COUNT = "9" * 4300
+LONG_COUNTS_CSV = f",a,b\na,{LONG_COUNT},{LONG_COUNT}\nb,1,{LONG_COUNT}\n"
+LONG_COUNTS_GRID = ((int(LONG_COUNT), int(LONG_COUNT)), (1, int(LONG_COUNT)))
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """Lift the int-to-str digit limit of Python 3.11 and later for the block, then restore it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def all_2x2_grids(max_entry: int = 6):
     """Every 2 x 2 matrix with entries in 0..max_entry, zero matrix included."""
     values = range(max_entry + 1)
@@ -72,17 +93,11 @@ def assert_equal_short_diff(actual, expected, what="values"):
     if actual == expected:
         return
     texts = []
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python 3.11 and later cap str(int)
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    with no_int_digit_limit():
         for value in (actual, expected):
             if isinstance(value, bytes):
                 value = value.decode("utf-8", errors="backslashreplace")
             texts.append(value if isinstance(value, str) else pprint.pformat(value))
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
     if texts[0] == texts[1]:
         pytest.fail(f"{what} differ, but their texts are equal", pytrace=False)
     ours, theirs = (text.splitlines(keepends=True) for text in texts)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import clfmetrics
 from clfmetrics import ConfusionMatrix, evaluate, ingest, parse_json, render_json
 from clfmetrics.cli import main
-from conftest import assert_equal_short_diff, default_sigint
+from conftest import LONG_COUNTS_CSV, LONG_COUNTS_GRID, assert_equal_short_diff, default_sigint
 
 FOUR_CLASS_CSV = ",a,b,c,d\na,6,1,1,1\nb,2,9,2,1\nc,1,1,10,1\nd,2,1,1,12\n"
 PROBS_CSV = "actual,a,b,c\na,0.7,0.2,0.1\nb,0.1,0.8,0.1\nc,0.3,0.3,0.4\nb,0.5,0.4,0.1\n"
@@ -240,6 +240,29 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "mcc" in captured.out
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--format", "text"],
+        ["evaluate", "--format", "json"],
+        ["compare", "--format", "text"],
+        ["compare", "--format", "json"],
+    ])
+    def test_a_unit_total_past_the_int_to_str_limit_reports(self, tmp_path, capsys, command):
+        """Counts of 4,300 digits each, within the limit, add up to a unit total of 4,301: written whole."""
+        path = tmp_path / "long.csv"
+        path.write_text(LONG_COUNTS_CSV, encoding="utf-8")
+        paths = [str(path)] * (2 if command[0] == "compare" else 1)
+        assert main([*command, "--kind", "matrix", *paths]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        units = "2" + "9" * 4299 + "8"  # 3 * (10**4300 - 1) + 1, past the limit
+        if command == ["evaluate", "--format", "text"]:
+            assert f"units: {units}\n" in captured.out
+        if command == ["evaluate", "--format", "json"]:
+            assert f'"units": {units},' in captured.out
+            report = parse_json(captured.out)
+            assert report == evaluate(ConfusionMatrix.from_grid(("a", "b"), LONG_COUNTS_GRID), dataset=str(path))
+            assert parse_json(render_json(report)) == report
 
     @pytest.mark.parametrize(
         "command",

@@ -268,7 +268,7 @@ def test_row_stream_blocks_of_any_size_give_the_same_run(tmp_path, monkeypatch, 
     argv = [*ARGVS["json_sum"], str(path)]
     monkeypatch.setattr(halves, "score_steps", refused)
     default = run(argv)
-    monkeypatch.setattr(ingest, "_BLOCK_FIELDS", fields)
+    monkeypatch.setattr(halves, "_BLOCK_FIELDS", fields)
     assert run(argv) == default
 
 

@@ -24,6 +24,7 @@ from clfmetrics import (
     accuracy,
     argmax_rule,
     balanced_accuracy,
+    compare_reports,
     evaluate,
     from_pairs,
     kappa_binary,
@@ -40,8 +41,8 @@ from clfmetrics import (
     xent_unit,
 )
 from clfmetrics.confusion import from_tally
-from clfmetrics.halves import _score_steps, _SerialOnly
-from clfmetrics.ingest import IngestError, _score_rows
+from clfmetrics.halves import _score_rows, _score_steps, _SerialOnly
+from clfmetrics.ingest import IngestError
 from clfmetrics.metrics import (
     ClassWeights,
     MetricValue,
@@ -630,6 +631,60 @@ def test_per_class_equals_the_one_vs_rest_formulation(case):
         for g, e in zip(getattr(got, name), getattr(expected, name), strict=True):
             assert (g.value, g.reason) == (e.value, e.reason), name
             assert type(g.value) is type(e.value)
+
+
+@st.composite
+def tied_matrices(draw, k):
+    """K x K counts 0..3 where each row is either one drawn row, shifted i places, or a row of its own.
+
+    Shifted rows share their tp, row and column totals, so many classes have equal tallies.
+    """
+    counts = st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    base = draw(counts)
+    return ConfusionMatrix.from_grid(
+        tuple(f"c{i}" for i in range(k)), [base[-i:] + base[:-i] if draw(st.booleans()) else draw(counts) for i in range(k)]
+    )
+
+
+def plain_per_class(m):
+    """Each class's tp/col, tp/row and 2tp/(row + col), each made anew, Undefined as per_class documents."""
+    empty, zero = MetricValue.undefined(UndefinedReason.EMPTY_DENOMINATOR), UndefinedReason.DEGENERATE_ZERO_OVER_ZERO
+    rows, cols = [sum(row) for row in m.counts], [sum(col) for col in zip(*m.counts)]
+    diagonal = [m.counts[i][i] for i in range(m.k)]
+    return PerClassBreakdown(
+        tuple(MetricValue.defined(Fraction(tp, col)) if col else empty for tp, col in zip(diagonal, cols)),
+        tuple(MetricValue.defined(Fraction(tp, row)) if row else empty for tp, row in zip(diagonal, rows)),
+        tuple(
+            empty if not (row and col) else MetricValue.undefined(zero) if not tp else
+            MetricValue.defined(Fraction(2 * tp, row + col))
+            for tp, row, col in zip(diagonal, rows, cols)
+        ),
+    )
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 12).flatmap(lambda k: st.tuples(tied_matrices(k), tied_matrices(k))))
+@example((ConfusionMatrix.from_grid(("a", "b"), ((1, 0), (0, 1))),) * 2)  # zero deltas
+# Integer deltas of -1, and None where B's F1 is a degenerate 0/0.
+@example((ConfusionMatrix.from_grid(("a", "b"), ((1, 0), (0, 1))), ConfusionMatrix.from_grid(("a", "b"), ((0, 1), (1, 0)))))
+@example((ConfusionMatrix.from_grid(("a", "b", "c"), ((1, 1, 0), (1, 1, 0), (0, 0, 3))),) * 2)  # a and b share values
+def test_shared_per_class_values_and_deltas_equal_the_plain_formulas(pair):
+    """per_class shares a value among classes with equal tallies, and compare_reports a delta among equal operand
+    pairs: every value is still the plain formula's, and every delta b - a, or None where an operand is undefined."""
+    a, b = (evaluate(m) for m in pair)
+
+    def values(breakdown):
+        return [*breakdown.precision, *breakdown.recall, *breakdown.f1]
+
+    for m, report in zip(pair, (a, b)):
+        for breakdown in (per_class(m), report.per_class):
+            for got, want in zip(values(breakdown), values(plain_per_class(m)), strict=True):
+                assert got == want and type(got.value) is type(want.value)
+    deltas = compare_reports(a, b).per_class_deltas
+    for name in ("precision", "recall", "f1"):
+        for label, x, y in zip(a.labels, getattr(a.per_class, name), getattr(b.per_class, name), strict=True):
+            expected = y.value - x.value if x.is_defined and y.is_defined else None
+            assert deltas[label][name] == expected and type(deltas[label][name]) is type(expected)
 
 
 def tile_micro_f1(m):

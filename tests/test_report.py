@@ -26,6 +26,7 @@ from clfmetrics import (
     score_records,
 )
 from clfmetrics.report import _json_text, color_enabled, format_comparison, render_comparison_json
+from conftest import LONG_COUNTS_GRID, no_int_digit_limit
 
 
 class TestFractionDecimal:
@@ -318,6 +319,10 @@ ODD_REPORT = with_per_class(
 )
 
 
+# Its unit total and its class a precision's denominator, 10**4300, run past the default int-to-str limit.
+LONG_REPORT = evaluate(ConfusionMatrix.from_grid(("a", "b"), LONG_COUNTS_GRID))
+
+
 class TestPerClassTables:
     """The per-class tables, written from memoised leaves, are the standard library's bytes for the plain tree."""
 
@@ -333,6 +338,17 @@ class TestPerClassTables:
     @example(compare_reports(ODD_REPORT, evaluate(ConfusionMatrix.from_grid(("a", "b", "c"), ((2, 1, 0), (0, 0, 0), (0, 3, 0))))))
     def test_comparison_json_is_json_dumps_of_the_plain_tree(self, comparison):
         assert render_comparison_json(comparison) == dumps(plain_comparison(comparison))
+
+    def test_leaves_past_the_int_to_str_limit_are_json_dumps_of_the_plain_tree(self):
+        """The package writes with the limit in force, the plain tree is written with it lifted.
+
+        Not an @example of the two above: Hypothesis writes an explicit example's repr before it runs it, and the
+        repr of a report that holds such an int raises the limit's ValueError.
+        """
+        comparison = compare_reports(LONG_REPORT, evaluate(ConfusionMatrix.from_grid(("a", "b"), ((3, 1), (1, 2)))))
+        texts = render_json(LONG_REPORT), render_comparison_json(comparison)
+        with no_int_digit_limit():
+            assert texts == (dumps(plain_report(LONG_REPORT)), dumps(plain_comparison(comparison)))
 
     def test_undefined_operands_and_equal_values_of_other_types(self):
         b = evaluate(ConfusionMatrix.from_grid(("a", "b", "c"), ((2, 1, 0), (0, 0, 0), (0, 3, 0))))
