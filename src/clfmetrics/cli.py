@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import IO, Sequence
+from typing import IO, NoReturn, Sequence
 
 from . import __version__
 from .confusion import ConfusionMatrix
@@ -177,5 +177,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERRUPT
 
 
+def run() -> NoReturn:
+    """The command's entry point: main's code, or argparse's int exit code, once both streams are flushed,
+    through os._exit. Interpreter teardown, atexit handlers included, is skipped: the report is already out."""
+    try:
+        code = main()
+    except SystemExit as exc:  # --version, --help and usage errors; a code of another type propagates
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError):  # a full or closed stream costs what it holds, not the code
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -32,6 +32,15 @@ class RegistryMismatchError(ValueError):
     """Two matrices do not share an identical class registry."""
 
 
+def _shown(value: object) -> str:
+    """repr(value), or a placeholder naming its type where repr raises: an int past the int-to-str limit, at any
+    depth, as the unit total, a Fraction or a cell."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<unprintable {type(value).__name__} object>"
+
+
 class _Frozen:
     """A read-only value, equal, hashed and pickled by its constructor's fields, __match_args__."""
 
@@ -49,7 +58,7 @@ class _Frozen:
         return hash(self.__reduce__()[1])
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields or self.__match_args__)
+        shown = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self._fields or self.__match_args__)
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):  # the class and its constructor's arguments

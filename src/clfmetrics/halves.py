@@ -18,7 +18,7 @@ from typing import Iterable, NoReturn, TextIO
 
 from .confusion import ClassRegistry
 from .ingest import IngestError, ParseError, ProbSumOutOfToleranceError, UnknownActualLabelError, _line_end, _rows
-from .ingest import _read_header, _read_in_steps, _SerialOnly, _split_lines
+from .ingest import _quote, _read_header, _read_in_steps, _SerialOnly, _split_lines
 from .proba import _BLOCK_FIELDS, PROB_SUM_TOLERANCE, Scores, score_block
 
 # Bytes per read step of a probability file; larger steps only raise peak memory.
@@ -117,12 +117,12 @@ def _raise_a_bad_row(block: list[tuple[int, list[str]]], registry: ClassRegistry
         if len(row) != registry.k + 1:
             raise ParseError(f"expected {registry.k + 1} fields, got {len(row)}", line=line)
         if row[0] not in registry:
-            raise UnknownActualLabelError(f"actual label {row[0]!r} is not a header class", line=line)
+            raise UnknownActualLabelError(f"actual label {_quote(row[0])} is not a header class", line=line)
         for pos, text in enumerate(row[1:], start=2):
             try:
                 value = float(text)
             except ValueError:
-                raise ParseError(f"bad probability {text!r}", line=line, column=pos) from None
+                raise ParseError(f"bad probability {_quote(text)}", line=line, column=pos) from None
             if not 0.0 <= value <= 1.0:
                 raise ParseError(f"probability {value!r} outside [0, 1]", line=line, column=pos)
         total = math.fsum(map(float, row[1:]))

@@ -121,7 +121,13 @@ def _parse_number(
             return convert(text)
     except (ValueError, ZeroDivisionError):  # an int past the digit limit, or a ratio over 0
         pass
-    raise ParseError(f"bad {what} {text!r}", line=line, column=column)
+    raise ParseError(f"bad {what} {_quote(text)}", line=line, column=column)
+
+
+def _quote(field: str) -> str:
+    """An input field as an error message quotes it: its repr, or past 40 characters, as the text report writes a
+    long rational, the repr of its first 12 and its length."""
+    return f"{field[:12]!r}...({len(field)} characters)" if len(field) > 40 else repr(field)
 
 
 def _open_text(path: str) -> TextIO:
@@ -418,7 +424,7 @@ def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
             )
         if row[0] != names[i]:
             raise NameMismatchError(
-                f"row name {row[0]!r} does not match header class {names[i]!r}", line=line
+                f"row name {_quote(row[0])} does not match header class {_quote(names[i])}", line=line
             )
         for pos, text in enumerate(row[1:], start=2):
             value = _parse_number(_COUNT, int, text, "count", line, pos)
@@ -507,11 +513,11 @@ def read_weights(
         if label == "":
             raise EmptyLabelError("empty class name", line=line, column=1)
         if label in seen:
-            raise ParseError(f"duplicate weight for class {label!r}", line=line)
+            raise ParseError(f"duplicate weight for class {_quote(label)}", line=line)
         seen.add(label)
         weight = _parse_number(_WEIGHT, Fraction, text, "weight", line, 2)
         if registry is not None and label not in registry:
-            raise ParseError(f"weight for unknown class {label!r}", line=line, column=1)
+            raise ParseError(f"weight for unknown class {_quote(label)}", line=line, column=1)
         if weight < 0:
             raise NegativeEntryError(f"negative weight {text}", line=line, column=2)
         out.append((label, weight))

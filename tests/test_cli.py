@@ -371,8 +371,12 @@ class TestLargeK:
         assert Fraction(exact) == expected.metric("macro_precision").unwrap()
 
 
-def test_json_reports_at_k2000_are_the_standard_layout_and_round_trip(tmp_path):
-    """Both commands' JSON at K=2000, non-ASCII names included, is json.dumps' indent-2 text and reads back."""
+def test_json_reports_at_k2000_are_the_standard_layout_and_round_trip(tmp_path, monkeypatch, capsys):
+    """Both commands' JSON at K=2000, non-ASCII names included, is json.dumps' indent-2 text and reads back.
+
+    Read through a pipe, each report, the comparison several MB, far past a pipe's buffer, is main's report in
+    process, whole, though the CLI ends through os._exit.
+    """
     rng = random.Random(2000)
     names = [f"c{i}" if i % 100 else f"caf\u00e9-\u65e5{i}" for i in range(2000)]
     for side, hit in (("a", 0.7), ("b", 0.8)):
@@ -384,11 +388,14 @@ def test_json_reports_at_k2000_are_the_standard_layout_and_round_trip(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
     cli = [sys.executable, "-m", "clfmetrics"]
     outs = {}
+    monkeypatch.chdir(tmp_path)
     for command, paths in (("compare", ["a.csv", "b.csv"]), ("evaluate", ["a.csv"])):
         argv = [*cli, command, "--kind", "labels", "--format", "json", *paths]
         result = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=120)
         assert (result.returncode, result.stderr) == (0, b""), command
         outs[command] = out = result.stdout.decode("utf-8")
+        assert main(argv[len(cli):]) == 0
+        assert_equal_short_diff(out, capsys.readouterr().out, f"{command} reports through a pipe and in process")
         # The standard library's encoder is the reference, independent of the package's writer.
         standard = json.dumps(json.loads(out), indent=2, ensure_ascii=True) + "\n"
         assert_equal_short_diff(out, standard, f"{command} reports")
@@ -654,6 +661,54 @@ class TestInterrupt:
             finally:
                 cli.kill()
             assert (code, cli.stdout.read(), cli.stderr.read()) == (130, b"", b"")
+
+
+class TestExitPath:
+    """The command ends through run: main's code once stdout and stderr are flushed, then os._exit.
+
+    The runs' streams are buffered, as by default, so a report left in a buffer would be lost.
+    """
+
+    @staticmethod
+    def run(argv, **kwargs):
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(clfmetrics.__file__))
+        return subprocess.run(argv, env=env, capture_output=True, timeout=120, **kwargs)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["evaluate", "--kind", "matrix", "matrix.csv"], 0),
+            (["evaluate", "--kind", "labels", "missing.csv"], 2),
+            (["evaluate", "--kind", "bogus", "matrix.csv"], 3),
+            (["sh", "-c", 'exec "$@" >&-', "sh", "evaluate", "--kind", "matrix", "matrix.csv"], 4),
+            (["--version"], 0),
+            (["--help"], 0),
+        ],
+        ids=["ok", "input-error", "usage-error", "closed-stdout", "version", "help"],
+    )
+    def test_run_is_the_module_entry_point(self, four_class_file, tmp_path, argv, code):
+        """`python -c` calling run, as the installed script does, and `python -m` give the same code and bytes."""
+        prefix, argv = (argv[:4], argv[4:]) if argv[0] == "sh" else ([], argv)
+        entries = (["-m", "clfmetrics"], ["-c", "from clfmetrics.cli import run; run()"])
+        module, script = (self.run([*prefix, sys.executable, *entry, *argv], cwd=tmp_path) for entry in entries)
+        assert module.returncode == code and (module.stdout != b"") == (code == 0)
+        assert (script.returncode, script.stdout, script.stderr) == (code, module.stdout, module.stderr)
+
+    def test_an_atexit_handler_does_not_run(self):
+        """Documented: teardown is skipped, atexit handlers with it; main called in process returns as before."""
+        script = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(sys.stderr.write, 'atexit ran\\n')\n"
+            "how, sys.argv[1:] = sys.argv[1], ['--version']\n"
+            "if how == 'run':\n"
+            "    runpy.run_module('clfmetrics', run_name='__main__', alter_sys=True)\n"
+            "from clfmetrics.cli import main\n"
+            "main()\n"
+        )
+        runs = [self.run([sys.executable, "-c", script, how]) for how in ("run", "main")]
+        version = f"clfmetrics {clfmetrics.__version__}\n".encode()
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(0, version, b""), (0, version, b"atexit ran\n")]
 
 
 CSV_BYTES = st.one_of(

@@ -554,6 +554,7 @@ class TestReadMatrix:
         with pytest.raises(ParseError, match="bad count") as err:
             read_matrix(path)
         assert (err.value.line, err.value.column) == (2, 3)
+        assert len(str(err.value)) < 80  # a long count is quoted by its first 12 digits and its length
 
     def test_negative_zero_is_a_zero_count(self, tmp_path):
         path = write(tmp_path, "m.csv", ",a,b\na,1,-0\nb,0,3\n")
@@ -634,6 +635,37 @@ class TestReadWeights:
         path = write(tmp_path, "w.csv", ",1\n")
         with pytest.raises(EmptyLabelError):
             read_weights(path)
+
+
+# Each message that quotes an input field, F: a reader, the file with F in it, and the message before and after F.
+QUOTED_FIELDS = {
+    "count": (read_matrix, ",a,b\na,1,{}\nb,0,3\n", "line 2, column 3: bad count ", ""),
+    "weight": (read_weights, "a,{}\n", "line 1, column 2: bad weight ", ""),
+    "probability": (score_probs, "actual,a,b\na,{},0.5\n", "line 2, column 2: bad probability ", ""),
+    "actual-label": (score_probs, "actual,a,b\n{},0.5,0.5\n", "line 2: actual label ", " is not a header class"),
+    "row-name": (read_matrix, ",a,b\n{},1,2\nb,0,3\n", "line 2: row name ", " does not match header class 'a'"),
+    "header-name": (read_matrix, ",{},b\na,1,2\nb,0,3\n", "line 2: row name 'a' does not match header class ", ""),
+    "duplicate-class": (read_weights, "{0},1\n{0},2\n", "line 2: duplicate weight for class ", ""),
+    "unknown-class": (
+        lambda path: read_weights(path, registry=ClassRegistry(("a", "b"))), "{},1\n",
+        "line 1, column 1: weight for unknown class ", "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", QUOTED_FIELDS)
+@pytest.mark.parametrize(
+    "field, quoted",
+    [("x" * 40, repr("x" * 40)), ("x" * 41, "'xxxxxxxxxxxx'...(41 characters)"),
+     ("x" * 100_000, "'xxxxxxxxxxxx'...(100000 characters)")],
+    ids=["40", "41", "100000"],
+)
+def test_an_error_quotes_a_field_past_40_characters_by_its_first_12(tmp_path, case, field, quoted):
+    read, text, before, after = QUOTED_FIELDS[case]
+    path = write(tmp_path, "f.csv", text.format(field))
+    with pytest.raises(IngestError) as err:
+        read(path)
+    assert str(err.value) == before + quoted + after
 
 
 class TestOversizedField:

@@ -342,8 +342,7 @@ class TestPerClassTables:
     def test_leaves_past_the_int_to_str_limit_are_json_dumps_of_the_plain_tree(self):
         """The package writes with the limit in force, the plain tree is written with it lifted.
 
-        Not an @example of the two above: Hypothesis writes an explicit example's repr before it runs it, and the
-        repr of a report that holds such an int raises the limit's ValueError.
+        Not an @example of the two above, which write the plain tree with the limit in force.
         """
         comparison = compare_reports(LONG_REPORT, evaluate(ConfusionMatrix.from_grid(("a", "b"), ((3, 1), (1, 2)))))
         texts = render_json(LONG_REPORT), render_comparison_json(comparison)

@@ -3,6 +3,7 @@
 import copy
 import inspect
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,9 @@ from clfmetrics import (
     ProbRecord,
     UndefinedReason,
     XentOptions,
+    evaluate,
 )
+from conftest import LONG_COUNTS_GRID
 
 REGISTRY = ClassRegistry(("a", "b"))
 EMPTY_BREAKDOWN = PerClassBreakdown((), (), ())
@@ -203,6 +206,25 @@ def test_the_registry_repr_hides_its_index():
     assert r.index("z") == 2
     with pytest.raises(AttributeError, match="^cannot assign to field '_index'$"):
         r._index = {}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before Python 3.11")
+def test_a_repr_shows_a_field_past_the_int_to_str_limit_as_a_placeholder():
+    """At the default limit the unit total, a cell total and a Fraction of 4,301 digits, at any depth, name their type."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        m = ConfusionMatrix.from_grid(("a", "b"), LONG_COUNTS_GRID)
+        shown = repr(m), repr(evaluate(m))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert shown[0].endswith(
+        "row_totals=<unprintable tuple object>, col_totals=<unprintable tuple object>, "
+        "trace=<unprintable int object>, grand_total=<unprintable int object>)"
+    )
+    assert "total_units=<unprintable int object>" in shown[1]
+    precision = "precision=(MetricValue(value=<unprintable Fraction object>, reason=None), MetricValue(value=Fraction(1, 2)"
+    assert precision in shown[1] and len(shown[1]) < 2000
 
 
 def test_a_registry_equals_one_built_from_a_list():
