@@ -10,21 +10,17 @@ and flags; set CLFMETRICS_NO_COLOR to disable ANSI styling on terminals.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
-from typing import IO, NoReturn, Sequence
+from typing import IO, Iterable, NoReturn, Sequence
 
 from . import __version__
 from .confusion import ConfusionMatrix
 from .ingest import IngestError, read_matrix, read_weights, score_probs, tally_labels
 from .metrics import ClassWeights, EvaluationReport, evaluate
 from .proba import XentOptions
-from .report import (
-    color_enabled,
-    compare_reports,
-    format_comparison,
-    format_report,
-)
+from .report import color_enabled, compare_reports, comparison_pieces, report_pieces
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -46,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
     def _print_message(self, message: str, file: IO[str] | None = None) -> None:
         if file is sys.stderr:
             _say(message)
-        elif message and _write(message.encode("utf-8")) != EXIT_OK:
+        elif message and _write([message.encode("utf-8")]) != EXIT_OK:
             self.exit(EXIT_OUTPUT)
 
 
@@ -117,17 +113,22 @@ def _evaluate_one(path: str, kind: str, args: argparse.Namespace, options: XentO
     )
 
 
-def _write(payload: bytes) -> int:
-    """Write payload to stdout: EXIT_OK, or EXIT_OUTPUT when stdout cannot take it."""
+def _write(payloads: Iterable[bytes]) -> int:
+    """Write each payload to stdout, flushed before the next is made: EXIT_OK, or EXIT_OUTPUT at one it refuses."""
     try:
         if sys.stdout is None:  # the process started with its stdout closed
             raise OSError("stdout is closed")
         buffer = getattr(sys.stdout, "buffer", None)
-        if buffer is not None:
-            buffer.write(payload)
+        for payload in payloads:
+            if buffer is None:
+                sys.stdout.write(payload.decode("utf-8", errors="backslashreplace"))
+                continue
+            view = memoryview(payload)
+            while view:  # a raw stdout (python -u) may take a part: a reader gone then fails the next write
+                if (written := buffer.write(view)) is None:  # a raw non-blocking stdout that is full
+                    raise BlockingIOError(errno.EAGAIN, "stdout would block")
+                view = view[written:]
             sys.stdout.flush()
-        else:
-            sys.stdout.write(payload.decode("utf-8", errors="backslashreplace"))
     except OSError as exc:
         if sys.stdout is not None:  # os.devnull in its place, so that the flush at exit cannot fail again
             with open(os.devnull, "wb") as devnull:
@@ -169,10 +170,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return EXIT_INPUT
 
         if args.command == "evaluate":
-            payload = format_report(reports[0], args.format)
+            pieces = report_pieces(reports[0], args.format)
         else:
-            payload = format_comparison(compare_reports(*reports), args.format, color=color_enabled())
-        return _write(payload)
+            pieces = comparison_pieces(compare_reports(*reports), args.format, color=color_enabled())
+        return _write(piece.encode("utf-8", errors="backslashreplace") for piece in pieces)
     except KeyboardInterrupt:  # a forked half, if any, is already killed and reaped
         return EXIT_INTERRUPT
 

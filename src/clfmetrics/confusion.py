@@ -143,7 +143,7 @@ class ConfusionMatrix(_Frozen):
                 raise ValueError(f"counts must be a {k}x{k} grid to match the registry")
             # Row-major, so the first bad cell is named; plain zeros need no check.
             cells = {(i, j): n for i, row in enumerate(cells) for j, n in enumerate(row) if n or type(n) is not int}
-        nonzero, rows, cols, trace = {}, [0] * k, [0] * k, 0
+        nonzero = {}
         for cell, n in cells.items():
             if not isinstance(n, int) or isinstance(n, bool):
                 raise ValueError(f"counts must be integers, got {n!r}")
@@ -157,10 +157,22 @@ class ConfusionMatrix(_Frozen):
                 raise ClassOutOfRangeError(f"cell {cell!r} out of range for K={k}")
             if n:
                 nonzero[i, j] = n
-                rows[i] += n
-                cols[j] += n
-                trace += n if i == j else 0
-        self._fill(registry, MappingProxyType(nonzero), tuple(rows), tuple(cols), trace, sum(rows))
+        self._keep(registry, nonzero)
+
+    @classmethod
+    def _proven(cls, registry: ClassRegistry, cells: dict[tuple[int, int], int]) -> "ConfusionMatrix":
+        """Keeps cells, a plain dict, unchecked: its caller proved each key a pair in range(K), each count int > 0."""
+        (matrix := cls.__new__(cls))._keep(registry, cells)
+        return matrix
+
+    def _keep(self, registry: ClassRegistry, cells: dict[tuple[int, int], int]) -> None:
+        """Hold registry and cells, read-only, with the totals and the trace of one pass over the cells."""
+        rows, cols, trace = [0] * registry.k, [0] * registry.k, 0
+        for (i, j), n in cells.items():
+            rows[i] += n
+            cols[j] += n
+            trace += n if i == j else 0
+        self._fill(registry, MappingProxyType(cells), tuple(rows), tuple(cols), trace, sum(rows))
 
     def __hash__(self) -> int:
         return hash((self.registry, frozenset(self.cells.items())))
@@ -246,16 +258,16 @@ def from_tally(
 ) -> ConfusionMatrix:
     """Lay out a count per distinct (actual, predicted) pair as a confusion matrix.
 
-    The registry is inferred, and errors are raised, as in from_pairs: the first
-    failed lookup in the registry's dict names the first unknown label.
+    The registry is inferred, and errors are raised, as in from_pairs: the first failed lookup in the registry's
+    dict names the first unknown label. Its counts must be positive ints, which its callers prove: none is checked.
     """
     if registry is None:
         if not tally:
             raise EmptyInputError("empty input: no label pairs and no registry to infer classes from")
         registry = ClassRegistry(tuple(sorted({label for pair in tally for label in pair})))
     index = registry._index
-    try:  # cells passed, not held: a dict held to the return raised peak memory ~0.8 MiB at K=1000
-        return ConfusionMatrix(registry, {(index[actual], index[pred]): n for (actual, pred), n in tally.items()})
+    try:  # the one dict of cells, which the matrix keeps: distinct label pairs index distinct in-range cells
+        return ConfusionMatrix._proven(registry, {(index[a], index[p]): n for (a, p), n in tally.items()})
     except KeyError as missing:  # labels are looked up in first-seen order, so this is the first unknown one
         registry.index(missing.args[0])  # raises UnknownLabelError
         raise

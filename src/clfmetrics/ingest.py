@@ -124,10 +124,12 @@ def _parse_number(
     raise ParseError(f"bad {what} {_quote(text)}", line=line, column=column)
 
 
-def _quote(field: str) -> str:
-    """An input field as an error message quotes it: its repr, or past 40 characters, as the text report writes a
-    long rational, the repr of its first 12 and its length."""
-    return f"{field[:12]!r}...({len(field)} characters)" if len(field) > 40 else repr(field)
+def _quote(field: str, short: object = None) -> str:
+    """An input field as an error message quotes it: its repr, or short if given; past 40 characters, as the text
+    report writes a long rational, the repr of its first 12 and its length."""
+    if len(field) > 40:
+        return f"{field[:12]!r}...({len(field)} characters)"
+    return repr(field) if short is None else str(short)
 
 
 def _open_text(path: str) -> TextIO:
@@ -429,7 +431,7 @@ def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
         for pos, text in enumerate(row[1:], start=2):
             value = _parse_number(_COUNT, int, text, "count", line, pos)
             if value < 0:
-                raise NegativeEntryError(f"negative count {value}", line=line, column=pos)
+                raise NegativeEntryError(f"negative count {_quote(text, value)}", line=line, column=pos)
             if value:
                 cells[i, pos - 2] = value
         i += 1
@@ -437,7 +439,7 @@ def read_matrix(path: str, *, delimiter: str = ",") -> ConfusionMatrix:
         raise NonSquareError(
             f"expected {registry.k} data rows, got {i}", line=last_line
         )
-    return ConfusionMatrix(registry, cells)
+    return ConfusionMatrix._proven(registry, cells)  # each cell a positive int at an in-range index pair
 
 
 def tally_labels(
@@ -519,6 +521,6 @@ def read_weights(
         if registry is not None and label not in registry:
             raise ParseError(f"weight for unknown class {_quote(label)}", line=line, column=1)
         if weight < 0:
-            raise NegativeEntryError(f"negative weight {text}", line=line, column=2)
+            raise NegativeEntryError(f"negative weight {_quote(text, text)}", line=line, column=2)
         out.append((label, weight))
     return out

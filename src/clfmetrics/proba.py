@@ -190,11 +190,10 @@ def score_tally(
 ) -> tuple[ConfusionMatrix, float]:
     """The hardened matrix and the dataset cross-entropy of score_block sums; EmptyDatasetError for zero units."""
     tally, total = scores
-    count = sum(tally.values())
-    if count == 0:
+    matrix = ConfusionMatrix._proven(registry, dict(tally))  # proven by score_block; a kept Counter would show in repr
+    if matrix.grand_total == 0:
         raise EmptyDatasetError("cross-entropy over zero records")
-    cross_entropy = round_steps(total)
-    return ConfusionMatrix(registry, tally), cross_entropy / count if options.reduce == "mean" else cross_entropy
+    return matrix, round_steps(total) / matrix.grand_total if options.reduce == "mean" else round_steps(total)
 
 
 def argmax_rule(probs: Sequence[float]) -> int:

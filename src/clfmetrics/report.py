@@ -11,7 +11,7 @@ ensure_ascii=True) layout, all written by _json_text: json.dumps serves indent
 only from its pure-Python encoder, several times slower on a large report. A
 per-class table, most of a large-K report, is one f-string per class around
 each distinct value's leaf, written once (_per_class_json). Ints of any
-length are written whole.
+length are written whole. report_pieces and comparison_pieces give a writer one table at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, IO, Sequence
+from typing import Any, Callable, IO, Iterator, Sequence
 
 from .confusion import _Frozen
 from .metrics import (
@@ -194,12 +194,12 @@ def _report_to_obj(report: EvaluationReport) -> dict[str, Any]:
     return obj
 
 
-def _json_text(obj: Any, pad: str = "") -> str:
+def _json_text(obj: Any, pad: str = "", defer: Callable[[Callable[[], str]], None] | None = None) -> str:
     """obj as json.dumps(obj, indent=2, ensure_ascii=True) writes it, indented by pad.
 
-    Takes dicts with str keys, lists, str, int, bool and None, and a function
-    of the pad that returns its own text there (a per-class table); any other
-    type raises TypeError. Strings are escaped by the json module's C escaper.
+    Takes dicts with str keys, lists, str, int, bool and None; any other type raises TypeError. Strings are escaped
+    by the json module's C escaper. Given defer, a function of the pad (a per-class table) is handed to it, bound to
+    its pad, and written as a NUL, which the escaper writes as \u0000 anywhere else.
     """
     if isinstance(obj, str):
         return _escape(obj)
@@ -212,14 +212,12 @@ def _json_text(obj: Any, pad: str = "") -> str:
     if isinstance(obj, int):
         return _digits(obj)
     inner = pad + "  "
-    # A str value, the common leaf, is escaped in place rather than through a call.
     if isinstance(obj, dict):
-        items = [_escape(k) + ": " + (_escape(v) if type(v) is str else _json_text(v, inner)) for k, v in obj.items()]
-        return _block(items, pad, "{}")
+        return _block([_escape(k) + ": " + _json_text(v, inner, defer) for k, v in obj.items()], pad, "{}")
     if isinstance(obj, list):
-        return _block([_escape(v) if type(v) is str else _json_text(v, inner) for v in obj], pad, "[]")
-    if callable(obj):
-        return obj(pad)
+        return _block([_json_text(v, inner, defer) for v in obj], pad, "[]")
+    if callable(obj) and defer is not None:
+        return defer(partial(obj, pad)) or "\0"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -254,8 +252,17 @@ def _per_class_json(rows: dict[str, tuple[Numeric | str | None, ...]], pad: str)
     return _block(parts, pad)
 
 
+def _json_pieces(obj: Any) -> Iterator[str]:
+    """_json_text(obj) and a line end, in pieces: the text around the per-class tables, each table when asked for."""
+    tables: list[Callable[[], str]] = []
+    first, *texts = (_json_text(obj, "", tables.append) + "\n").split("\0")
+    yield first
+    for table, text in zip(tables, texts):
+        yield from (table(), text)
+
+
 def render_json(report: EvaluationReport) -> str:
-    return _json_text(_report_to_obj(report)) + "\n"
+    return "".join(_json_pieces(_report_to_obj(report)))
 
 
 def parse_json(text: str) -> EvaluationReport:
@@ -288,13 +295,20 @@ def parse_json(text: str) -> EvaluationReport:
     )
 
 
+def _pieces(fmt: str, text: Callable[[], str], tree: Callable[[], dict[str, Any]]) -> Iterator[str]:
+    """A report in format fmt, in pieces for a writer to take in turn: text() whole, or tree()'s JSON (_json_pieces)."""
+    if fmt not in ("text", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    return iter([text()]) if fmt == "text" else _json_pieces(tree())
+
+
+def report_pieces(report: EvaluationReport, fmt: str) -> Iterator[str]:
+    return _pieces(fmt, partial(render_text, report), partial(_report_to_obj, report))
+
+
 def format_report(report: EvaluationReport, fmt: str = "text") -> bytes:
     """Serialize a report to UTF-8 bytes in the requested format; a path's undecodable bytes read as in JSON."""
-    if fmt == "text":
-        return render_text(report).encode("utf-8", errors="backslashreplace")
-    if fmt == "json":
-        return render_json(report).encode("utf-8")
-    raise ValueError(f"unknown format {fmt!r}")
+    return "".join(report_pieces(report, fmt)).encode("utf-8", errors="backslashreplace")
 
 
 class ComparisonReport(_Frozen):
@@ -405,7 +419,7 @@ def render_comparison_text(comparison: ComparisonReport, color: bool = False) ->
     return "\n".join(lines) + "\n"
 
 
-def render_comparison_json(comparison: ComparisonReport) -> str:
+def _comparison_to_obj(comparison: ComparisonReport) -> dict[str, Any]:
     obj: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "tool": "clfmetrics",
@@ -423,12 +437,16 @@ def render_comparison_json(comparison: ComparisonReport) -> str:
             label: tuple(d[m] for m in PER_CLASS_METRICS)
             for label, d in comparison.per_class_deltas.items()
         })
-    return _json_text(obj) + "\n"
+    return obj
+
+
+def render_comparison_json(comparison: ComparisonReport) -> str:
+    return "".join(_json_pieces(_comparison_to_obj(comparison)))
+
+
+def comparison_pieces(comparison: ComparisonReport, fmt: str, color: bool = False) -> Iterator[str]:
+    return _pieces(fmt, partial(render_comparison_text, comparison, color), partial(_comparison_to_obj, comparison))
 
 
 def format_comparison(comparison: ComparisonReport, fmt: str = "text", color: bool = False) -> bytes:
-    if fmt == "text":
-        return render_comparison_text(comparison, color=color).encode("utf-8", errors="backslashreplace")
-    if fmt == "json":
-        return render_comparison_json(comparison).encode("utf-8")
-    raise ValueError(f"unknown format {fmt!r}")
+    return "".join(comparison_pieces(comparison, fmt, color)).encode("utf-8", errors="backslashreplace")

@@ -371,20 +371,25 @@ class TestLargeK:
         assert Fraction(exact) == expected.metric("macro_precision").unwrap()
 
 
+def write_k2000_label_files(directory):
+    """a.csv and b.csv in directory: 20,000 label rows each over 2,000 classes, non-ASCII names included."""
+    rng = random.Random(2000)
+    names = [f"c{i}" if i % 100 else f"caf\u00e9-\u65e5{i}" for i in range(2000)]
+    for side, hit in (("a", 0.7), ("b", 0.8)):
+        with open(directory / f"{side}.csv", "w", encoding="utf-8") as out:
+            for _ in range(20_000):
+                actual = rng.choice(names)
+                predicted = actual if rng.random() < hit else rng.choice(names)
+                out.write(f"{actual},{predicted}\n")
+
+
 def test_json_reports_at_k2000_are_the_standard_layout_and_round_trip(tmp_path, monkeypatch, capsys):
     """Both commands' JSON at K=2000, non-ASCII names included, is json.dumps' indent-2 text and reads back.
 
     Read through a pipe, each report, the comparison several MB, far past a pipe's buffer, is main's report in
     process, whole, though the CLI ends through os._exit.
     """
-    rng = random.Random(2000)
-    names = [f"c{i}" if i % 100 else f"caf\u00e9-\u65e5{i}" for i in range(2000)]
-    for side, hit in (("a", 0.7), ("b", 0.8)):
-        with open(tmp_path / f"{side}.csv", "w", encoding="utf-8") as out:
-            for _ in range(20_000):
-                actual = rng.choice(names)
-                predicted = actual if rng.random() < hit else rng.choice(names)
-                out.write(f"{actual},{predicted}\n")
+    write_k2000_label_files(tmp_path)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
     cli = [sys.executable, "-m", "clfmetrics"]
     outs = {}
@@ -574,8 +579,52 @@ class TestOversizedLabelLine:
         assert peak - base < 2.5 * size / (1 << 20), (base, peak)
 
 
+class TestPeakMemory:
+    """Peak RSS above --version's, from os.wait4 as TestOversizedLabelLine.peak_mib reads it, at large K."""
+
+    def test_a_k2000_json_comparison_holds_one_per_class_table_at_a_time(self, tmp_path, monkeypatch, capsys):
+        """The report, 1.9 MB, is written a per-class table at a time: under 3.5 times its size above --version,
+        midway between 2.4-2.5 (4.3-4.5 MiB) and the 4.6 (8.3-8.4 MiB) of the whole report held joined, with a
+        line end and encoded, so that about 2 MiB is left either side for another interpreter's object sizes."""
+        write_k2000_label_files(tmp_path)
+        argv = ["compare", "--kind", "labels", "--format", "json", "a.csv", "b.csv"]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        report_mib = len(capsys.readouterr().out.encode()) / (1 << 20)
+        _, _, base = TestOversizedLabelLine.peak_mib(["--version"], tmp_path)
+        code, message, peak = TestOversizedLabelLine.peak_mib(argv, tmp_path)
+        assert (code, message) == (0, b"")
+        assert peak - base < 3.5 * report_mib, (base, peak, report_mib)
+
+    def test_a_dense_k1000_matrix_holds_one_dict_of_its_cells(self, tmp_path):
+        """The reader's dict of 1,000,000 cells is the matrix's: under two dicts of them above --version (1.6
+        here, counting each cell's 2-tuple key and 3-word entry), where a checked copy of the cells took 3.5."""
+        rng = random.Random(5)
+        names = [f"c{i}" for i in range(1000)]
+        with open(tmp_path / "dense.csv", "w", encoding="utf-8") as out:
+            out.write("," + ",".join(names) + "\n")
+            out.writelines(f"{row}," + ",".join(str(rng.randint(1, 99)) for _ in names) + "\n" for row in names)
+        one_dict_mib = len(names) ** 2 * (sys.getsizeof((999, 999)) + 3 * struct.calcsize("P")) / (1 << 20)
+        _, _, base = TestOversizedLabelLine.peak_mib(["--version"], tmp_path)
+        code, message, peak = TestOversizedLabelLine.peak_mib(["evaluate", "--kind", "matrix", "dense.csv"], tmp_path)
+        assert (code, message) == (0, b"")
+        assert peak - base < 2 * one_dict_mib, (base, peak, one_dict_mib)
+
+
 class TestOutputFaults:
     """A stdout that cannot take the report exits 4, with at most one stderr line and no traceback."""
+
+    @pytest.fixture(scope="class")
+    def k1000_comparison(self, tmp_path_factory):
+        """The CLI's arguments for a JSON comparison at K=1000, about 1 MB written a per-class table at a time."""
+        rng = random.Random(1000)
+        work = tmp_path_factory.mktemp("k1000_comparison")
+        names = [f"c{i}" for i in range(1000)]
+        for side in ("a", "b"):
+            rows = (f"{name},{name if rng.random() < 0.7 else rng.choice(names)}\n" for name in names * 10)
+            (work / f"{side}.csv").write_text("".join(rows), encoding="utf-8")
+        return [sys.executable, "-m", "clfmetrics", "compare", "--kind", "labels", "--format", "json",
+                str(work / "a.csv"), str(work / "b.csv")]
 
     @staticmethod
     def run(argv, **kwargs):
@@ -601,6 +650,63 @@ class TestOutputFaults:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (4, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_k1000_json_comparison_on_a_full_device(self, k1000_comparison):
+        """The first piece's write fails: one error line, and no later piece is written."""
+        with open("/dev/full", "wb") as full:
+            result = self.run(k1000_comparison, stdout=full)
+        message = f"clfmetrics: error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert (result.returncode, result.stderr) == (4, message.encode())
+
+    def test_a_k1000_json_comparison_to_a_reader_that_leaves_after_64_kib_is_quiet(self, k1000_comparison):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+        with subprocess.Popen(k1000_comparison, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as cli:
+            try:
+                assert len(cli.stdout.read(64 << 10)) == 64 << 10
+                cli.stdout.close()
+                code, message = cli.wait(timeout=120), cli.stderr.read()
+            finally:
+                cli.kill()
+        assert (code, message) == (4, b"")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_reader_that_leaves_during_a_one_piece_report_is_quiet(self, tmp_path, unbuffered):
+        """A text report of 400 kB is one write: under python -u, stdout's raw file takes the part the pipe holds
+        and returns its length, and the rest is written until the reader's leaving fails a write."""
+        name = "x" * 100_000
+        (tmp_path / "m.csv").write_text(f",{name},b\n{name},1,0\nb,0,1\n", encoding="utf-8")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(clfmetrics.__file__))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "matrix", str(tmp_path / "m.csv")]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as cli:
+            try:
+                assert cli.stdout.read(1)  # the report's write has begun
+                cli.stdout.close()
+                code, message = cli.wait(timeout=120), cli.stderr.read()
+            finally:
+                cli.kill()
+        assert (code, message) == (4, b"")
+
+    def test_a_full_non_blocking_pipe_under_python_u_exits_4(self, tmp_path):
+        """Under python -u, stdout's raw file returns None when a non-blocking pipe is full: that is an error, not a
+        write of nothing to retry at once, which would spin until a reader that never comes drains the pipe."""
+        name = "x" * 100_000
+        (tmp_path / "m.csv").write_text(f",{name},b\n{name},1,0\nb,0,1\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(clfmetrics.__file__))
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, False)
+        try:
+            argv = self.cli(str(tmp_path / "m.csv"))
+            result = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+            os.close(read_end)
+        message = f"clfmetrics: error: cannot write output: [Errno {errno.EAGAIN}] stdout would block\n"
+        assert (result.returncode, result.stderr) == (4, message.encode())
 
     def test_a_closed_stdout(self, four_class_file):
         result = self.run(["sh", "-c", 'exec "$@" >&-', "sh", *self.cli(four_class_file)])

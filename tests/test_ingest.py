@@ -668,6 +668,28 @@ def test_an_error_quotes_a_field_past_40_characters_by_its_first_12(tmp_path, ca
     assert str(err.value) == before + quoted + after
 
 
+@pytest.mark.parametrize(
+    "read, text, before",
+    [
+        (read_matrix, ",a,b\na,1,{}\nb,0,3\n", "line 2, column 3: negative count "),
+        (read_weights, "a,{}\n", "line 1, column 2: negative weight "),
+    ],
+    ids=["count", "weight"],
+)
+@pytest.mark.parametrize(
+    "nines, shown",
+    [(39, "-" + "9" * 39), (40, "'-99999999999'...(41 characters)"), (4000, "'-99999999999'...(4001 characters)")],
+    ids=["40", "41", "4001"],
+)
+def test_a_negative_field_past_40_characters_is_quoted_by_its_first_12(tmp_path, read, text, before, nines, shown):
+    """A negative count or weight is written bare up to 40 characters, then as a long field is quoted."""
+    path = write(tmp_path, "f.csv", text.format("-" + "9" * nines))
+    with pytest.raises(NegativeEntryError) as err:
+        read(path)
+    assert str(err.value) == before + shown
+    assert len(str(err.value)) < 80
+
+
 class TestOversizedField:
     def test_field_over_the_csv_limit_is_a_parse_error_with_line(self, tmp_path):
         path = write(tmp_path, "l.csv", "a,a\nb," + "x" * 200_000 + "\n")

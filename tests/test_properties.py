@@ -20,6 +20,7 @@ from clfmetrics import (
     EmptyDatasetError,
     OneVsRest,
     ProbRecord,
+    UnknownLabelError,
     XentOptions,
     accuracy,
     argmax_rule,
@@ -42,7 +43,7 @@ from clfmetrics import (
 )
 from clfmetrics.confusion import from_tally
 from clfmetrics.halves import _score_rows, _score_steps, _SerialOnly
-from clfmetrics.ingest import IngestError
+from clfmetrics.ingest import IngestError, NegativeEntryError, NonSquareError, read_matrix
 from clfmetrics.metrics import (
     ClassWeights,
     MetricValue,
@@ -315,6 +316,59 @@ def test_sparse_build_equals_dense_build(case):
         fp = sum(grid[i][k] for i in range(m.k)) - tp
         fn = sum(grid[k]) - tp
         assert m.one_vs_rest(k) == OneVsRest(tp, fp, fn, m.grand_total - tp - fp - fn)
+
+
+def one_hot_records(registry, tally):
+    """For each (actual, predicted) pair in tally order, its count of records whose probabilities pick predicted."""
+    for (actual, predicted), n in tally.items():
+        probs = tuple(float(label == predicted) for label in registry.labels)
+        yield from [ProbRecord(registry.index(actual), probs)] * n
+
+
+@settings(max_examples=200)
+@given(sparse_tallies())
+def test_matrices_from_proven_cells_equal_the_checked_constructor(work, case):
+    """from_tally, score_records and read_matrix keep their own dict of cells, unchecked: each equals the matrix the
+    checked constructor builds from the same cells in the same order, in every field, and its totals are the tally's."""
+    registry, tally = case
+    cells = {(registry.index(actual), registry.index(predicted)): n for (actual, predicted), n in tally.items()}
+    lines = ["," + ",".join(registry.labels)]
+    lines += [f"{label}," + ",".join(map(str, row)) for label, row in zip(registry.labels, dense(registry, tally))]
+    path = work / "proven.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    built = {"from_tally": from_tally(tally, registry), "read_matrix": read_matrix(str(path))}
+    if tally:  # score_records refuses zero records
+        built["score_records"] = score_records(one_hot_records(registry, tally), registry)[0]
+    k, rows, cols = registry.k, [0] * registry.k, [0] * registry.k
+    for (i, j), n in cells.items():
+        rows[i] += n
+        cols[j] += n
+    for name, m in built.items():
+        ordered = dict(sorted(cells.items())) if name == "read_matrix" else cells  # a file is read row by row
+        checked = ConfusionMatrix(registry, ordered)
+        assert m == checked and hash(m) == hash(checked) and repr(m) == repr(checked), name
+        assert pickle.loads(pickle.dumps(m)) == m and repr(pickle.loads(pickle.dumps(m))) == repr(m), name
+        assert dict(m.cells) == dict(checked.cells) == cells and type(m.cells) is type(checked.cells), name
+        assert (m.row_totals, m.col_totals) == (checked.row_totals, checked.col_totals) == (tuple(rows), tuple(cols))
+        assert m.trace == checked.trace == sum(cells.get((i, i), 0) for i in range(k)), name
+        assert m.grand_total == checked.grand_total == sum(tally.values()), name
+
+
+def test_readers_of_proven_cells_keep_their_messages(tmp_path):
+    """The checks that prove from_pairs' and read_matrix's cells raise as before the cells were kept unchecked."""
+    with pytest.raises(UnknownLabelError, match=r"^label 'zz' is not in the registry \('a', 'b'\)$"):
+        from_pairs([("a", "b"), ("zz", "a")], registry=ClassRegistry(("a", "b")))
+    with pytest.raises(ValueError, match="values to unpack"):
+        from_pairs([("a", "b"), ("a", "b", "c")])
+    for text, error, message in (
+        (",a,b\na,1,-2\nb,0,3\n", NegativeEntryError, "line 2, column 3: negative count -2"),
+        (",a,b\na,1,2,3\nb,4,5\n", NonSquareError, "line 2: expected 3 fields, got 4"),
+        (",a,b\na,1,2\n", NonSquareError, "line 2: expected 2 data rows, got 1"),
+    ):
+        (tmp_path / "m.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(error) as err:
+            read_matrix(str(tmp_path / "m.csv"))
+        assert str(err.value) == message
 
 
 @given(sparse_tallies(min_k=3, max_k=3), sparse_tallies(min_k=3, max_k=3), st.integers(1, 9), st.permutations(range(3)))

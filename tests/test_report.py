@@ -25,7 +25,7 @@ from clfmetrics import (
     render_text,
     score_records,
 )
-from clfmetrics.report import _json_text, color_enabled, format_comparison, render_comparison_json
+from clfmetrics.report import _json_pieces, _json_text, color_enabled, format_comparison, render_comparison_json
 from conftest import LONG_COUNTS_GRID, no_int_digit_limit
 
 
@@ -187,8 +187,11 @@ class TestJsonWriter:
     @example({"a": [], "b": {}, "c": [[[]], [{}]], "d": [True, False, None, -0, 10**4299]})
     def test_writes_the_bytes_of_json_dumps_with_indent_2(self, tree):
         assert _json_text(tree) + "\n" == json.dumps(tree, indent=2, ensure_ascii=True) + "\n"
+        assert "".join(_json_pieces(tree)) == json.dumps(tree, indent=2, ensure_ascii=True) + "\n"
 
-    @pytest.mark.parametrize("value", [1.5, (1, 2), Fraction(1, 2)], ids=["float", "tuple", "fraction"])
+    @pytest.mark.parametrize(
+        "value", [1.5, (1, 2), Fraction(1, 2), str], ids=["float", "tuple", "fraction", "function"]
+    )
     def test_other_types_are_refused(self, value):
         for tree in (value, [value], {"k": value}):
             with pytest.raises(TypeError):
