@@ -13,14 +13,13 @@ import argparse
 import errno
 import os
 import sys
-from typing import IO, Iterable, NoReturn, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, NoReturn, Sequence
 
 from . import __version__
-from .confusion import ConfusionMatrix
-from .ingest import IngestError, read_matrix, read_weights, score_probs, tally_labels
-from .metrics import ClassWeights, EvaluationReport, evaluate
-from .proba import XentOptions
-from .report import color_enabled, compare_reports, comparison_pieces, report_pieces
+
+if TYPE_CHECKING:  # the layers are imported where they are run, so that --version or --help loads none of them
+    from .confusion import ConfusionMatrix
+    from .metrics import ClassWeights, EvaluationReport, XentOptions
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,7 +61,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--weights", metavar="PATH", help="CSV of class,weight overriding the frequency defaults")
         p.add_argument("--lenient", action="store_true", help="macro averages skip undefined classes instead of going undefined")
         p.add_argument("--reduce", default="mean", choices=("mean", "sum"), help="cross-entropy dataset reduction")
-        p.add_argument("--epsilon", type=float, default=XentOptions().epsilon, help="cross-entropy log clipping floor")
+        p.add_argument("--epsilon", type=float, help="cross-entropy log clipping floor")  # None: XentOptions' default
         p.add_argument("--delimiter", default="comma", choices=("comma", "tab"))
         p.add_argument("--has-header", action="store_true", help="label files only: skip the first row")
 
@@ -80,6 +79,9 @@ def _build_parser() -> _Parser:
 
 def _load_weights(path: str, matrix: ConfusionMatrix, delimiter: str) -> ClassWeights:
     """Read class,weight rows and lay them over the frequency defaults."""
+    from .ingest import read_weights
+    from .metrics import ClassWeights
+
     base = list(ClassWeights.from_actual_frequencies(matrix).w) if matrix.grand_total else [0] * matrix.k
     for label, value in read_weights(path, delimiter=delimiter, registry=matrix.registry):
         base[matrix.registry.index(label)] = value
@@ -87,6 +89,9 @@ def _load_weights(path: str, matrix: ConfusionMatrix, delimiter: str) -> ClassWe
 
 
 def _evaluate_one(path: str, kind: str, args: argparse.Namespace, options: XentOptions) -> EvaluationReport:
+    from .ingest import read_matrix, score_probs, tally_labels
+    from .metrics import evaluate
+
     delimiter = _DELIMITERS[args.delimiter]
     cross_entropy = None
     if kind == "labels":
@@ -150,9 +155,13 @@ def _say(text: str) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        # Each layer is imported once the command is known, here, where a SIGINT still exits 130.
+        from .ingest import IngestError
+        from .metrics import XentOptions
+        from .report import color_enabled, compare_reports, comparison_pieces, report_pieces
 
         try:
-            options = XentOptions(epsilon=args.epsilon, reduce=args.reduce)
+            options = XentOptions(reduce=args.reduce) if args.epsilon is None else XentOptions(args.epsilon, args.reduce)
         except ValueError as exc:
             _say(f"clfmetrics: error: {exc}\n")
             return EXIT_USAGE

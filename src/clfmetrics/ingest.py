@@ -21,25 +21,25 @@ was raised on, counting LF, CR and CRLF as one line end each, as csv does,
 save a byte that is not UTF-8 in input that cannot be read twice, such as a
 pipe: a file is decoded again to find that byte's line. tally_labels and
 score_probs read a file in steps or as the row stream; _steps_or_rows alone
-decides which. Either way score_probs scores blocks of rows in halves.py.
+decides which. Either way score_probs scores blocks of rows in probfile.py.
 Steps are read by _read_in_steps for both: in one process, or from
-PARALLEL_MIN_BYTES on in two, which claim pieces of the file from one queue.
+PARALLEL_MIN_BYTES on in two, which claim pieces of the file from one queue
+(claims.py, loaded only then).
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import marshal
 import math
 import os
 import re
 from collections import Counter
 from fractions import Fraction
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .confusion import ClassRegistry, ConfusionMatrix, from_tally
-from .proba import XentOptions, score_tally
+from .metrics import XentOptions
 
 _Number = TypeVar("_Number", int, Fraction)
 _Read = TypeVar("_Read")  # what a file read in steps or as rows gives: a pair tally, or a registry and scores
@@ -57,8 +57,6 @@ _ESCAPED = re.compile("[\udc80-\udcff]")
 _LABEL_STEP = 1 << 14
 # A file this large is read in two processes: forking costs a few ms.
 PARALLEL_MIN_BYTES = 1 << 20
-# Bytes per piece a process claims: smaller pieces even out when two processes finish, but each costs two probes.
-_PIECE = 1 << 18
 
 
 class _SerialOnly(Exception):
@@ -209,97 +207,16 @@ def _range_steps(fd: int, start: int, end: int, step: int, longest: float = math
 def _read_in_steps(fd: int, start: int, size: int, work: Callable[[Iterator[str]], _Part], *step: float) -> list[_Part]:
     """work(steps) of a file's bytes start..size, read by _range_steps(..., *step), for each process that reads them:
     this one alone, or from PARALLEL_MIN_BYTES on, with os.fork, two CPUs and one thread, a forked child too, both
-    claiming pieces, each the lines that start in its bytes, from one queue, so that the faster reads more."""
+    claiming pieces from the queue of claims.py, the one module that forks."""
     cpus = os.sched_getaffinity(0) if size >= PARALLEL_MIN_BYTES and hasattr(os, "sched_getaffinity") else ()
     if len(cpus) > 1 and hasattr(os, "fork"):
         import threading  # loaded only for a file this large
 
         if threading.active_count() == 1:  # a forked child would hold only this thread, and perhaps a lock another held
-            piece, indices = _pieces(size - start)
-            read_end, write_end = os.pipe()
-            with open(read_end, "rb", buffering=0) as queue:
-                with open(write_end, "wb", buffering=0) as filling:  # closed before any claim: an empty queue ends
-                    filling.write(indices)
-                return _fork_claims(queue, _claimed_steps(queue, fd, start, size, piece, *step), work, cpus)
+            from .claims import read_in_two  # its own module: a smaller file neither compiles nor loads it
+
+            return read_in_two(fd, start, size, work, cpus, *step)
     return [work(_range_steps(fd, start, size, *step))]
-
-
-def _pieces(span: int) -> tuple[int, bytes]:
-    """Bytes per piece of span bytes, and the pieces' 4-byte indices: at most 1024, the 4 KiB a pipe surely holds."""
-    piece = max(_PIECE, -(-span // 1024))
-    return piece, b"".join(i.to_bytes(4, "little") for i in range(-(-span // piece)))
-
-
-def _claimed_steps(queue: BinaryIO, fd: int, start: int, size: int, piece: int, *step: float) -> Iterator[str]:
-    """The steps of each piece claimed from the queue until it is empty: the lines that start in the piece's bytes."""
-    while claim := queue.read(4):
-        low = start + int.from_bytes(claim, "little") * piece
-        high = min(low + piece, size)
-        begin = _line_end(fd, low - 1, high) if low > start else start  # a line starts at start, and after each LF
-        if begin < high:
-            yield from _range_steps(fd, begin, _line_end(fd, high - 1, size), *step)
-
-
-def _fork_claims(queue: BinaryIO, steps: Iterator[str], work: Callable[..., _Part], cpus: set[int]) -> list[_Part]:
-    """work(steps) here and in a forked child that claims from the same queue: both results, the child's marshalled.
-
-    A child starts on its parent's CPU, where a scheduler may leave it a while: so this process is on its first CPU
-    across the fork, and the child moves off that CPU at once; then both may run on any of cpus again.
-    """
-    import signal  # loaded only for a file this large
-
-    read_end, write_end = os.pipe()
-    # SIGINT is held over the fork: the child never takes it, and the parent only in the try that ends the child.
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-    first = min(cpus)
-    _set_cpus({first})
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        _set_cpus(cpus)
-        raise
-    if pid == 0:  # the child: it leaves only through os._exit, whatever happens
-        code = 1
-        try:
-            _set_cpus(cpus - {first}, cpus)
-            os.close(read_end)
-            reply = memoryview(marshal.dumps(work(steps)))
-            while reply:
-                reply = reply[os.write(write_end, reply):]
-            code = 0
-        except Exception:  # a refusal: the pieces left are claimed here, so the parent stops and falls back at once
-            queue.read()
-        finally:
-            os._exit(code)
-    _set_cpus(cpus)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            mine = work(steps)
-            reply = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    if os.waitpid(pid, 0)[1] != 0:
-        raise _SerialOnly("the child failed")
-    try:
-        return [mine, marshal.loads(reply)]
-    except (EOFError, TypeError, ValueError):  # a short or malformed reply
-        raise _SerialOnly("the child's reply") from None
-
-
-def _set_cpus(*masks: set[int]) -> None:
-    """Set this process's CPU affinity to each mask in turn, where it can be set; a refusal changes nothing."""
-    for mask in masks:
-        try:
-            os.sched_setaffinity(0, mask)
-        except OSError:
-            pass
 
 
 def _steps_or_rows(path: str, by_steps: Callable[..., _Read], by_rows: Callable[..., _Read], *args: object) -> _Read:
@@ -393,12 +310,13 @@ def score_probs(
 ) -> tuple[ConfusionMatrix, float]:
     """The hardened matrix and the dataset cross-entropy of a probability file.
 
-    Read as _steps_or_rows says: in steps by halves.score_steps, in two processes
-    from PARALLEL_MIN_BYTES on; else as the row stream, halves._score_rows. Each
+    Read as _steps_or_rows says: in steps by probfile.score_steps, in two processes
+    from PARALLEL_MIN_BYTES on; else as the row stream, probfile._score_rows. Each
     step or block of rows is scored by proba.score_block. Memory holds the
     distinct (actual, predicted) pairs and a block, not the rows.
     """
-    from .halves import _score_rows, score_steps  # their own module: runs on other kinds neither compile nor load it
+    from .proba import score_tally  # with probfile, loaded only by a probability run
+    from .probfile import _score_rows, score_steps
 
     return score_tally(*_steps_or_rows(path, score_steps, _score_rows, delimiter, options.epsilon), options)
 

@@ -16,9 +16,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .confusion import ConfusionMatrix, OneVsRest, _Frozen
-from .proba import DEFAULT_EPSILON
 
 Numeric = Union[Fraction, float]
+# The cross-entropy options live here, with the report that carries them, so that a run without probabilities
+# loads no probability module.
+DEFAULT_EPSILON = 1e-15
+MAX_EPSILON = 1e-6
 
 
 class UndefinedReason(Enum):
@@ -353,6 +356,23 @@ def kappa_binary(o: OneVsRest) -> MetricValue:
 def kappa_multiclass(m: ConfusionMatrix) -> MetricValue:
     """Chance-corrected agreement for K classes, from the trace, total and marginals."""
     return _kappa(m.trace, m.grand_total, m.col_totals, m.row_totals)
+
+
+class XentOptions(_Frozen):
+    """Cross-entropy settings: the log clipping floor and the dataset reduction."""
+
+    __slots__ = __match_args__ = ("epsilon", "reduce")
+
+    def __init__(self, epsilon: float = DEFAULT_EPSILON, reduce: str = "mean") -> None:
+        try:
+            in_range = 0.0 < epsilon <= MAX_EPSILON
+        except TypeError:  # not a number
+            in_range = False
+        if not in_range:
+            raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon!r}")
+        if reduce not in ("mean", "sum"):
+            raise ValueError(f"reduce must be 'mean' or 'sum', got {reduce!r}")
+        self._fill(epsilon, reduce)
 
 
 class EvaluationReport(_Frozen):

@@ -19,6 +19,7 @@ from itertools import chain, compress, islice, repeat
 from typing import Iterable, Sequence
 
 from .confusion import ClassRegistry, ConfusionMatrix, _Frozen
+from .metrics import DEFAULT_EPSILON, MAX_EPSILON, XentOptions  # noqa: F401  also importable from here
 
 # check_probs passes a sum when |fsum(probs) - 1| <= PROB_SUM_TOLERANCE. score_block first tries the plain sum(probs)
 # of K values already known to lie in [0, 1]. No partial sum exceeds the last, which the band keeps below 2, so each
@@ -26,8 +27,6 @@ from .confusion import ClassRegistry, ConfusionMatrix, _Frozen
 # (K + 3) * 2**-53 in all, less than the slack K * 2**-50. So a plain sum within 1 +- (PROB_SUM_TOLERANCE - slack)
 # passes; only rows outside it take fsum. A compensated sum (Python 3.12's) errs less. Past K ~ 1.1e9 it is empty.
 PROB_SUM_TOLERANCE = 1e-6
-DEFAULT_EPSILON = 1e-15
-MAX_EPSILON = 1e-6
 # Fields per score_block call of the row stream and of score_records, or one row if wider: each is held at once.
 _BLOCK_FIELDS = 1 << 12
 
@@ -83,23 +82,6 @@ class ProbRecord(_Frozen):
     @property
     def k(self) -> int:
         return len(self.probs)
-
-
-class XentOptions(_Frozen):
-    """Cross-entropy settings: the log clipping floor and the dataset reduction."""
-
-    __slots__ = __match_args__ = ("epsilon", "reduce")
-
-    def __init__(self, epsilon: float = DEFAULT_EPSILON, reduce: str = "mean") -> None:
-        try:
-            in_range = 0.0 < epsilon <= MAX_EPSILON
-        except TypeError:  # not a number
-            in_range = False
-        if not in_range:
-            raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon!r}")
-        if reduce not in ("mean", "sum"):
-            raise ValueError(f"reduce must be 'mean' or 'sum', got {reduce!r}")
-        self._fill(epsilon, reduce)
 
 
 _DEFAULT_OPTIONS = XentOptions()

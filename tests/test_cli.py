@@ -443,63 +443,103 @@ def test_a_label_file_tallied_by_distinct_line_reads_as_the_row_by_row_pipe_run(
     assert codes == {"labels": 0, "quoted": 0, "distinct": 0, "bad": 2}
 
 
-# Run as a script with the CLI's arguments: runs main, then writes its code and whether clfmetrics.halves is loaded.
-HALVES_LOADED = (
-    "import sys; from clfmetrics.cli import main; code = main(sys.argv[1:]); "
-    "sys.stderr.write(repr((code, 'clfmetrics.halves' in sys.modules)))"
-)
+# Run as `python -S -c LOADED <argv>`, the command as `python -m clfmetrics` runs it. At the os._exit that ends it,
+# it writes to loaded.txt its exit code, the clfmetrics modules it loaded (clfmetrics.__main__ runs as __main__),
+# and which of WATCHED it loaded.
+WATCHED = ("json", "dataclasses", "inspect", "threading", "signal")
+LOADED = f"""
+import os, runpy, sys
+exit = os._exit
+
+def report(code):
+    with open("loaded.txt", "w") as out:
+        names = [*sys.modules, sys.modules["__main__"].__spec__.name]
+        ours = sorted(name for name in names if name.partition(".")[0] == "clfmetrics")
+        out.write(repr((code, ours, [name for name in {WATCHED!r} if name in sys.modules])))
+    exit(code)
+
+os._exit = report
+runpy.run_module("clfmetrics", run_name="__main__", alter_sys=True)
+"""
 
 
-def test_only_a_probability_run_loads_the_halves_module(tmp_path):
-    """A label run, even of a file past ingest.PARALLEL_MIN_BYTES, neither compiles nor loads clfmetrics.halves."""
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """--version, --help and usage errors load no layer; a run loads its own path's modules, and the claim queue,
+    the probability modules and json only where it uses them. None loads dataclasses or the inspect it pulls in."""
     rng = random.Random(15)
-    for name in ("a", "b"):
+    for name in ("big_a", "big_b"):
         rows = (f"c{rng.randrange(10)},c{rng.randrange(10)}\n" for _ in range(200_000))
         (tmp_path / f"{name}.csv").write_text("".join(rows), encoding="utf-8")
         assert (tmp_path / f"{name}.csv").stat().st_size >= ingest.PARALLEL_MIN_BYTES
-    (tmp_path / "p.csv").write_text("actual,a,b\na,0.25,0.75\nb,0.5,0.5\n", encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
-    runs = {
-        "evaluate": ["evaluate", "--kind", "labels", "a.csv"],
-        "compare": ["compare", "--kind", "labels", "--format", "json", "a.csv", "b.csv"],
-        "probs": ["evaluate", "--kind", "probs", "p.csv"],
-    }
-    loaded = {}
-    for name, argv in runs.items():
-        result = subprocess.run(
-            [sys.executable, "-c", HALVES_LOADED, *argv], cwd=tmp_path, env=env, capture_output=True, timeout=120
-        )
-        loaded[name] = result.stderr.decode()
-    assert loaded == {"evaluate": "(0, False)", "compare": "(0, False)", "probs": "(0, True)"}
-
-
-# Run as a script with the CLI's arguments: runs main, then writes its code and the watched modules it loaded.
-HEAVY_LOADED = (
-    "import sys; from clfmetrics.cli import main\n"
-    "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
-    "sys.stderr.write(repr((code, [name for name in ('dataclasses', 'inspect') if name in sys.modules])))"
-)
-
-
-def test_no_run_loads_dataclasses_or_inspect(tmp_path):
-    """Start-up imports neither dataclasses nor the inspect it pulls in, whatever the command."""
     (tmp_path / "a.csv").write_text("x,x\nx,y\ny,y\n", encoding="utf-8")
     (tmp_path / "b.csv").write_text("x,y\ny,y\ny,x\n", encoding="utf-8")
     (tmp_path / "p.csv").write_text("actual,a,b\na,0.25,0.75\nb,0.5,0.5\n", encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+    (tmp_path / "m.csv").write_text(",x,y\nx,1,2\ny,0,3\n", encoding="utf-8")
+    (tmp_path / "w.csv").write_text("x,2\ny,1/3\n", encoding="utf-8")
+    start = ["clfmetrics", "clfmetrics.__main__", "clfmetrics.cli"]
+    labels = sorted([*start, "clfmetrics.confusion", "clfmetrics.ingest", "clfmetrics.metrics", "clfmetrics.report"])
+    forks = hasattr(os, "fork") and len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()) > 1
+    big = sorted([*labels, *["clfmetrics.claims"] * forks]), ["threading", "signal"] * forks
     runs = {
-        "version": ["--version"],
-        "evaluate": ["evaluate", "--kind", "labels", "a.csv"],
-        "compare": ["compare", "--kind", "labels", "--format", "json", "a.csv", "b.csv"],
-        "probs": ["evaluate", "--kind", "probs", "p.csv"],
+        "--version": (["--version"], 0, start, []),
+        "--help": (["--help"], 0, start, []),
+        "evaluate --help": (["evaluate", "--help"], 0, start, []),
+        "usage error": (["evaluate", "--kind", "nope", "a.csv"], 3, start, []),
+        "labels": (["evaluate", "--kind", "labels", "a.csv"], 0, labels, []),
+        "labels past 1 MiB": (["evaluate", "--kind", "labels", "big_a.csv"], 0, *big),
+        "compare json": (["compare", "--kind", "labels", "--format", "json", "a.csv", "b.csv"], 0,
+                         sorted([*labels, "clfmetrics.jsonreport"]), ["json"]),
+        "compare json past 1 MiB": (["compare", "--kind", "labels", "--format", "json", "big_a.csv", "big_b.csv"], 0,
+                                    sorted([*big[0], "clfmetrics.jsonreport"]), ["json", *big[1]]),
+        "probs": (["evaluate", "--kind", "probs", "p.csv"], 0,
+                  sorted([*labels, "clfmetrics.proba", "clfmetrics.probfile"]), []),
+        "matrix": (["evaluate", "--kind", "matrix", "m.csv"], 0, labels, []),
+        "weights": (["evaluate", "--kind", "matrix", "--weights", "w.csv", "m.csv"], 0, labels, []),
     }
-    loaded = {}
-    for name, argv in runs.items():
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", HEAVY_LOADED, *argv], cwd=tmp_path, env=env, capture_output=True, timeout=120
-        )
-        loaded[name] = result.stderr.decode()
-    assert loaded == {name: "(0, [])" for name in runs}
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+    loaded, expected = {}, {}
+    for name, (argv, code, modules, watched) in runs.items():
+        subprocess.run([sys.executable, "-S", "-c", LOADED, *argv], cwd=tmp_path, env=env, capture_output=True,
+                       timeout=120)
+        loaded[name] = eval((tmp_path / "loaded.txt").read_text())
+        (tmp_path / "loaded.txt").unlink()
+        expected[name] = (code, modules, [module for module in WATCHED if module in watched])
+    assert loaded == expected
+
+
+# Run as `python -c INTERRUPTED <module> <argv>`: the command as `python -m clfmetrics` runs it, with a SIGINT as the
+# module named starts to load, where a real one may arrive.
+INTERRUPTED = """
+import runpy, sys
+
+class Interrupt:
+    def find_spec(self, name, path=None, target=None):
+        if name == interrupted:
+            raise KeyboardInterrupt
+
+interrupted = sys.argv.pop(1)
+sys.meta_path.insert(0, Interrupt())
+runpy.run_module("clfmetrics", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        ("clfmetrics.cli", ["--version"]),
+        ("clfmetrics.ingest", ["evaluate", "--kind", "labels", "a.csv"]),
+        ("clfmetrics.report", ["evaluate", "--kind", "labels", "a.csv"]),
+        ("clfmetrics.jsonreport", ["evaluate", "--kind", "labels", "--format", "json", "a.csv"]),
+        ("clfmetrics.probfile", ["evaluate", "--kind", "probs", "p.csv"]),
+    ],
+)
+def test_a_sigint_while_a_module_loads_exits_130_and_prints_nothing(tmp_path, module, argv):
+    (tmp_path / "a.csv").write_text("x,x\nx,y\ny,y\n", encoding="utf-8")
+    (tmp_path / "p.csv").write_text("actual,a,b\na,0.25,0.75\nb,0.5,0.5\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
+    run = subprocess.run([sys.executable, "-c", INTERRUPTED, module, *argv], cwd=tmp_path, env=env,
+                         capture_output=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (130, b"", b"")
 
 
 class TestLargeKMemory:

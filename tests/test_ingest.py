@@ -29,6 +29,7 @@ from clfmetrics import (
     score_probs,
     stream_labels,
     tally_labels,
+    claims,
     ingest,
     xent_unit,
 )
@@ -350,7 +351,7 @@ CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
 def forked_tally(path, piece, **kwargs):
     """tally_labels(path) with PARALLEL_MIN_BYTES at 0 and pieces of piece bytes; its forks; whether steps completed."""
     forks, completed = [], []
-    fork_claims, tally_distinct_lines = ingest._fork_claims, ingest._tally_distinct_lines
+    fork_claims, tally_distinct_lines = claims._fork_claims, ingest._tally_distinct_lines
 
     def counted_forks(*args):
         forks.append(True)
@@ -361,9 +362,9 @@ def forked_tally(path, piece, **kwargs):
         completed.append(True)
         return result
 
-    patches = {"_fork_claims": counted_forks, "_tally_distinct_lines": counted_tallies}
-    with mock.patch.multiple(ingest, PARALLEL_MIN_BYTES=0, _PIECE=piece, **patches):
-        result = outcome(lambda: tally_labels(str(path), **kwargs))
+    with mock.patch.multiple(claims, _PIECE=piece, _fork_claims=counted_forks):
+        with mock.patch.multiple(ingest, PARALLEL_MIN_BYTES=0, _tally_distinct_lines=counted_tallies):
+            result = outcome(lambda: tally_labels(str(path), **kwargs))
     return result, len(forks), completed == [True]
 
 

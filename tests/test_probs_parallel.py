@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from clfmetrics import halves, ingest
+from clfmetrics import claims, ingest, probfile
 from clfmetrics.cli import main
 from clfmetrics.ingest import _SerialOnly
 from conftest import default_sigint, through_a_pipe
@@ -177,8 +177,8 @@ def three_runs(monkeypatch, argv):
 
     Neither stepped run may leave a child unreaped or a descriptor open.
     """
-    score_steps = halves.score_steps
-    monkeypatch.setattr(halves, "score_steps", refused)
+    score_steps = probfile.score_steps
+    monkeypatch.setattr(probfile, "score_steps", refused)
     outcomes, completed = [run(argv)], []
 
     def counted(*args):
@@ -187,10 +187,10 @@ def three_runs(monkeypatch, argv):
         completed[-1][-1] = True
         return result
 
-    monkeypatch.setattr(halves, "score_steps", counted)
-    for threshold, piece in ((1 << 62, ingest._PIECE), (0, FEW_BYTES)):
+    monkeypatch.setattr(probfile, "score_steps", counted)
+    for threshold, piece in ((1 << 62, claims._PIECE), (0, FEW_BYTES)):
         monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", threshold)
-        monkeypatch.setattr(ingest, "_PIECE", piece)
+        monkeypatch.setattr(claims, "_PIECE", piece)
         completed.append([])
         gc.collect()  # or earlier tests' objects that only a collection closes may close mid-run and leave the snapshot
         before = open_descriptors()
@@ -204,7 +204,7 @@ def three_runs(monkeypatch, argv):
 def piece_edges(data):
     """The kind of place each piece of a file's data but the first begins at, with the pieces of the split runs."""
     start = data.find(b"\n") + 1
-    piece = ingest._pieces(len(data) - start)[0]
+    piece = claims._pieces(len(data) - start)[0]
     for edge in range(start + piece, len(data), piece):
         pair = data[edge - 1 : edge + 1]
         if pair == b"\r\n":
@@ -216,7 +216,7 @@ def piece_edges(data):
 
 
 def test_few_byte_pieces_put_edges_in_every_kind_of_place(monkeypatch):
-    monkeypatch.setattr(ingest, "_PIECE", FEW_BYTES)
+    monkeypatch.setattr(claims, "_PIECE", FEW_BYTES)
     edges = {kind for data, completes, _ in CORPUS.values() if completes for kind in piece_edges(data)}
     assert edges >= {"inside a line", "on an LF", "between a CR and its LF", "in a run of blank lines"}
 
@@ -266,9 +266,9 @@ def test_row_stream_blocks_of_any_size_give_the_same_run(tmp_path, monkeypatch, 
     path = tmp_path / "p.csv"
     path.write_bytes(CORPUS[case][0])
     argv = [*ARGVS["json_sum"], str(path)]
-    monkeypatch.setattr(halves, "score_steps", refused)
+    monkeypatch.setattr(probfile, "score_steps", refused)
     default = run(argv)
-    monkeypatch.setattr(halves, "_BLOCK_FIELDS", fields)
+    monkeypatch.setattr(probfile, "_BLOCK_FIELDS", fields)
     assert run(argv) == default
 
 
@@ -294,7 +294,7 @@ def test_a_pipe_gives_the_row_stream_run(tmp_path, monkeypatch, case, argv):
         return
     path = tmp_path / "p.csv"
     path.write_bytes(data)
-    monkeypatch.setattr(halves, "score_steps", refused)
+    monkeypatch.setattr(probfile, "score_steps", refused)
     assert piped == renamed(str(path))
 
 
@@ -304,16 +304,16 @@ def record_claims(tmp_path, monkeypatch, first_claim):
     first_claim(who, claimed) runs in each process at its first claim, where
     claimed() reads every record so far, from both processes. Returns claimed.
     """
-    claims = tmp_path / "claims"
-    claims.touch()
+    log = tmp_path / "claims"
+    log.touch()
     steps, here, first = ingest._range_steps, os.getpid(), []
 
     def claimed():
-        return [(who, int(begin)) for who, begin in map(str.split, claims.read_text().splitlines())]
+        return [(who, int(begin)) for who, begin in map(str.split, log.read_text().splitlines())]
 
     def recorded(fd, begin, end, step):
         who = "parent" if os.getpid() == here else "child"
-        with open(claims, "a") as out:
+        with open(log, "a") as out:
             out.write(f"{who} {begin}\n")
         if not first:
             first.append(who)
@@ -321,7 +321,7 @@ def record_claims(tmp_path, monkeypatch, first_claim):
         return steps(fd, begin, end, step)
 
     monkeypatch.setattr(ingest, "_range_steps", recorded)
-    monkeypatch.setattr(ingest, "_PIECE", SMALL_PIECE)
+    monkeypatch.setattr(claims, "_PIECE", SMALL_PIECE)
     monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
     return claimed
 
@@ -335,16 +335,16 @@ def hold(until):
 
 def split_and_rows(monkeypatch, argv):
     """The outcome of a split run, whether it completed, and the outcome of the row stream."""
-    score_steps, completed = halves.score_steps, []
+    score_steps, completed = probfile.score_steps, []
 
     def counted(*args):
         result = score_steps(*args)
         completed.append(True)
         return result
 
-    monkeypatch.setattr(halves, "score_steps", counted)
+    monkeypatch.setattr(probfile, "score_steps", counted)
     split = run(argv)
-    monkeypatch.setattr(halves, "score_steps", refused)
+    monkeypatch.setattr(probfile, "score_steps", refused)
     return split, completed == [True], run(argv)
 
 
@@ -399,7 +399,7 @@ def test_a_refusal_in_the_child_leaves_the_parent_no_piece_to_claim(tmp_path, mo
 
 def test_the_indices_of_a_terabyte_fit_in_one_pipe_page():
     """A pipe past its user's quota holds one 4 KiB page: more indices would block their write before the fork."""
-    piece, indices = ingest._pieces(1 << 40)
+    piece, indices = claims._pieces(1 << 40)
     count = len(indices) // 4
     assert count <= 1024 and len(indices) <= 4096
     assert (count - 1) * piece < 1 << 40 <= count * piece
@@ -415,7 +415,7 @@ def test_a_short_reply_from_the_child_falls_back(tmp_path, monkeypatch):
         dumps = staticmethod(lambda value: marshal.dumps(value)[:-3])
         loads = staticmethod(marshal.loads)
 
-    monkeypatch.setattr(ingest, "marshal", Truncating)
+    monkeypatch.setattr(claims, "marshal", Truncating)
     rows, stepped, split, in_process, forked = three_runs(monkeypatch, ["evaluate", "--kind", "probs", str(path)])
     assert (stepped, split) == (rows, rows)
     assert (rows[0], in_process, forked) == (0, [True], [False])
@@ -460,7 +460,7 @@ def test_a_file_that_grows_while_read_in_steps_is_read_whole(tmp_path, monkeypat
     monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", threshold)
     grown = run(["evaluate", "--kind", "probs", str(path)])
     assert "units: 24001\n" in grown[1]
-    monkeypatch.setattr(halves, "score_steps", refused)
+    monkeypatch.setattr(probfile, "score_steps", refused)
     assert grown == run(["evaluate", "--kind", "probs", str(path)])
 
 
@@ -473,7 +473,7 @@ def test_a_named_pipe_is_opened_once(tmp_path):
         "import sys; from clfmetrics import ingest; ingest.PARALLEL_MIN_BYTES = 0; from clfmetrics.cli import main; "
         "sys.exit(main(['evaluate', '--kind', 'probs', sys.argv[1]]))"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(halves.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(probfile.__file__)))
     cli = subprocess.Popen([sys.executable, "-c", code, str(fifo)], stdout=subprocess.PIPE, env=env)
     try:
         deadline = time.monotonic() + 60
@@ -502,7 +502,7 @@ def test_a_named_pipe_is_opened_once(tmp_path):
 # started with to the file named by its second argument, and exits with the code.
 HELD_SPLIT = """
 import json, os, sys, time
-from clfmetrics import halves, ingest
+from clfmetrics import ingest, probfile
 from clfmetrics.cli import main
 
 steps = ingest._range_steps
@@ -534,7 +534,7 @@ def test_sigint_during_a_split_run_exits_130_and_leaves_no_child_or_descriptor(t
     path = tmp_path / "p.csv"
     path.write_bytes(HEADER + BIG_BODY)
     after = tmp_path / "after.json"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(halves.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(probfile.__file__)))
     argv = [sys.executable, "-c", HELD_SPLIT, str(path), str(after)]
     pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
     with subprocess.Popen(argv, env=env, start_new_session=True, preexec_fn=default_sigint, **pipes) as cli:
@@ -596,7 +596,7 @@ def test_a_file_read_as_stdin_gives_the_pipe_run(tmp_path, name):
     path = tmp_path / f"{name}.csv"
     path.write_bytes(data)
     argv = [sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "probs", "--format", "json", *args, "/dev/stdin"]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(halves.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(probfile.__file__)))
     with open(path, "rb") as stdin:
         from_file = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=120)
     through_pipe = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=120)
@@ -658,7 +658,7 @@ def test_a_forked_label_tally_moves_the_child_and_restores_the_affinity(tmp_path
     monkeypatch.undo()
     masks = record_affinity(tmp_path, monkeypatch, refuse=fault == "affinity_refused")
     monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
-    monkeypatch.setattr(ingest, "_PIECE", SMALL_PIECE)
+    monkeypatch.setattr(claims, "_PIECE", SMALL_PIECE)
     if fault == "child_refusal":
         steps, here = ingest._range_steps, os.getpid()
         monkeypatch.setattr(ingest, "_range_steps", lambda *args: steps(*args) if os.getpid() == here else refused())
@@ -668,7 +668,7 @@ def test_a_forked_label_tally_moves_the_child_and_restores_the_affinity(tmp_path
             dumps = staticmethod(lambda value: marshal.dumps(value)[:-3])
             loads = staticmethod(marshal.loads)
 
-        monkeypatch.setattr(ingest, "marshal", Truncating)
+        monkeypatch.setattr(claims, "marshal", Truncating)
     tally_distinct_lines, completed = ingest._tally_distinct_lines, []
 
     def counted(*args):

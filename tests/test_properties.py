@@ -42,7 +42,7 @@ from clfmetrics import (
     xent_unit,
 )
 from clfmetrics.confusion import from_tally
-from clfmetrics.halves import _score_rows, _score_steps, _SerialOnly
+from clfmetrics.probfile import _score_rows, _score_steps, _SerialOnly
 from clfmetrics.ingest import IngestError, NegativeEntryError, NonSquareError, read_matrix
 from clfmetrics.metrics import (
     ClassWeights,

@@ -25,7 +25,8 @@ from clfmetrics import (
     render_text,
     score_records,
 )
-from clfmetrics.report import _json_pieces, _json_text, color_enabled, format_comparison, render_comparison_json
+from clfmetrics.jsonreport import _json_pieces, _json_text, render_comparison_json
+from clfmetrics.report import color_enabled, format_comparison
 from conftest import LONG_COUNTS_GRID, no_int_digit_limit
 
 
