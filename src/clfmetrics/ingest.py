@@ -16,10 +16,10 @@ shapes, read_weights class weights. stream_labels yields a label file's pairs
 row by row: the reference tally_labels agrees with, and its fallback.
 
 Every reader takes UTF-8 text (LF or CRLF, with or without a byte-order
-mark) and opens its file once. Every error carries the 1-based line number it
-was raised on, counting LF, CR and CRLF as one line end each, as csv does,
-save a byte that is not UTF-8 in input that cannot be read twice, such as a
-pipe: a file is decoded again to find that byte's line. tally_labels and
+mark) and opens its file once. A file's report, error and exit code never
+depend on which way it was read, a pipe included: every error carries the
+1-based line number it was raised on, a byte that is not UTF-8 included,
+counting LF, CR and CRLF as one line end each, as csv does. tally_labels and
 score_probs read a file in steps or as the row stream; _steps_or_rows alone
 decides which. Either way score_probs scores blocks of rows in probfile.py.
 Steps are read by _read_in_steps for both: in one process, or from
@@ -36,6 +36,7 @@ import os
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .confusion import ClassRegistry, ConfusionMatrix, from_tally
@@ -53,6 +54,8 @@ _WEIGHT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+|/[0-9]+)?|\.[0-9]+)")  # 2, 0.1, .
 _RESCAN_CHUNK = 1 << 12
 # What errors="surrogateescape" decodes each byte that is not UTF-8 to, and nothing else.
 _ESCAPED = re.compile("[\udc80-\udcff]")
+_last_escape = [object()]  # new at each call of _escape, in any thread; no store puts back one that a reader holds
+_ROW_BLOCK = 1 << 13  # characters, about, of the lines in each block the row stream reads
 # Bytes per read step of a label file; larger steps only raise peak memory.
 _LABEL_STEP = 1 << 14
 # A file this large is read in two processes: forking costs a few ms.
@@ -131,56 +134,56 @@ def _quote(field: str, short: object = None) -> str:
 
 
 def _open_text(path: str) -> TextIO:
-    return open(path, "r", encoding="utf-8-sig", newline="")  # drops a leading BOM
+    return open(path, "r", encoding="utf-8-sig", errors="clfmetrics.escape", newline="")  # drops a leading BOM
+
+
+def _escape(error: UnicodeDecodeError) -> tuple[str, int]:  # _open_text's errors: "surrogateescape", marked
+    _last_escape[0] = object()
+    return codecs.lookup_error("surrogateescape")(error)
+
+
+codecs.register_error("clfmetrics.escape", _escape)
 
 
 def _rows(handle: TextIO, delimiter: str) -> Iterator[tuple[int, list[str]]]:
     """The non-blank CSV rows of an open file, each with its 1-based line number.
 
-    Lines are decoded in blocks, so a byte that is not UTF-8 may stop the rows
-    lines before its own. A file read again, with such bytes escaped, then
-    gives the rows left before that line, so an earlier row's fault is named first.
+    The file is read once, in blocks of lines. A byte that is not UTF-8 ends
+    the rows at its line, after those before it, so an earlier row's fault is named first.
     """
-    reader = csv.reader(handle, delimiter=delimiter)
+    reader = csv.reader(chain.from_iterable(_blocks(handle)), delimiter=delimiter)
     try:
         for row in reader:
             if row:
                 yield reader.line_num, row
-        return
     except csv.Error as exc:  # an oversized field, say
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
-    except UnicodeDecodeError as exc:
-        done, bad = reader.line_num, []  # every row that ends by line done is yielded
+    except UnicodeDecodeError as exc:  # csv has read each line before the byte's; a row left open there is dropped
         error = f"input is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-    if handle.seekable():
-        handle.reconfigure(errors="surrogateescape")
-        handle.seek(0)
-        for line, row in _rows(_lines_before_escapes(handle, bad), delimiter):  # lines that all decode
-            if bad:  # a quoted field open at the end of those lines, which csv ends there without an error
-                break
-            if line > done:
-                yield line, row
-    raise ParseError(error, line=bad[0] if bad else None)
+        raise ParseError(error, line=reader.line_num + 1) from None
 
 
-def _lines_before_escapes(lines: Iterable[str], bad: list[int]) -> Iterator[str]:
-    """The lines before the first that holds an escaped byte, whose 1-based number is then appended to bad."""
-    for line, text in enumerate(lines, start=1):
-        if _ESCAPED.search(text):
-            bad.append(line)
-            return
-        yield text
+def _blocks(handle: TextIO) -> Iterator[list[str]]:
+    """An open file's lines in blocks, up to the first holding a byte _open_text escaped; then the decoding error."""
+    began = _last_escape[0]
+    while block := handle.readlines(_ROW_BLOCK):
+        if _last_escape[0] is not began:  # a byte was escaped: in this block, one not yet read, or another reader's
+            for at, text in enumerate(block):
+                if _ESCAPED.search(text):
+                    yield block[:at]
+                    text.encode("utf-8", "surrogateescape").decode("utf-8")  # raises, as the line is not UTF-8
+        yield block
 
 
-def _line_end(fd: int, start: int, end: int) -> int:
-    """The offset just past the first newline at or after start, else end."""
+def _line_end(fd: int, start: int, end: int, ends: bytes = b"\n") -> int:
+    """The offset just past the first match of the pattern ends, an LF unless given, at or after start, else end."""
     while start < end:
         block = os.pread(fd, _RESCAN_CHUNK, start)
         if not block:
             raise _SerialOnly("the file shrank")
-        found = block.find(b"\n")
-        if found >= 0:
-            return start + found + 1
+        found = re.search(ends, block)
+        if found:
+            return start + found.end()
         start += len(block)
     return end
 
@@ -231,8 +234,9 @@ def _steps_or_rows(path: str, by_steps: Callable[..., _Read], by_rows: Callable[
     byte that is not UTF-8, say) is a refusal too. On a refusal, or if the
     file then holds more than size bytes (it grew, or its size is not its
     length), the same handle is read from its first byte as the row stream,
-    which names every error with its line, or finds none. So is any input
-    that cannot be read twice, such as a pipe.
+    which names every error with its line, or finds none, as it does for a
+    pipe, which cannot be read twice. So whichever way a file is read, a pipe
+    included, its report, error and exit code are the same.
     """
     with _open_text(path) as handle:
         if handle.seekable() and hasattr(os, "pread"):

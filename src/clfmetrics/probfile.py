@@ -28,7 +28,8 @@ _PROB_STEP = 1 << 16
 def score_steps(fd: int, start: int, size: int, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores]:
     """The registry and scores of a probability file's bytes start..size, or _SerialOnly: the scores of each process
     that ingest._read_in_steps reads the data in, added."""
-    data_start = _line_end(fd, start, size)
+    data_start = _line_end(fd, start, size, b"[\r\n]")  # a header ends at its first CR or LF: no more is read
+    data_start += os.pread(fd, 2, max(data_start - 1, 0)) == b"\r\n"  # and a CR's LF
     registry = _plain_header(os.pread(fd, data_start - start, start), delimiter)
     parts = _read_in_steps(
         fd, data_start, size, lambda steps: _score_steps(steps, registry, delimiter, epsilon), _PROB_STEP

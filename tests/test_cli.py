@@ -597,25 +597,31 @@ class TestOversizedLabelLine:
     """The stepped tally refuses a label line longer than any valid row before joining it: it is not held many times."""
 
     @staticmethod
-    def peak_mib(argv, cwd):
-        """The exit code, stderr and peak RSS in MiB of one CLI run."""
+    def peak_mib(argv, cwd, stdin=None):
+        """The exit code, stderr and peak RSS in MiB of one CLI run, given the bytes stdin through a pipe, if any."""
         if not (hasattr(os, "wait4") and hasattr(os, "posix_spawn")):
             pytest.skip("no os.wait4 or os.posix_spawn")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
         result = subprocess.run(
-            [sys.executable, "-S", "-c", PEAK_RSS, *argv], cwd=cwd, env=env, capture_output=True, timeout=120
+            [sys.executable, "-S", "-c", PEAK_RSS, *argv], cwd=cwd, env=env, input=stdin, capture_output=True,
+            timeout=120,
         )
         code, peak = map(int, result.stdout.split()[-2:])
         return code, result.stderr, peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
-    def test_a_20_mb_line_costs_at_most_two_and_a_half_times_its_size(self, tmp_path):
+    @pytest.mark.parametrize("via", ["file", "pipe"])
+    @pytest.mark.parametrize("short", [b"", b"a,b\n", "é,b\n".encode()], ids=["alone", "after_ascii", "after_utf8"])
+    def test_a_20_mb_line_costs_at_most_two_and_a_half_times_its_size(self, tmp_path, short, via):
+        """The line alone, or after 1,000 short lines, ASCII or not, in which case its 20 MB are 10M of "é"."""
         size = 20_000_000
-        (tmp_path / "big.csv").write_bytes(b"a," + b"x" * size + b"\n")
+        data = short * 1_000 + b"a," + (b"x" * size if short.isascii() else "é".encode() * (size // 2)) + b"\n"
+        (tmp_path / "big.csv").write_bytes(data)
         code, _, base = self.peak_mib(["--version"], tmp_path)
         assert code == 0
-        code, message, peak = self.peak_mib(["evaluate", "--kind", "labels", "big.csv"], tmp_path)
-        error = b"clfmetrics: error: line 1: malformed CSV: field larger than field limit (131072)\n"
-        assert (code, message) == (2, error)
+        argv = ["evaluate", "--kind", "labels", "big.csv" if via == "file" else "/dev/stdin"]
+        code, message, peak = self.peak_mib(argv, tmp_path, data if via == "pipe" else None)
+        error = f"line {1 + 1_000 * bool(short)}: malformed CSV: field larger than field limit (131072)"
+        assert (code, message) == (2, f"clfmetrics: error: {error}\n".encode())
         assert peak - base < 2.5 * size / (1 << 20), (base, peak)
 
 
@@ -649,6 +655,19 @@ class TestPeakMemory:
         code, message, peak = TestOversizedLabelLine.peak_mib(["evaluate", "--kind", "matrix", "dense.csv"], tmp_path)
         assert (code, message) == (0, b"")
         assert peak - base < 2 * one_dict_mib, (base, peak, one_dict_mib)
+
+
+    @pytest.mark.parametrize("end", [b"", b"\n"], ids=["no_lf", "a_final_lf"])
+    def test_a_bare_cr_probability_file_is_not_read_whole_for_its_header(self, tmp_path, end):
+        """The steps find a header's end at its first CR or LF, and refuse a bare CR: a 20 MB file whose lines end in
+        CR costs 2.0 MiB above --version here, under a quarter of its size. Read up to its first LF, or its end, and
+        decoded whole, the header cost 40-78 MiB, two to four times the file."""
+        size = 20_000_000
+        (tmp_path / "cr.csv").write_bytes(b"actual,a,b\ra,0.5,oops\r" + b"a,0.5,0.5\r" * (size // 10) + end)
+        _, _, base = TestOversizedLabelLine.peak_mib(["--version"], tmp_path)
+        code, message, peak = TestOversizedLabelLine.peak_mib(["evaluate", "--kind", "probs", "cr.csv"], tmp_path)
+        assert (code, message) == (2, b"clfmetrics: error: line 2, column 3: bad probability 'oops'\n")
+        assert peak - base < size / 4 / (1 << 20), (base, peak)
 
 
 class TestOutputFaults:

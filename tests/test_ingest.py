@@ -29,11 +29,10 @@ from clfmetrics import (
     score_probs,
     stream_labels,
     tally_labels,
-    claims,
     ingest,
     xent_unit,
 )
-from conftest import through_a_pipe
+from conftest import SHORT_LABELS, every_path, splits, through_a_pipe
 
 
 def write(tmp_path, name, text):
@@ -116,20 +115,6 @@ class TestReadLabels:
         path = write(tmp_path, "l.csv", "a,a\na,b\nb,b\n")
         m = tally_labels(path)
         assert m.counts == ((1, 1), (0, 1))
-
-
-def outcome_through_a_pipe(data, read):
-    """outcome(read(path)) for a path naming a pipe fed with data, which can be read only once."""
-    return through_a_pipe(data, lambda name: outcome(lambda: read(name)))
-
-
-PIPED_LABEL_FILES = {
-    "quoted_field_spanning_lines": (b'a,"x\ny,z"\nb,b\n', {}),
-    "quote_past_the_first_chunk": (b"a,a\nb,a\n" * 5_000 + b'b,"b"\n', {}),
-    "bad_row_past_the_first_chunk": (b"a,b\n" * 10_000 + b"a,b,c\n", {}),
-    "bad_row_in_a_small_file": (b"a,a\n,b\n", {}),
-    "bom_header_and_clean_rows": (b"\xef\xbb\xbfh,h\n" + b"a,b\nb,a\n\n" * 5_000, {"has_header": True}),
-}
 
 
 LABEL_TOKENS = st.sampled_from(
@@ -287,15 +272,6 @@ class TestTallyLabels:
         monkeypatch.setattr(os, "pread", failing)
         assert tally_labels(str(path)) == from_pairs(stream_labels(str(path)))
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
-    @pytest.mark.parametrize("case", PIPED_LABEL_FILES)
-    def test_a_pipe_is_read_once_as_the_stream(self, tmp_path, case):
-        data, kwargs = PIPED_LABEL_FILES[case]
-        path = tmp_path / "l.csv"
-        path.write_bytes(data)
-        expected = outcome(lambda: from_pairs(stream_labels(str(path), **kwargs)))
-        assert outcome_through_a_pipe(data, lambda name: tally_labels(name, **kwargs)) == expected
-
     @given(
         body=st.one_of(st.lists(LABEL_TOKENS, max_size=60).map(b"".join), LABEL_FILES),
         bom=st.booleans(),
@@ -325,69 +301,13 @@ class TestTallyLabels:
             ingest._LABEL_STEP = held
 
 
-CLEAN_LINES = b"a,b\nb,a\nc,c\n" * 4
-# The four ways a quote makes lines that steps cannot read alone, as in
-# test_quotes_that_steps_cannot_read_alone_give_the_row_stream_result.
-QUOTE_TRAPS = {
-    "quote_open_at_the_end": b'z",w\nx,"y\nz",w\n',
-    "quoted_crlf": b'a,b\n"c","d\r\ne"\na,b\n',
-    "header_spanning_lines": b'"act\nual",x\na,b\na,b\n',
-    "text_after_a_closing_quote": b'a,"b"c\na,b\n"a","b"\n',
-}
-# name -> (file bytes, whether the stepped tally completes without a header, and with one)
-FORKED_LABEL_FILES = {
-    "bom_crlf_blank_lines": (b"\xef\xbb\xbf" + b"a,b\r\n\r\nb,a\r\n\n" * 20 + b"c,c", (True, True)),
-    "bare_cr": (b"a,b\rb,b\r" * 20, (True, True)),
-    "header_after_blank_lines": (b"\n\r\n\rh,h\r\n" + CLEAN_LINES + b"\n" + CLEAN_LINES, (True, True)),
-    "all_quoted": (CLEAN_LINES.replace(b"a", b'"a"').replace(b"b", b'"b""x"') * 3, (True, True)),
-    "header_only": (b"\r\nh,h\r\n", (True, True)),
-    "empty": (b"", (True, False)),  # no header in the first step: the row stream finds none either
-    **{name: (trap, (False, False)) for name, trap in QUOTE_TRAPS.items()},
-    **{f"{name}_late": (CLEAN_LINES + trap + CLEAN_LINES, (False, False)) for name, trap in QUOTE_TRAPS.items()},
-}
-CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-
-
-def forked_tally(path, piece, **kwargs):
-    """tally_labels(path) with PARALLEL_MIN_BYTES at 0 and pieces of piece bytes; its forks; whether steps completed."""
-    forks, completed = [], []
-    fork_claims, tally_distinct_lines = claims._fork_claims, ingest._tally_distinct_lines
-
-    def counted_forks(*args):
-        forks.append(True)
-        return fork_claims(*args)
-
-    def counted_tallies(*args):
-        result = tally_distinct_lines(*args)
-        completed.append(True)
-        return result
-
-    with mock.patch.multiple(claims, _PIECE=piece, _fork_claims=counted_forks):
-        with mock.patch.multiple(ingest, PARALLEL_MIN_BYTES=0, _tally_distinct_lines=counted_tallies):
-            result = outcome(lambda: tally_labels(str(path), **kwargs))
-    return result, len(forks), completed == [True]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork") or len(CPUS) < 2, reason="the fork needs os.fork and two CPUs")
+@splits
 class TestForkedTally:
-    """With PARALLEL_MIN_BYTES at 0, label files of any size are tallied by two processes from few-byte pieces."""
+    """Label files of any size give one outcome by every path, the claim queue's in pieces of a few bytes included."""
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
         return tmp_path_factory.mktemp("forked")
-
-    @pytest.mark.parametrize("piece", [1, 5])
-    @pytest.mark.parametrize("has_header", [False, True])
-    @pytest.mark.parametrize("case", FORKED_LABEL_FILES)
-    def test_a_forked_tally_matches_the_stream(self, tmp_path, case, has_header, piece):
-        data, completes = FORKED_LABEL_FILES[case]
-        path = tmp_path / "l.csv"
-        path.write_bytes(data)
-        forked, forks, completed = forked_tally(path, piece, has_header=has_header)
-        assert forked == outcome(lambda: from_pairs(stream_labels(str(path), has_header=has_header)))
-        assert completed == completes[has_header]
-        if completed:
-            assert forks == 1
 
     @given(
         case=st.one_of(stepped_label_files(), LABEL_FILES.map(lambda body: (",", body))),
@@ -399,11 +319,10 @@ class TestForkedTally:
     @settings(max_examples=150, deadline=None)
     def test_a_forked_tally_of_any_file_matches_the_stream(self, work, case, piece, step, has_header):
         delimiter, data = case
-        path = work / "f.csv"
-        path.write_bytes(data)
+        delimiter = {",": "comma", "\t": "tab"}[delimiter]
+        argv = ["evaluate", "--kind", "labels", "--format", "json", "--delimiter", delimiter]
         with mock.patch.object(ingest, "_LABEL_STEP", step):  # steps of a few bytes too
-            forked = forked_tally(path, piece, delimiter=delimiter, has_header=has_header)[0]
-        assert forked == outcome(lambda: from_pairs(stream_labels(str(path), delimiter=delimiter, has_header=has_header)))
+            every_path(work, "labels", data, [*argv, *["--has-header"] * has_header], pieces=(piece,))
 
 
 HEADER_FAULTS = {  # file text: the line, message and column of its ParseError
@@ -735,7 +654,7 @@ class TestByteOrderMark:
         assert read_weights(str(path)) == [("a", 1), ("b", 2)]
 
 
-# Each file's first invalid byte lies on the given line; "é" lines put a split character on the rescan's chunk edges.
+# Each file's first invalid byte lies on the given line; "é" lines put a split character on the decoder's chunk edges.
 UNDECODABLE_FILES = {
     "labels": (tally_labels, "é,b\n".encode() * 30_000 + b"a,\xffb\nb,b\n", {}, 30_001, "0xff (invalid start byte)"),
     "labels_with_header": (
@@ -751,7 +670,7 @@ UNDECODABLE_FILES = {
     "labels_mixed_line_ends": (
         tally_labels, b"a,a\r\nb,b\rb,a\n\r\n\xff,a\n", {}, 5, "0xff (invalid start byte)",
     ),
-    # The CR of a CRLF is the last byte of the first 64 KiB chunk the rescan reads, and the bad byte two chunks on.
+    # The CR of a CRLF is the last byte of the first 64 KiB, a decoder chunk's edge, and the bad byte two chunks on.
     "labels_crlf_across_rescan_chunks": (
         tally_labels, b"a,b\n" * 16_383 + b"a,b\r\n" + b"b,a\n" * 20_000 + b"\xff,a\n", {},
         36_385, "0xff (invalid start byte)",
@@ -768,7 +687,7 @@ UNDECODABLE_FILES = {
         score_probs, b"actual,a,b\r\n" + b"a,0.5,0.5\r" * 5_000 + b"b,0.5,0.5\n" * 5_000 + b"b,0.\xff,0.5\r\n", {},
         10_002, "0xff (invalid start byte)",
     ),
-    # The CR of a CRLF is the last byte of the first rescan chunk, and the bad byte follows its LF in the next.
+    # The CR of a CRLF is the last byte of the first 64 KiB of data, and the bad byte follows its LF.
     "probs_crlf_across_rescan_chunks": (
         score_probs, b"act,a,b\n" + b"a,0.5,0.5\n" * 6_552 + b"b,1.0,0\r\n" + b"\xff,0,1\n", {},
         6_555, "0xff (invalid start byte)",
@@ -777,8 +696,6 @@ UNDECODABLE_FILES = {
     "weights": (read_weights, b"a,1\n\xffb,2\n", {}, 2, "0xff (invalid start byte)"),
 }
 
-# Its bad row is on line 5, and its bad byte on line 7, in the same block of the row stream's decoder.
-SHORT_LABELS = b"a,b\n" * 4 + b"a,b,c\na,b\na,\xffb\n"
 UNDECODABLE = "input is not valid UTF-8: byte 0xff (invalid start byte)"
 # name -> (reader, file bytes, line and message of its first fault, which lies before a bad byte's line)
 EARLIER_FAULTS = {
@@ -790,6 +707,8 @@ EARLIER_FAULTS = {
         "expected 2 fields, got 3",
     ),
     "probs": (score_probs, b"actual,a,b\n" + b"a,1,0\n" * 4 + b"a,1\na,1,0\na,\xff,0\n", 6, "expected 3 fields, got 2"),
+    "matrix": (read_matrix, b",a,a\na,1,2\nb,\xff,3\n", 1, "duplicate class columns in header"),
+    "weights": (read_weights, b"a,1,2\n\xffb,2\n", 1, "expected 2 fields, got 3"),
     # Read up to the byte's line, csv would end the open quote without an error: the byte is named.
     "quoted_field_into_the_bytes_line": (tally_labels, b"a,b\n" * 4 + b'a,"b\na,\xffb\n"\n', 6, UNDECODABLE),
     "oversized_field": (
@@ -801,37 +720,34 @@ EARLIER_FAULTS = {
 }
 
 
-class TestUndecodableBytes:
-    @pytest.mark.parametrize("case", UNDECODABLE_FILES)
-    def test_first_bad_byte_is_named_with_its_line(self, tmp_path, case):
-        read, data, kwargs, line, byte = UNDECODABLE_FILES[case]
-        path = tmp_path / "f.csv"
-        path.write_bytes(data)
-        message = f"line {line}: input is not valid UTF-8: byte {byte}"
-        assert outcome(lambda: read(str(path), **kwargs)) == (ParseError, message, line, None)
+def read_by(via, tmp_path, read, data):
+    """outcome(read(name)) for the name of a file holding data, or of a pipe fed with it, which is read only once."""
+    if via == "pipe":
+        return through_a_pipe(data, lambda name: outcome(lambda: read(name)))
+    path = tmp_path / "f.csv"
+    path.write_bytes(data)
+    return outcome(lambda: read(str(path)))
 
+
+VIAS = ["file", pytest.param("pipe", marks=pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd"))]
+
+
+class TestUndecodableBytes:
+    """From a file or through a pipe, read once, the first bad byte, or an earlier fault, is named with its line."""
+
+    @pytest.mark.parametrize("via", VIAS)
+    @pytest.mark.parametrize("case", UNDECODABLE_FILES)
+    def test_first_bad_byte_is_named_with_its_line(self, tmp_path, case, via):
+        read, data, kwargs, line, byte = UNDECODABLE_FILES[case]
+        message = f"line {line}: input is not valid UTF-8: byte {byte}"
+        assert read_by(via, tmp_path, lambda name: read(name, **kwargs), data) == (ParseError, message, line, None)
+
+    @pytest.mark.parametrize("via", VIAS)
     @pytest.mark.parametrize("case", EARLIER_FAULTS)
-    def test_a_fault_before_the_bad_bytes_line_is_named_first(self, tmp_path, case):
+    def test_a_fault_before_the_bad_bytes_line_is_named_first(self, tmp_path, case, via):
         """The row stream decodes the byte's block before it parses the rows of that block's earlier lines."""
         read, data, line, message = EARLIER_FAULTS[case]
-        path = tmp_path / "f.csv"
-        path.write_bytes(data)
-        assert outcome(lambda: read(str(path))) == (ParseError, f"line {line}: {message}", line, None)
-
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
-    @pytest.mark.parametrize(
-        "read, data",
-        [
-            (tally_labels, b"a,a\n" * 5_000 + b"\xff,b\n"),
-            (score_probs, b"actual,a,b\n" + b"a,1,0\n" * 5_000 + b"\xff,0,1\n"),
-            # A pipe cannot be read again for the rows before the byte's line: its decode error comes first.
-            (tally_labels, SHORT_LABELS),
-        ],
-        ids=["labels", "probs", "labels_with_an_earlier_bad_row"],
-    )
-    def test_a_pipe_says_the_input_is_not_utf8(self, read, data):
-        expected = (ParseError, "input is not valid UTF-8: byte 0xff (invalid start byte)", None, None)
-        assert outcome_through_a_pipe(data, read) == expected
+        assert read_by(via, tmp_path, read, data) == (ParseError, f"line {line}: {message}", line, None)
 
 
 class TestRoundTrip:

@@ -1,19 +1,17 @@
-"""The CLI's stepped probability paths give the row stream's stdout, stderr and exit code.
+"""Every path that reads an input gives its one stdout, stderr and exit code.
 
-Each case runs `clfmetrics` in process three times: through the row stream,
-with the stepped reader refused; in steps in this process, with the size from
-which a forked child claims pieces too raised out of reach; and in two
-processes, with it lowered to 0 so that small files are split too, and pieces
-of a few bytes, so that piece edges fall everywhere. After each stepped run no
-child may be left unreaped and no descriptor left open. Each case is also read
-through a pipe, which only the row stream can read. Then the tool runs as it
-is shipped, on files over the split threshold, from a file, through a pipe and
-on one CPU. The last tests split a label file on the same queue, and check
-that the forked child is started on another CPU and leaves this process's
-CPU affinity as it found it.
+A file's report, error and exit code never depend on which way it was read:
+in steps in one process, in two from the claim queue, as the row stream, or
+through a pipe; every error names its line, a byte that is not UTF-8
+included. conftest.every_path runs one CLI command by each path, in process,
+on each case of PATH_CASES, one table of label, probability, matrix and
+weights files, and names the path that disagrees. Then the tool runs as it is
+shipped, on files over the split threshold, from a file, through a pipe and
+on one CPU. The other tests hold a stalled or refusing child, a short reply,
+a file that grows, a named pipe opened once, SIGINT, and the CPU affinity of
+a forked label tally.
 """
 
-import contextlib
 import csv
 import errno
 import gc
@@ -30,24 +28,16 @@ import time
 import pytest
 
 from clfmetrics import claims, ingest, probfile
-from clfmetrics.cli import main
 from clfmetrics.ingest import _SerialOnly
-from conftest import default_sigint, through_a_pipe
-
-CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-splits = pytest.mark.skipif(
-    not hasattr(os, "fork") or len(CPUS) < 2 or not os.path.isdir("/proc/self/fd"),
-    reason="the split needs os.fork and two CPUs; the descriptor check needs /proc/self/fd",
-)
+from conftest import CPUS, FEW_BYTES, SHORT_LABELS, default_sigint, every_path, open_descriptors, refused, run, splits
 
 HEADER = b"actual,a,b,c\n"
 ROWS = [b"a,0.7,0.2,0.1\n", b"b,0.1,0.8,0.1\n", b"c,0.3,0.3,0.4\n", b"b,0.4,0.4,0.2\n", b"c,0,0,1\n", b"a,0.0,1,0\n"]
 BODY = b"".join(ROWS) * 20  # 120 rows
 # Over 256 KiB of data, so a piece of it reads several 64 KiB steps.
 BIG_BODY = b"".join(ROWS) * 4_000
-# Bytes per piece in the split runs: piece edges then fall inside lines, on line ends and in runs of blank lines.
-FEW_BYTES = 5
 SMALL_PIECE = 1 << 14  # BIG_BODY holds 21 pieces of this size
+LABELS = b"a,b\nb,b\nc,a\n" * 20_000  # 240 KB: 15 pieces of SMALL_PIECE
 WIDE_HEADER = b"actual," + b",".join(b"class_with_a_long_name_%04d" % i for i in range(3_000)) + b"\n"
 
 
@@ -95,6 +85,7 @@ CORPUS = {
     "header_only": (HEADER, True, 2),
     "bad_float_in_the_first_half": (HEADER + b"a,0.5,oops,0.5\n" + BODY, False, 2),
     "bad_float_in_the_second_half": (HEADER + BIG_BODY + b"b,0.5,0.5,oops\n" + BODY, False, 2),
+    "bad_float_at_the_end_crlf": ((HEADER + BIG_BODY + b"b,0.5,0.5,oops\n").replace(b"\n", b"\r\n"), False, 2),
     "out_of_range_in_the_second_half": (HEADER + BODY + b"a,1.2,-0.2,0\n", False, 2),
     "nan_in_the_second_half": (HEADER + BODY + b"a,0.5,nan,0.5\n", False, 2),
     "nan_in_the_first_column": (HEADER + b"a,nan,0.5,0.5\n" + BODY, False, 2),
@@ -151,54 +142,64 @@ CORPUS = {
     "empty": (b"", False, 2),
 }
 
-ARGVS = {
-    "text": ["evaluate", "--kind", "probs"],
-    "json_sum": ["evaluate", "--kind", "probs", "--format", "json", "--reduce", "sum", "--epsilon", "1e-9"],
+CLEAN_LINES = b"a,b\nb,a\nc,c\n" * 4
+# The four ways a quote makes label lines that steps cannot read alone, as in test_ingest's
+# test_quotes_that_steps_cannot_read_alone_give_the_row_stream_result, with the exit code of each.
+QUOTE_TRAPS = {
+    "quote_open_at_the_end": (b'z",w\nx,"y\nz",w\n', 2),
+    "quoted_crlf": (b'a,b\n"c","d\r\ne"\na,b\n', 0),
+    "header_spanning_lines": (b'"act\nual",x\na,b\na,b\n', 0),
+    "text_after_a_closing_quote": (b'a,"b"c\na,b\n"a","b"\n', 0),
 }
-
-
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def open_descriptors():
-    return sorted(os.listdir("/proc/self/fd"))
-
-
-def refused(*args):
-    raise _SerialOnly("refused")
-
-
-def three_runs(monkeypatch, argv):
-    """(row stream, steps in process, split) outcomes of one CLI run, then whether each stepped run completed.
-
-    Neither stepped run may leave a child unreaped or a descriptor open.
-    """
-    score_steps = probfile.score_steps
-    monkeypatch.setattr(probfile, "score_steps", refused)
-    outcomes, completed = [run(argv)], []
-
-    def counted(*args):
-        completed[-1].append(False)
-        result = score_steps(*args)
-        completed[-1][-1] = True
-        return result
-
-    monkeypatch.setattr(probfile, "score_steps", counted)
-    for threshold, piece in ((1 << 62, claims._PIECE), (0, FEW_BYTES)):
-        monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", threshold)
-        monkeypatch.setattr(claims, "_PIECE", piece)
-        completed.append([])
-        gc.collect()  # or earlier tests' objects that only a collection closes may close mid-run and leave the snapshot
-        before = open_descriptors()
-        outcomes.append(run(argv))
-        assert open_descriptors() == before
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    return (*outcomes, *completed)
+# name -> (file bytes, whether each stepped run completes, exit code): each a pair, without and with --has-header
+LABEL_CASES = {
+    "bom_crlf_blank_lines": (b"\xef\xbb\xbf" + b"a,b\r\n\r\nb,a\r\n\n" * 20 + b"c,c", (True, True), (0, 0)),
+    "bare_cr": (b"a,b\rb,b\r" * 20, (True, True), (0, 0)),
+    "header_after_blank_lines": (b"\n\r\n\rh,h\r\n" + CLEAN_LINES + b"\n" + CLEAN_LINES, (True, True), (0, 0)),
+    "all_quoted": (CLEAN_LINES.replace(b"a", b'"a"').replace(b"b", b'"b""x"') * 3, (True, True), (0, 0)),
+    "header_only": (b"\r\nh,h\r\n", (True, True), (2, 2)),
+    "empty": (b"", (True, False), (2, 2)),  # no header in the first step: the row stream finds none either
+    **{name: (trap, (False, False), (code, code)) for name, (trap, code) in QUOTE_TRAPS.items()},
+    **{
+        f"{name}_late": (CLEAN_LINES + trap + CLEAN_LINES, (False, False), (code, code))
+        for name, (trap, code) in QUOTE_TRAPS.items()
+    },
+    "quoted_field_spanning_lines": (b'a,"x\ny,z"\nb,b\n', (False, False), (0, 2)),
+    "quote_past_the_first_chunk": (b"a,a\nb,a\n" * 5_000 + b'b,"b"\n', (True, True), (0, 0)),
+    "bad_row_past_the_first_chunk": (b"a,b\n" * 10_000 + b"a,b,c\n", (False, False), (2, 2)),
+    "bad_row_in_a_small_file": (b"a,a\n,b\n", (False, False), (2, 2)),
+    "bom_header_and_clean_rows": (b"\xef\xbb\xbfh,h\n" + b"a,b\nb,a\n\n" * 5_000, (True, True), (0, 0)),
+    "undecodable_past_the_first_chunk": (b"a,a\n" * 5_000 + b"\xff,b\n", (False, False), (2, 2)),
+    "bad_row_before_an_undecodable_byte": (SHORT_LABELS, (False, False), (2, 2)),
+}
+FOUR_CLASSES = b",a,b\na,3,1\nb,2,4\n"
+# kind -> case -> (input bytes, or a list of them, whether each stepped run completes, exit code), each case run
+# with each command of ARGVS[kind] and the input's names after it
+PATH_CASES = {
+    "probs": CORPUS,
+    "labels": LABEL_CASES,
+    "matrix": {
+        "plain": (FOUR_CLASSES, False, 0),
+        "undecodable": (b",a,b\na,1,2\nb,3,\xff\n", False, 2),
+        "bad_row_before_an_undecodable_byte": (b",a,b\na,1\nb,3,\xff\n", False, 2),
+    },
+    "weights": {
+        "plain": ([b"a,1\nb,2\n", FOUR_CLASSES], False, 0),
+        "undecodable": ([b"a,1\n\xffb,2\n", FOUR_CLASSES], False, 2),
+        "bad_weight_before_an_undecodable_byte": ([b"a,x\n\xffb,2\n", FOUR_CLASSES], False, 2),
+        "undecodable_matrix": ([b"a,1\nb,2\n", FOUR_CLASSES + b"\xff\n"], False, 2),
+    },
+}
+LABELS_JSON = ["evaluate", "--kind", "labels", "--format", "json"]
+ARGVS = {
+    "probs": {
+        "text": ["evaluate", "--kind", "probs"],
+        "json_sum": ["evaluate", "--kind", "probs", "--format", "json", "--reduce", "sum", "--epsilon", "1e-9"],
+    },
+    "labels": {"json": LABELS_JSON, "has_header": [*LABELS_JSON, "--has-header"]},
+    "matrix": {"text": ["evaluate", "--kind", "matrix"]},
+    "weights": {"text": ["evaluate", "--kind", "matrix", "--weights"]},  # the weights file, then the matrix
+}
 
 
 def piece_edges(data):
@@ -221,38 +222,37 @@ def test_few_byte_pieces_put_edges_in_every_kind_of_place(monkeypatch):
     assert edges >= {"inside a line", "on an LF", "between a CR and its LF", "in a run of blank lines"}
 
 
-@splits
-@pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS.keys())
-@pytest.mark.parametrize("case", CORPUS)
-def test_split_run_matches_the_serial_run(tmp_path, monkeypatch, case, argv):
-    data, completes, code = CORPUS[case]
-    path = tmp_path / "p.csv"
-    path.write_bytes(data)
-    rows, stepped, split, in_process, forked = three_runs(monkeypatch, [*argv, str(path)])
-    assert (stepped, split) == (rows, rows)
-    assert rows[0] == code
-    assert (in_process, forked) == ([completes], [completes])
+VIAS = {"labels": ("steps", "pipe"), "probs": ("steps", "pipe"), "matrix": ("pipe",), "weights": ("pipe",)}
+
+
+@pytest.mark.parametrize(
+    "kind, case, argv, via", [(k, c, a, v) for k in ARGVS for c in PATH_CASES[k] for a in ARGVS[k] for v in VIAS[k]]
+)
+def test_every_path_gives_one_outcome(tmp_path, kind, case, argv, via):
+    """Each case gives the row stream's outcome and its exit code in steps (labels and probabilities) and through a
+    pipe, its steps completing by each stepped path, or not; label files are claimed in 1-byte pieces too, and read
+    with and without a header row."""
+    data, completes, code = PATH_CASES[kind][case]
+    if kind == "labels":
+        completes, code = completes[argv == "has_header"], code[argv == "has_header"]
+    pieces = (1, FEW_BYTES) if kind == "labels" else (FEW_BYTES,)
+    outcome, completed = every_path(tmp_path, kind, data, ARGVS[kind][argv], pieces, (via,))
+    assert outcome[0] == code
+    assert completed == dict.fromkeys(completed, [completes])
 
 
 @splits
-def test_tab_delimited_file_is_split(tmp_path, monkeypatch):
-    path = tmp_path / "p.tsv"
-    path.write_bytes((HEADER + BIG_BODY).replace(b",", b"\t"))
-    argv = ["evaluate", "--kind", "probs", "--delimiter", "tab", str(path)]
-    rows, stepped, split, in_process, forked = three_runs(monkeypatch, argv)
-    assert (stepped, split) == (rows, rows)
-    assert (rows[0], in_process, forked) == (0, [True], [True])
+def test_tab_delimited_file_is_split(tmp_path):
+    data = (HEADER + BIG_BODY).replace(b",", b"\t")
+    outcome, completed = every_path(tmp_path, "probs", data, ["evaluate", "--kind", "probs", "--delimiter", "tab"])
+    assert (outcome[0], completed) == (0, dict.fromkeys(completed, [True]))
 
 
 @splits
-def test_compare_splits_each_side(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    a.write_bytes(HEADER + BIG_BODY)
-    b.write_bytes(HEADER + BODY + BIG_BODY)
-    argv = ["compare", "--kind", "probs", "--format", "json", str(a), str(b)]
-    rows, stepped, split, in_process, forked = three_runs(monkeypatch, argv)
-    assert (stepped, split) == (rows, rows)
-    assert (rows[0], in_process, forked) == (0, [True, True], [True, True])
+def test_compare_splits_each_side(tmp_path):
+    data = [HEADER + BIG_BODY, HEADER + BODY + BIG_BODY]
+    outcome, completed = every_path(tmp_path, "probs", data, ["compare", "--kind", "probs", "--format", "json"])
+    assert (outcome[0], completed) == (0, dict.fromkeys(completed, [True, True]))
 
 
 @pytest.mark.parametrize("fields", [1, 12], ids=["one_row", "three_rows"])
@@ -265,37 +265,11 @@ def test_row_stream_blocks_of_any_size_give_the_same_run(tmp_path, monkeypatch, 
     """
     path = tmp_path / "p.csv"
     path.write_bytes(CORPUS[case][0])
-    argv = [*ARGVS["json_sum"], str(path)]
+    argv = [*ARGVS["probs"]["json_sum"], str(path)]
     monkeypatch.setattr(probfile, "score_steps", refused)
     default = run(argv)
     monkeypatch.setattr(probfile, "_BLOCK_FIELDS", fields)
     assert run(argv) == default
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
-@pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS.keys())
-@pytest.mark.parametrize("case", CORPUS)
-def test_a_pipe_gives_the_row_stream_run(tmp_path, monkeypatch, case, argv):
-    """Through a pipe, read once, each case gives the run of its file's row stream, the input's name aside.
-
-    A byte that is not UTF-8 is named without its line, which only a second read could find.
-    """
-    data = CORPUS[case][0]
-
-    def renamed(name):
-        return tuple(part.replace(name, "<input>") if isinstance(part, str) else part for part in run([*argv, name]))
-
-    piped = through_a_pipe(data, renamed)
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        error = f"clfmetrics: error: input is not valid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})\n"
-        assert piped == (2, "", error)
-        return
-    path = tmp_path / "p.csv"
-    path.write_bytes(data)
-    monkeypatch.setattr(probfile, "score_steps", refused)
-    assert piped == renamed(str(path))
 
 
 def record_claims(tmp_path, monkeypatch, first_claim):
@@ -408,36 +382,13 @@ def test_the_indices_of_a_terabyte_fit_in_one_pipe_page():
 
 @splits
 def test_a_short_reply_from_the_child_falls_back(tmp_path, monkeypatch):
-    path = tmp_path / "p.csv"
-    path.write_bytes(HEADER + BIG_BODY)
-
     class Truncating:
         dumps = staticmethod(lambda value: marshal.dumps(value)[:-3])
         loads = staticmethod(marshal.loads)
 
     monkeypatch.setattr(claims, "marshal", Truncating)
-    rows, stepped, split, in_process, forked = three_runs(monkeypatch, ["evaluate", "--kind", "probs", str(path)])
-    assert (stepped, split) == (rows, rows)
-    assert (rows[0], in_process, forked) == (0, [True], [False])
-
-
-@splits
-def test_a_pipe_is_read_serially(tmp_path, monkeypatch):
-    path = tmp_path / "p.csv"
-    path.write_bytes(HEADER.replace(b"\n", b"\r\n") + BIG_BODY.replace(b"\n", b"\r\n") + b"b,0.5,0.5,oops\r\n")
-    monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 1 << 62)
-    expected = run(["evaluate", "--kind", "probs", str(path)])
-    assert expected[0] == 2
-    monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
-    gc.collect()  # as in three_runs
-    before = open_descriptors()
-    with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
-        piped = run(["evaluate", "--kind", "probs", f"/dev/fd/{cat.stdout.fileno()}"])
-        cat.stdout.close()
-    assert piped == expected
-    assert open_descriptors() == before
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    outcome, completed = every_path(tmp_path, "probs", HEADER + BIG_BODY, ["evaluate", "--kind", "probs"])
+    assert (outcome[0], completed) == (0, {"steps in one process": [True], "the claim queue in 5-byte pieces": [False]})
 
 
 @splits
@@ -497,12 +448,13 @@ def test_a_named_pipe_is_opened_once(tmp_path):
     assert b"classes (3): a, b, c" in out
 
 
-# Run as a script: a split run in which each half waits before its first step, so that a signal finds both at work.
-# After main returns, it writes its code, whether a child is left unreaped and whether its descriptors are those it
-# started with to the file named by its second argument, and exits with the code.
+# Run as a script on a file of a kind: a split run in which each process waits before its first step, so that a signal
+# finds both at work. After main returns, it writes its code, whether a child is left unreaped and whether its
+# descriptors and CPU affinity are those it started with to the file named by its third argument, and exits with the
+# code.
 HELD_SPLIT = """
 import json, os, sys, time
-from clfmetrics import ingest, probfile
+from clfmetrics import ingest
 from clfmetrics.cli import main
 
 steps = ingest._range_steps
@@ -512,16 +464,16 @@ def held(*args):
     yield from steps(*args)
 
 ingest._range_steps, ingest.PARALLEL_MIN_BYTES = held, 0
-before = sorted(os.listdir("/proc/self/fd"))
-code = main(["evaluate", "--kind", "probs", sys.argv[1]])
+before = sorted(os.listdir("/proc/self/fd")), os.sched_getaffinity(0)
+code = main(["evaluate", "--kind", sys.argv[2], sys.argv[1]])
 try:
     os.waitpid(-1, os.WNOHANG)
     unreaped = True
 except ChildProcessError:
     unreaped = False
-same_descriptors = sorted(os.listdir("/proc/self/fd")) == before
-with open(sys.argv[2], "w") as out:
-    json.dump([code, unreaped, same_descriptors], out)
+same = (sorted(os.listdir("/proc/self/fd")), os.sched_getaffinity(0)) == before
+with open(sys.argv[3], "w") as out:
+    json.dump([code, unreaped, same], out)
 sys.exit(code)
 """
 
@@ -530,12 +482,13 @@ sys.exit(code)
 @pytest.mark.skipif(
     not os.path.exists(f"/proc/self/task/{os.getpid()}/children"), reason="needs /proc/<pid>/task/<tid>/children"
 )
-def test_sigint_during_a_split_run_exits_130_and_leaves_no_child_or_descriptor(tmp_path):
-    path = tmp_path / "p.csv"
-    path.write_bytes(HEADER + BIG_BODY)
+@pytest.mark.parametrize("kind", ["probs", "labels"])
+def test_sigint_during_a_split_run_exits_130_and_leaves_no_child_or_descriptor(tmp_path, kind):
+    path = tmp_path / "input.csv"
+    path.write_bytes(HEADER + BIG_BODY if kind == "probs" else LABELS)
     after = tmp_path / "after.json"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(probfile.__file__)))
-    argv = [sys.executable, "-c", HELD_SPLIT, str(path), str(after)]
+    argv = [sys.executable, "-c", HELD_SPLIT, str(path), kind, str(after)]
     pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
     with subprocess.Popen(argv, env=env, start_new_session=True, preexec_fn=default_sigint, **pipes) as cli:
         try:
@@ -545,7 +498,7 @@ def test_sigint_during_a_split_run_exits_130_and_leaves_no_child_or_descriptor(t
                     assert time.monotonic() < deadline, "the run never forked"
                     time.sleep(0.01)
                     children.seek(0)
-            os.killpg(cli.pid, signal.SIGINT)  # its group alone: the tool and its forked half
+            os.killpg(cli.pid, signal.SIGINT)  # its group alone: the tool and its forked child
             code = cli.wait(timeout=60)
         finally:
             cli.kill()
@@ -608,9 +561,6 @@ def test_a_file_read_as_stdin_gives_the_pipe_run(tmp_path, name):
     outcomes = [(each.stdout, each.stderr, each.returncode) for each in runs]
     assert outcomes[1:] == outcomes[:1] * (len(runs) - 1)
     assert from_file.returncode == code
-
-
-LABELS = b"a,b\nb,b\nc,a\n" * 20_000  # 240 KB: 15 pieces of SMALL_PIECE
 
 
 def record_affinity(tmp_path, monkeypatch, refuse=False):
@@ -677,7 +627,7 @@ def test_a_forked_label_tally_moves_the_child_and_restores_the_affinity(tmp_path
         return result
 
     monkeypatch.setattr(ingest, "_tally_distinct_lines", counted)
-    gc.collect()  # as in three_runs
+    gc.collect()  # or an earlier test's garbage, collected mid-run, may close a descriptor off the snapshot
     before = open_descriptors(), os.sched_getaffinity(0)
     assert run(argv) == rows
     assert (open_descriptors(), os.sched_getaffinity(0)) == before
@@ -686,57 +636,3 @@ def test_a_forked_label_tally_moves_the_child_and_restores_the_affinity(tmp_path
     assert completed == ([True] if fault in ("none", "affinity_refused") else [])
     first, every = [min(CPUS)], sorted(CPUS)
     assert masks() == {"parent": [first, every], "child": [sorted(CPUS - {min(CPUS)}), every]}
-
-
-# As HELD_SPLIT, on a label file; it also writes whether its CPU affinity is as it was before the run.
-HELD_LABEL_SPLIT = """
-import json, os, sys, time
-from clfmetrics import ingest
-from clfmetrics.cli import main
-
-steps = ingest._range_steps
-
-def held(*args):
-    time.sleep(60)
-    yield from steps(*args)
-
-ingest._range_steps, ingest.PARALLEL_MIN_BYTES = held, 0
-before = sorted(os.listdir("/proc/self/fd")), os.sched_getaffinity(0)
-code = main(["evaluate", "--kind", "labels", sys.argv[1]])
-try:
-    os.waitpid(-1, os.WNOHANG)
-    unreaped = True
-except ChildProcessError:
-    unreaped = False
-same = (sorted(os.listdir("/proc/self/fd")), os.sched_getaffinity(0)) == before
-with open(sys.argv[2], "w") as out:
-    json.dump([code, unreaped, same], out)
-sys.exit(code)
-"""
-
-
-@splits
-@pytest.mark.skipif(
-    not os.path.exists(f"/proc/self/task/{os.getpid()}/children"), reason="needs /proc/<pid>/task/<tid>/children"
-)
-def test_sigint_during_a_forked_label_tally_exits_130_and_leaves_no_child_or_descriptor(tmp_path):
-    path = tmp_path / "l.csv"
-    path.write_bytes(LABELS)
-    after = tmp_path / "after.json"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ingest.__file__)))
-    argv = [sys.executable, "-c", HELD_LABEL_SPLIT, str(path), str(after)]
-    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
-    with subprocess.Popen(argv, env=env, start_new_session=True, preexec_fn=default_sigint, **pipes) as cli:
-        try:
-            deadline = time.monotonic() + 60
-            with open(f"/proc/{cli.pid}/task/{cli.pid}/children") as children:
-                while not children.read().split():  # the fork has not happened yet
-                    assert time.monotonic() < deadline, "the run never forked"
-                    time.sleep(0.01)
-                    children.seek(0)
-            os.killpg(cli.pid, signal.SIGINT)  # its group alone: the tool and its forked child
-            code = cli.wait(timeout=60)
-        finally:
-            cli.kill()
-        assert (code, cli.stdout.read(), cli.stderr.read()) == (130, b"", b"")
-    assert json.loads(after.read_text()) == [130, False, True]
