@@ -40,7 +40,7 @@ def _claimed_steps(queue: BinaryIO, fd: int, start: int, size: int, piece: int, 
     while claim := queue.read(4):
         low = start + int.from_bytes(claim, "little") * piece
         high = min(low + piece, size)
-        begin = ingest._line_end(fd, low - 1, high) if low > start else start  # a line starts at start, and after each LF
+        begin = ingest._line_end(fd, low - 1, high) if low > start else start  # lines start after a CR or an LF
         if begin < high:
             yield from ingest._range_steps(fd, begin, ingest._line_end(fd, high - 1, size), *step)
 

@@ -15,16 +15,16 @@ One entry per job: tally_labels, score_probs and read_matrix read the three
 shapes, read_weights class weights. stream_labels yields a label file's pairs
 row by row: the reference tally_labels agrees with, and its fallback.
 
-Every reader takes UTF-8 text (LF or CRLF, with or without a byte-order
-mark) and opens its file once. A file's report, error and exit code never
-depend on which way it was read, a pipe included: every error carries the
-1-based line number it was raised on, a byte that is not UTF-8 included,
-counting LF, CR and CRLF as one line end each, as csv does. tally_labels and
-score_probs read a file in steps or as the row stream; _steps_or_rows alone
-decides which. Either way score_probs scores blocks of rows in probfile.py.
-Steps are read by _read_in_steps for both: in one process, or from
-PARALLEL_MIN_BYTES on in two, which claim pieces of the file from one queue
-(claims.py, loaded only then).
+Every reader takes UTF-8 text (LF or CRLF, with or without a byte-order mark)
+and opens its file once. A file's report, error and exit code never depend on
+which way it was read, a pipe included: every error carries the 1-based line
+number it was raised on, a byte that is not UTF-8 included, counting LF, CR and
+CRLF as one line end each, as csv does. tally_labels and score_probs read a
+file in steps or as the row stream; _steps_or_rows alone decides which. Either
+way score_probs scores blocks of rows in probfile.py. In steps, a header is
+found by _first_row alone, and a line ends at each CR or LF. Steps are read by
+_read_in_steps for both: in one process, or from PARALLEL_MIN_BYTES on in two,
+which claim pieces of the file from one queue (claims.py, loaded only then).
 """
 
 from __future__ import annotations
@@ -175,17 +175,33 @@ def _blocks(handle: TextIO) -> Iterator[list[str]]:
         yield block
 
 
-def _line_end(fd: int, start: int, end: int, ends: bytes = b"\n") -> int:
-    """The offset just past the first match of the pattern ends, an LF unless given, at or after start, else end."""
+def _line_end(fd: int, start: int, end: int) -> int:
+    """The offset just past the first CR or LF at or after start, else end."""
     while start < end:
         block = os.pread(fd, _RESCAN_CHUNK, start)
         if not block:
             raise _SerialOnly("the file shrank")
-        found = re.search(ends, block)
+        found = re.search(b"[\r\n]", block)
         if found:
             return start + found.end()
         start += len(block)
     return end
+
+
+def _first_row(fd: int, start: int, size: int, delimiter: str, longest: float = math.inf) -> tuple[list[str], int]:
+    """The fields of a file's first non-blank line from start, ended at its first CR or LF, as strict csv reads them
+    (a quote left open is an error), and the offset just past that line end: a CRLF's LF starts a blank line. Refuses,
+    reading nothing into memory, a file with no such line, or a line longer than longest."""
+    while (block := os.pread(fd, _RESCAN_CHUNK, start)) and not block.lstrip(b"\r\n"):  # a run of blank lines
+        start += len(block)
+    start += len(block) - len(block.lstrip(b"\r\n"))
+    end = _line_end(fd, start, size)
+    if not start < end <= start + longest:
+        raise _SerialOnly("no first row, or one too long for a valid row")
+    line = os.pread(fd, end - start, start)
+    if len(line) < end - start:
+        raise _SerialOnly("the file shrank")
+    return next(csv.reader([line.decode("utf-8")], delimiter=delimiter, strict=True)), end
 
 
 def _range_steps(fd: int, start: int, end: int, step: int, longest: float = math.inf) -> Iterator[str]:
@@ -391,13 +407,7 @@ def _tally_distinct_lines(
     The lines after a header are read as _read_in_steps reads them; each process's line counts are added.
     """
     longest = 8 * csv.field_size_limit() + 6  # a valid row: 2 fields, a delimiter, 4 bytes a character, a line end
-    if has_header:  # the first non-blank line, in the first step, must be a whole row to strict csv; steps follow it
-        # Blank lines, then the first line and one character of its line end: csv ends a line at CR, LF or CRLF.
-        header = re.match("[\r\n]*([^\r\n]*)[\r\n]?", next(_range_steps(fd, start, size, _LABEL_STEP, longest), ""))
-        if not header[1]:
-            raise _SerialOnly("no header in the first step")
-        next(csv.reader([header[1]], delimiter=delimiter, strict=True))  # a quote left open is an error
-        start += len(header[0].encode())
+    start = _first_row(fd, start, size, delimiter, longest)[1] if has_header else start  # steps follow a header
     lines: Counter[str] = Counter()
     for counts in _read_in_steps(fd, start, size, _count_lines, _LABEL_STEP, longest):
         lines.update(counts)

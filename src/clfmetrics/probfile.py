@@ -1,24 +1,23 @@
-"""Score a probability file in blocks of whole lines: its header, its step scorer and its row stream.
+"""Score a probability file in blocks of whole lines: its step scorer and its row stream.
 
-score_steps and _score_rows, the step reader and the row stream that ingest._steps_or_rows runs for
-score_probs, are in a module of its own so that only a probability run compiles and loads them.
-ingest._read_in_steps reads the data, in one process or from its claim queue in two. Each step's
-fields, quoted labels read as csv reads them, are scored as one block by proba.score_block, or
-refused with _SerialOnly; the row stream alone names errors, walking a refused block row by row.
+score_steps and _score_rows, the step reader and the row stream that ingest._steps_or_rows runs for score_probs,
+are in a module of their own so that only a probability run compiles and loads them. score_steps takes the header
+from ingest._first_row and the data from ingest._read_in_steps, in one process or from its claim queue in two. Each
+step's fields, quoted labels read as csv reads them, are scored as one block by proba.score_block, or refused with
+_SerialOnly; the row stream alone names errors, walking a refused block row by row.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 from collections import Counter
 from itertools import chain, islice, repeat
 from typing import Iterable, NoReturn, TextIO
 
 from .confusion import ClassRegistry
-from .ingest import IngestError, ParseError, ProbSumOutOfToleranceError, UnknownActualLabelError, _line_end, _rows
-from .ingest import _quote, _read_header, _read_in_steps, _SerialOnly, _split_lines
+from .ingest import IngestError, ParseError, ProbSumOutOfToleranceError, UnknownActualLabelError, _first_row
+from .ingest import _quote, _rows, _read_header, _read_in_steps, _SerialOnly, _split_lines
 from .proba import _BLOCK_FIELDS, PROB_SUM_TOLERANCE, Scores, score_block
 
 # Bytes per read step of a probability file; larger steps only raise peak memory.
@@ -28,27 +27,13 @@ _PROB_STEP = 1 << 16
 def score_steps(fd: int, start: int, size: int, delimiter: str, epsilon: float) -> tuple[ClassRegistry, Scores]:
     """The registry and scores of a probability file's bytes start..size, or _SerialOnly: the scores of each process
     that ingest._read_in_steps reads the data in, added."""
-    data_start = _line_end(fd, start, size, b"[\r\n]")  # a header ends at its first CR or LF: no more is read
-    data_start += os.pread(fd, 2, max(data_start - 1, 0)) == b"\r\n"  # and a CR's LF
-    registry = _plain_header(os.pread(fd, data_start - start, start), delimiter)
-    parts = _read_in_steps(
-        fd, data_start, size, lambda steps: _score_steps(steps, registry, delimiter, epsilon), _PROB_STEP
-    )
+    header, start = _first_row(fd, start, size, delimiter)
+    registry = _read_header(iter([(1, header)]))[1]
+    parts = _read_in_steps(fd, start, size, lambda steps: _score_steps(steps, registry, delimiter, epsilon), _PROB_STEP)
     tally: Counter[tuple[int, int]] = Counter()
     for part, _ in parts:
         tally.update(part)
     return registry, (tally, sum(total for _, total in parts))
-
-
-def _plain_header(line: bytes, delimiter: str) -> ClassRegistry:
-    """The registry of a first line that is a whole header row to strict csv, which refuses a quote left open."""
-    text = line.decode("utf-8")
-    if not text.endswith("\n"):
-        raise _SerialOnly("a header without a line end")
-    text = text[:-1].removesuffix("\r")
-    if not text:
-        raise _SerialOnly("a blank first line")
-    return _read_header(iter([(1, next(csv.reader([text], delimiter=delimiter, strict=True)))]))[1]
 
 
 def _score_steps(steps: Iterable[str], registry: ClassRegistry, delimiter: str, epsilon: float) -> Scores:

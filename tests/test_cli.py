@@ -407,42 +407,6 @@ def test_json_reports_at_k2000_are_the_standard_layout_and_round_trip(tmp_path, 
     assert_equal_short_diff(render_json(parse_json(outs["evaluate"])), outs["evaluate"])
 
 
-def label_parity_files():
-    """name -> a label file with a header, written with a byte-order mark: about 1 MB, or 1.2 MB all distinct."""
-    rng = random.Random(11)
-    names = [f"c{i}" for i in range(10)]
-    rows = []
-    for i in range(150_000):  # two classes first appear in the last rows
-        pool = names + ["late1", "late2"] if i > 149_000 else names
-        rows.append(rng.choice(pool) + "," + rng.choice(pool) + ("\r\n" if i % 3 else "\n") + "\n" * (i % 97 == 0))
-    bodies = {
-        "labels": rows,
-        "quoted": ['"' + row.rstrip("\r\n").replace(",", '","') + '"' + row[len(row.rstrip("\r\n")) :] for row in rows],
-        "distinct": [f"c{i % 1000},c{(i // 1000 + i) % 1000}\n" for i in range(100_000)],
-        "bad": rows[:-5] + ["c1,c2,c3\n"] + rows[-5:],
-    }
-    return {name: ("\ufeffactual,predicted\r\n" + "".join(body)).encode() for name, body in bodies.items()}
-
-
-def test_a_label_file_tallied_by_distinct_line_reads_as_the_row_by_row_pipe_run(tmp_path):
-    """Redirected from a file, /dev/stdin is a regular file and is tallied by distinct line; through a pipe it is read
-    row by row. Both runs give the same stdout, stderr and exit code."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clfmetrics.__file__)))
-    argv = [sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "labels", "--has-header", "--format", "json"]
-    argv.append("/dev/stdin")
-    codes = {}
-    for name, data in label_parity_files().items():
-        path = tmp_path / f"{name}.csv"
-        path.write_bytes(data)
-        with open(path, "rb") as stdin:
-            from_file = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=120)
-        through_pipe = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=120)
-        assert_equal_short_diff(from_file.stdout, through_pipe.stdout, f"{name} stdouts")
-        assert (from_file.stderr, from_file.returncode) == (through_pipe.stderr, through_pipe.returncode), name
-        codes[name] = from_file.returncode
-    assert codes == {"labels": 0, "quoted": 0, "distinct": 0, "bad": 2}
-
-
 # Run as `python -S -c LOADED <argv>`, the command as `python -m clfmetrics` runs it. At the os._exit that ends it,
 # it writes to loaded.txt its exit code, the clfmetrics modules it loaded (clfmetrics.__main__ runs as __main__),
 # and which of WATCHED it loaded.
@@ -594,7 +558,7 @@ PEAK_RSS = (
 
 
 class TestOversizedLabelLine:
-    """The stepped tally refuses a label line longer than any valid row before joining it: it is not held many times."""
+    """A 20 MB line is not held many times: the steps refuse it before joining it, or read it alone as a header."""
 
     @staticmethod
     def peak_mib(argv, cwd, stdin=None):
@@ -610,15 +574,25 @@ class TestOversizedLabelLine:
         return code, result.stderr, peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
     @pytest.mark.parametrize("via", ["file", "pipe"])
-    @pytest.mark.parametrize("short", [b"", b"a,b\n", "é,b\n".encode()], ids=["alone", "after_ascii", "after_utf8"])
-    def test_a_20_mb_line_costs_at_most_two_and_a_half_times_its_size(self, tmp_path, short, via):
-        """The line alone, or after 1,000 short lines, ASCII or not, in which case its 20 MB are 10M of "é"."""
+    @pytest.mark.parametrize(
+        "short, args, after",
+        [
+            (b"", ["--kind", "labels"], b""),
+            (b"a,b\n", ["--kind", "labels"], b""),
+            ("é,b\n".encode(), ["--kind", "labels"], b""),
+            (b"", ["--kind", "labels", "--has-header"], b"a,b\n" * 1_000),
+            (b"", ["--kind", "probs"], b"a,0.5,0.5\n" * 1_000),
+        ],
+        ids=["alone", "after_ascii", "after_utf8", "label_header", "probability_header"],
+    )
+    def test_a_20_mb_line_costs_at_most_two_and_a_half_times_its_size(self, tmp_path, short, args, after, via):
+        """The line alone, or after 1,000 short lines, ASCII or not (10M of "é"), or a header before 1,000 rows."""
         size = 20_000_000
-        data = short * 1_000 + b"a," + (b"x" * size if short.isascii() else "é".encode() * (size // 2)) + b"\n"
+        data = short * 1_000 + b"a," + (b"x" * size if short.isascii() else "é".encode() * (size // 2)) + b"\n" + after
         (tmp_path / "big.csv").write_bytes(data)
         code, _, base = self.peak_mib(["--version"], tmp_path)
         assert code == 0
-        argv = ["evaluate", "--kind", "labels", "big.csv" if via == "file" else "/dev/stdin"]
+        argv = ["evaluate", *args, "big.csv" if via == "file" else "/dev/stdin"]
         code, message, peak = self.peak_mib(argv, tmp_path, data if via == "pipe" else None)
         error = f"line {1 + 1_000 * bool(short)}: malformed CSV: field larger than field limit (131072)"
         assert (code, message) == (2, f"clfmetrics: error: {error}\n".encode())
@@ -659,9 +633,9 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("end", [b"", b"\n"], ids=["no_lf", "a_final_lf"])
     def test_a_bare_cr_probability_file_is_not_read_whole_for_its_header(self, tmp_path, end):
-        """The steps find a header's end at its first CR or LF, and refuse a bare CR: a 20 MB file whose lines end in
-        CR costs 2.0 MiB above --version here, under a quarter of its size. Read up to its first LF, or its end, and
-        decoded whole, the header cost 40-78 MiB, two to four times the file."""
+        """The steps end the header at its first CR, and refuse the step that holds the bad row: a 20 MB file
+        whose lines end in CR costs 1.6-2.0 MiB above --version here, under a quarter of its size. Read up to its
+        first LF, or its end, and decoded whole, the header cost 40-78 MiB, two to four times the file."""
         size = 20_000_000
         (tmp_path / "cr.csv").write_bytes(b"actual,a,b\ra,0.5,oops\r" + b"a,0.5,0.5\r" * (size // 10) + end)
         _, _, base = TestOversizedLabelLine.peak_mib(["--version"], tmp_path)

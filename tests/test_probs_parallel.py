@@ -6,10 +6,10 @@ through a pipe; every error names its line, a byte that is not UTF-8
 included. conftest.every_path runs one CLI command by each path, in process,
 on each case of PATH_CASES, one table of label, probability, matrix and
 weights files, and names the path that disagrees. Then the tool runs as it is
-shipped, on files over the split threshold, from a file, through a pipe and
-on one CPU. The other tests hold a stalled or refusing child, a short reply,
-a file that grows, a named pipe opened once, SIGINT, and the CPU affinity of
-a forked label tally.
+shipped, on label and probability files over the split threshold, from a
+file, through a pipe and on one CPU. The other tests hold a stalled or
+refusing child, a short reply, a file that grows, a named pipe opened once,
+SIGINT, and the CPU affinity of a forked label tally.
 """
 
 import csv
@@ -20,6 +20,7 @@ import json
 import marshal
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -132,10 +133,14 @@ CORPUS = {
     # The header's open quote runs into the next line, where csv reads on to duplicate class names. A csv reader
     # that is not strict would close the quote at the line end and leave classes a, b, c and a valid first row.
     "header_quote_left_open_at_its_line_end": (b'actual,a,b,"c\n"c",0.5,0.5,0\n' + BODY, False, 2),
-    "bare_cr_header": (HEADER.replace(b"\n", b"\r") + BODY, False, 0),
+    # The header ends at its first CR or LF, and the data starts just past it, as csv reads the file.
+    "bare_cr_header": (HEADER.replace(b"\n", b"\r") + BODY, True, 0),
     "bare_cr_rows": (HEADER + BIG_BODY.replace(b"\n", b"\r"), True, 0),
+    "bare_cr_only": ((HEADER + BIG_BODY).replace(b"\n", b"\r"), True, 0),
+    "header_without_a_line_end": (HEADER.rstrip(), True, 2),
     "crlf_split_across_read_steps": (HEADER + BIG_BODY.replace(b"\n", b"\r\r\n"), True, 0),
-    "blank_first_line": (b"\n" + HEADER + BODY, False, 0),
+    "blank_first_line": (b"\n" + HEADER + BODY, True, 0),
+    "blank_lines_past_a_scan_chunk": (b"\r\n" * 3_000 + HEADER + BODY, True, 0),
     "duplicate_class_columns": (b"actual,a,a,c\n" + BODY, False, 2),
     "empty_class_name": (b"actual,a,,c\n" + BODY, False, 2),
     "one_class_header": (b"actual,a\n" + BODY, False, 2),
@@ -155,6 +160,9 @@ QUOTE_TRAPS = {
 LABEL_CASES = {
     "bom_crlf_blank_lines": (b"\xef\xbb\xbf" + b"a,b\r\n\r\nb,a\r\n\n" * 20 + b"c,c", (True, True), (0, 0)),
     "bare_cr": (b"a,b\rb,b\r" * 20, (True, True), (0, 0)),
+    "bare_cr_over_many_pieces": (b"h,h\r" + LABELS.replace(b"\n", b"\r"), (True, True), (0, 0)),
+    # A first line of 600,000 short fields, longer than any valid label row: a header the row stream skips.
+    "header_longer_than_any_valid_row": (b",".join([b"h"] * 600_000) + b"\n" + CLEAN_LINES, (False, False), (2, 0)),
     "header_after_blank_lines": (b"\n\r\n\rh,h\r\n" + CLEAN_LINES + b"\n" + CLEAN_LINES, (True, True), (0, 0)),
     "all_quoted": (CLEAN_LINES.replace(b"a", b'"a"').replace(b"b", b'"b""x"') * 3, (True, True), (0, 0)),
     "header_only": (b"\r\nh,h\r\n", (True, True), (2, 2)),
@@ -204,7 +212,7 @@ ARGVS = {
 
 def piece_edges(data):
     """The kind of place each piece of a file's data but the first begins at, with the pieces of the split runs."""
-    start = data.find(b"\n") + 1
+    start = re.search(rb"[^\r\n]+[\r\n]?", data).end()  # just past the header's first CR or LF
     piece = claims._pieces(len(data) - start)[0]
     for edge in range(start + piece, len(data), piece):
         pair = data[edge - 1 : edge + 1]
@@ -323,8 +331,10 @@ def split_and_rows(monkeypatch, argv):
 
 
 @splits
-@pytest.mark.parametrize("stalled", ["child", "parent"])
-def test_a_stalled_process_leaves_its_pieces_to_the_other(tmp_path, monkeypatch, stalled):
+@pytest.mark.parametrize(
+    "stalled, end", [("child", b"\n"), ("parent", b"\n"), ("parent", b"\r")], ids=["child", "parent", "bare_cr"]
+)
+def test_a_stalled_process_leaves_its_pieces_to_the_other(tmp_path, monkeypatch, stalled, end):
     """While one process holds its first piece, the other claims every other piece; the report is the row stream's.
 
     The stalled process holds its first piece until every piece is claimed;
@@ -332,7 +342,7 @@ def test_a_stalled_process_leaves_its_pieces_to_the_other(tmp_path, monkeypatch,
     neither can take every piece before the other starts.
     """
     path = tmp_path / "p.csv"
-    path.write_bytes(HEADER + BIG_BODY)
+    path.write_bytes(HEADER + BIG_BODY.replace(b"\n", end))
     pieces = -(-len(BIG_BODY) // SMALL_PIECE)
 
     def first_claim(who, claimed):
@@ -507,7 +517,7 @@ def test_sigint_during_a_split_run_exits_130_and_leaves_no_child_or_descriptor(t
 
 
 def split_threshold_files():
-    """name -> (bytes of about 2 MB, over the 1 MiB split threshold, extra arguments, exit code)."""
+    """name -> (bytes of about 1 to 2 MB, over the 1 MiB split threshold, the arguments after evaluate, exit code)."""
     rng = random.Random(7)
     names = [f"c{i}" for i in range(10)]
     rows = []
@@ -517,14 +527,29 @@ def split_threshold_files():
         rows.append(rng.choice(names) + "," + ",".join(repr(w / total) for w in weights) + "\r\n")
     header = "actual," + ",".join(names) + "\r\n"
     body, last = "".join(rows[:-3]), "".join(rows[-3:])
+    probs = ["--kind", "probs"]
     files = {
-        "split": (header + body + last, [], 0),
-        "split-bad": (header + body + "c1,oops" + ",0.1" * 9 + "\r\n" + last, [], 2),
-        "split-cr": (header + (body + last).replace("\r\n", "\r"), [], 0),
-        "split-tab": ((header + body + last).replace(",", "\t"), ["--delimiter", "tab"], 0),
+        "split": (header + body + last, probs, 0),
+        "split-bad": (header + body + "c1,oops" + ",0.1" * 9 + "\r\n" + last, probs, 2),
+        "split-cr": (header + (body + last).replace("\r\n", "\r"), probs, 0),
+        "split-tab": ((header + body + last).replace(",", "\t"), [*probs, "--delimiter", "tab"], 0),
         # A valid number longer than csv.field_size_limit().
-        "split-long": (header + body + "c1,0.1" + "0" * 140_000 + ",0.1" * 9 + "\r\n" + last, [], 2),
+        "split-long": (header + body + "c1,0.1" + "0" * 140_000 + ",0.1" * 9 + "\r\n" + last, probs, 2),
     }
+    # Label files with a header, written with a byte-order mark: about 1 MB, or 1.2 MB all distinct.
+    rng, rows = random.Random(11), []
+    for i in range(150_000):  # two classes first appear in the last rows
+        pool = names + ["late1", "late2"] if i > 149_000 else names
+        rows.append(rng.choice(pool) + "," + rng.choice(pool) + ("\r\n" if i % 3 else "\n") + "\n" * (i % 97 == 0))
+    quoted = ['"' + row.rstrip("\r\n").replace(",", '","') + '"' + row[len(row.rstrip("\r\n")) :] for row in rows]
+    bodies = {
+        "labels": (rows, 0),
+        "labels-quoted": (quoted, 0),
+        "labels-distinct": ([f"c{i % 1000},c{(i // 1000 + i) % 1000}\n" for i in range(100_000)], 0),
+        "labels-bad": (rows[:-5] + ["c1,c2,c3\n"] + rows[-5:], 2),
+    }
+    for name, (body, code) in bodies.items():
+        files[name] = ("\ufeffactual,predicted\r\n" + "".join(body), ["--kind", "labels", "--has-header"], code)
     return {name: (text.encode(), args, code) for name, (text, args, code) in files.items()}
 
 
@@ -548,7 +573,7 @@ def test_a_file_read_as_stdin_gives_the_pipe_run(tmp_path, name):
     data, args, code = SPLIT_THRESHOLD_FILES[name]
     path = tmp_path / f"{name}.csv"
     path.write_bytes(data)
-    argv = [sys.executable, "-m", "clfmetrics", "evaluate", "--kind", "probs", "--format", "json", *args, "/dev/stdin"]
+    argv = [sys.executable, "-m", "clfmetrics", "evaluate", "--format", "json", *args, "/dev/stdin"]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(probfile.__file__)))
     with open(path, "rb") as stdin:
         from_file = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=120)
